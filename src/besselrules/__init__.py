@@ -19,7 +19,6 @@ from besselrules.bessel_core import (
 from besselrules.coefficients import (
     CoeffTable,
     DyadicPoly,
-    DyadicRational,
     build_coeff_table,
     coeff_faa_di_bruno,
     enumerate_derivative_partitions,

@@ -16,10 +16,7 @@ import argparse
 import csv
 import datetime
 import json
-import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from besselrules.bessel_core import ConvergenceError, OracleError, truncation_bound
 from besselrules.coefficients import build_coeff_table, coeff_faa_di_bruno
@@ -40,8 +37,10 @@ from besselrules.sum_rules import (
     AccuracyError,
     GeneralModulation,
     SumRuleReport,
+    _fmt,
     addition_formula_sides,
     alternating_sum_sides,
+    auto_sideband_order,
     b_ks_brute,
     b_ks_closed,
     general_modulation_rules,
@@ -50,34 +49,13 @@ from besselrules.sum_rules import (
     jcs_sum_rule_sides,
     recursion_residual,
     write_reports_csv,
+    write_reports_jsonl,
 )
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_REGIME = 3
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("BESSELRULES_THREADS", "")
-    try:
-        n = int(raw) if raw else 1
-    except ValueError:
-        n = 1
-    return max(1, n)
-
-
-def _ordered_map(fn, items):
-    """Map preserving input order; parallel when BESSELRULES_THREADS > 1."""
-    threads = _thread_count()
-    if threads == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _stamp_value(enabled: bool) -> str | None:
@@ -125,10 +103,10 @@ def cmd_coeffs(args) -> int:
                     if (k, n) in mismatches
                     else ("ok" if dual_checked else "skipped")
                 )
-                poly = table.entries[(k, n)]
-                for power in sorted(poly.coeffs):
-                    c = poly.coeffs[power]
-                    writer.writerow([k, n, power, str(c.num), c.exp2, status])
+                for term in table.entries[(k, n)].to_json_obj():
+                    writer.writerow(
+                        [k, n, term["power"], term["num"], term["exp2"], status]
+                    )
     return EXIT_VERIFICATION if mismatches else EXIT_OK
 
 
@@ -325,11 +303,7 @@ def cmd_verify(args) -> int:
     passed = [r.passes(args.tolerance) for r in reports]
     if args.format == "json":
         with open(args.output, "w") as fh:
-            for r, ok in zip(reports, passed):
-                obj = r.to_json_obj()
-                obj["pass"] = ok
-                fh.write(json.dumps(obj, sort_keys=False))
-                fh.write("\n")
+            write_reports_jsonl(reports, fh, extra_fields={"pass": passed})
     else:
         status = ["ok" if ok else "FAIL" for ok in passed]
         with open(args.output, "w", newline="") as fh:
@@ -389,10 +363,7 @@ def cmd_sidebands(args) -> int:
     else:
         mod = GeneralModulation.two_tone(args.y1 or 0.0, args.y2 or 0.0, args.Omega)
 
-    n_max = args.n_max
-    if n_max is None:
-        depth = sum(abs(n) * abs(c) for n, c in mod.fourier_coeffs.items())
-        n_max = max(8, mod.support() + math.ceil(2.0 * depth) + 8)
+    n_max = auto_sideband_order(mod) if args.n_max is None else args.n_max
     spectrum = general_sidebands(mod, n_max)
     energy = spectrum.energy_sum()
 
@@ -498,9 +469,7 @@ def cmd_lineshape(args) -> int:
     else:
         deltas = [2.0 * args.delta / gamma]
 
-    rows = _ordered_map(
-        lambda d: _lineshape_point(base, d, args.method, args.harmonics), deltas
-    )
+    rows = [_lineshape_point(base, d, args.method, args.harmonics) for d in deltas]
 
     header = ["delta", "dc"]
     for h in range(1, args.harmonics + 1):

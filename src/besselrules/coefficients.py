@@ -3,14 +3,15 @@
 The k-th derivative of exp(i y sin(theta)) equals a trigonometric
 polynomial times the function itself; projecting that polynomial onto
 e^{i n theta} yields coefficients that, after dividing out i^k, are real
-polynomials in y with dyadic-rational coefficients.  This module computes
-them two independent ways: the two-term lattice recursion
+polynomials.  This module computes them two independent ways: the
+two-term lattice recursion
 
     D[k+1, n] = n D[k, n] + (y/2) (D[k, n+1] + D[k, n-1]),  D[0, n] = delta(n)
 
 and a closed form built from higher-derivative chain-rule partitions.
-All arithmetic is exact (big integers over powers of two); nothing here
-ever rounds.
+The recursion shows D[k, n] = sum_m c[k, n, m] (y/2)^m with integer c,
+so the arithmetic is exact on plain big integers; nothing here ever
+rounds.  Only serialization reduces c / 2^m to the y-basis dyadic form.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from functools import lru_cache
 from typing import Iterator, Mapping
 
 __all__ = [
-    "DyadicRational",
     "DyadicPoly",
     "CoeffTable",
     "build_coeff_table",
@@ -36,98 +36,24 @@ MAX_RECURSION_K = 64
 MAX_FAA_DI_BRUNO_K = 30
 
 
-class DyadicRational:
-    """Exact value num / 2**exp2 with arbitrary-precision integer num.
-
-    Canonical form: num is odd, zero, or exp2 is already 0; exp2 == 0
-    whenever num == 0.  Closed under +, -, *; never rounds.
-    """
-
-    __slots__ = ("num", "exp2")
-
-    def __init__(self, num: int, exp2: int = 0):
-        if exp2 < 0:
-            raise ValueError(f"exp2 must be >= 0, got {exp2}")
-        while num != 0 and exp2 > 0 and num % 2 == 0:
-            num //= 2
-            exp2 -= 1
-        if num == 0:
-            exp2 = 0
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "exp2", exp2)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DyadicRational is immutable")
-
-    def __add__(self, other: "DyadicRational") -> "DyadicRational":
-        e = max(self.exp2, other.exp2)
-        return DyadicRational(
-            (self.num << (e - self.exp2)) + (other.num << (e - other.exp2)), e
-        )
-
-    def __sub__(self, other: "DyadicRational") -> "DyadicRational":
-        return self + (-other)
-
-    def __mul__(self, other: "DyadicRational") -> "DyadicRational":
-        return DyadicRational(self.num * other.num, self.exp2 + other.exp2)
-
-    def __neg__(self) -> "DyadicRational":
-        return DyadicRational(-self.num, self.exp2)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DyadicRational):
-            return NotImplemented
-        return self.num == other.num and self.exp2 == other.exp2
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.exp2))
-
-    def __bool__(self) -> bool:
-        return self.num != 0
-
-    def scale_int(self, c: int) -> "DyadicRational":
-        return DyadicRational(self.num * c, self.exp2)
-
-    def halved(self) -> "DyadicRational":
-        return DyadicRational(self.num, self.exp2 + 1)
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, 1 << self.exp2)
-
-    def __float__(self) -> float:
-        # float(Fraction) is correctly rounded even for huge numerators.
-        return float(self.as_fraction())
-
-    def __repr__(self) -> str:
-        if self.exp2 == 0:
-            return f"DyadicRational({self.num})"
-        return f"DyadicRational({self.num}, {self.exp2})"
-
-
-_DR_ZERO = DyadicRational(0)
-_DR_ONE = DyadicRational(1)
-
-
 class DyadicPoly:
-    """Sparse polynomial in y with DyadicRational coefficients.
+    """Sparse polynomial in u = y/2 with integer coefficients.
 
-    The coefficient map never stores zeros; equality is exact.
+    coeffs maps the power m to the integer c with term c (y/2)^m; zeros
+    are never stored and equality is exact.
     """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Mapping[int, DyadicRational] | None = None):
-        cleaned: dict[int, DyadicRational] = {}
+    def __init__(self, coeffs: Mapping[int, int] | None = None):
+        cleaned: dict[int, int] = {}
         if coeffs:
             for power, c in coeffs.items():
                 if power < 0:
                     raise ValueError(f"power must be >= 0, got {power}")
                 if c:
                     cleaned[power] = c
-        object.__setattr__(self, "coeffs", cleaned)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DyadicPoly is immutable")
+        self.coeffs = cleaned
 
     @classmethod
     def zero(cls) -> "DyadicPoly":
@@ -135,7 +61,7 @@ class DyadicPoly:
 
     @classmethod
     def one(cls) -> "DyadicPoly":
-        return cls({0: _DR_ONE})
+        return cls({0: 1})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -146,82 +72,56 @@ class DyadicPoly:
     def min_power(self) -> int:
         return min(self.coeffs) if self.coeffs else -1
 
-    def __add__(self, other: "DyadicPoly") -> "DyadicPoly":
-        out = dict(self.coeffs)
-        for power, c in other.coeffs.items():
-            out[power] = out[power] + c if power in out else c
-        return DyadicPoly(out)
-
-    def __neg__(self) -> "DyadicPoly":
-        return DyadicPoly({p: -c for p, c in self.coeffs.items()})
-
-    def __sub__(self, other: "DyadicPoly") -> "DyadicPoly":
-        return self + (-other)
-
-    def scale_int(self, c: int) -> "DyadicPoly":
-        if c == 0:
-            return DyadicPoly()
-        return DyadicPoly({p: v.scale_int(c) for p, v in self.coeffs.items()})
-
-    def scale(self, c: DyadicRational) -> "DyadicPoly":
-        if not c:
-            return DyadicPoly()
-        return DyadicPoly({p: v * c for p, v in self.coeffs.items()})
-
-    def mul_half_y(self) -> "DyadicPoly":
-        """Multiply by y/2 (exact: shift powers up, halve coefficients)."""
-        return DyadicPoly({p + 1: c.halved() for p, c in self.coeffs.items()})
-
-    def add_term(self, power: int, c: DyadicRational) -> "DyadicPoly":
-        return self + DyadicPoly({power: c})
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, DyadicPoly):
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
-
     def evaluate(self, y: float) -> float:
-        """Horner evaluation at a float point (one rounding per operation)."""
+        """Horner evaluation in u = y/2 (one rounding per operation)."""
         if not self.coeffs:
             return 0.0
+        u = 0.5 * y
         acc = 0.0
         prev_power: int | None = None
         for power in sorted(self.coeffs, reverse=True):
             if prev_power is not None:
-                acc *= y ** (prev_power - power)
+                acc *= u ** (prev_power - power)
             acc += float(self.coeffs[power])
             prev_power = power
-        return acc * y**prev_power if prev_power else acc
+        return acc * u**prev_power if prev_power else acc
 
     def evaluate_exact(self, y: Fraction) -> Fraction:
-        total = Fraction(0)
-        for power, c in self.coeffs.items():
-            total += c.as_fraction() * y**power
-        return total
+        u = Fraction(y) / 2
+        return sum((c * u**power for power, c in self.coeffs.items()), Fraction(0))
 
     def __repr__(self) -> str:
         if not self.coeffs:
             return "DyadicPoly(0)"
-        parts = []
-        for power in sorted(self.coeffs):
-            c = self.coeffs[power]
-            parts.append(f"({c.num}/2^{c.exp2})*y^{power}")
+        parts = [f"{self.coeffs[p]}*(y/2)^{p}" for p in sorted(self.coeffs)]
         return "DyadicPoly(" + " + ".join(parts) + ")"
 
     def to_json_obj(self) -> list[dict]:
-        return [
-            {"power": p, "num": str(self.coeffs[p].num), "exp2": self.coeffs[p].exp2}
-            for p in sorted(self.coeffs)
-        ]
+        """Terms as (num / 2^exp2) y^power with num odd unless exp2 == 0."""
+        terms = []
+        for power in sorted(self.coeffs):
+            c = self.coeffs[power]
+            tz = min((c & -c).bit_length() - 1, power)
+            terms.append({"power": power, "num": str(c >> tz), "exp2": power - tz})
+        return terms
 
     @classmethod
     def from_json_obj(cls, obj: list[dict]) -> "DyadicPoly":
-        return cls(
-            {int(t["power"]): DyadicRational(int(t["num"]), int(t["exp2"])) for t in obj}
-        )
+        coeffs = {}
+        for t in obj:
+            power, num, exp2 = int(t["power"]), int(t["num"]), int(t["exp2"])
+            if not 0 <= exp2 <= power:
+                raise ValueError(
+                    f"term {num}/2^{exp2} y^{power} is not an integer multiple "
+                    f"of (y/2)^{power}"
+                )
+            coeffs[power] = num << (power - exp2)
+        return cls(coeffs)
 
 
 @dataclass(frozen=True)
@@ -271,18 +171,16 @@ def build_coeff_table(k_max: int) -> CoeffTable:
     entries: dict[tuple[int, int], DyadicPoly] = {(0, 0): DyadicPoly.one()}
     for k in range(k_max):
         for n in range(-(k + 1), k + 2):
-            acc = DyadicPoly.zero()
-            prev = entries.get((k, n))
-            if prev is not None and n != 0:
-                acc = acc + prev.scale_int(n)
-            up = entries.get((k, n + 1))
-            if up is not None:
-                acc = acc + up.mul_half_y()
-            down = entries.get((k, n - 1))
-            if down is not None:
-                acc = acc + down.mul_half_y()
-            if not acc.is_zero():
-                entries[(k + 1, n)] = acc
+            # c' = n c[n] + shift(c[n+1] + c[n-1]): y/2 times u^m is u^(m+1)
+            acc: dict[int, int] = {}
+            for source, weight, shift in ((n, n, 0), (n + 1, 1, 1), (n - 1, 1, 1)):
+                prev = entries.get((k, source))
+                if prev is not None:
+                    for m, c in prev.coeffs.items():
+                        acc[m + shift] = acc.get(m + shift, 0) + weight * c
+            poly = DyadicPoly(acc)
+            if not poly.is_zero():
+                entries[(k + 1, n)] = poly
     return CoeffTable(k_max=k_max, entries=entries)
 
 
@@ -319,7 +217,7 @@ def coeff_faa_di_bruno(k: int, n: int) -> DyadicPoly:
     if abs(n) > k:
         raise ValueError(f"|n| must be <= k, got n={n}, k={k}")
     k_fact = math.factorial(k)
-    poly = DyadicPoly.zero()
+    coeffs: dict[int, int] = {}
     for ms in enumerate_derivative_partitions(k):
         m = sum(ms)
         if abs(n) > m or (m - n) % 2 != 0:
@@ -356,9 +254,10 @@ def coeff_faa_di_bruno(k: int, n: int) -> DyadicPoly:
             raise RuntimeError(
                 f"imaginary residue in coefficient phase at k={k}, n={n}, ms={ms}"
             )
+        # total is the coefficient of (y/2)^m contributed by this partition
         total = phase * (-1) ** phi * count * inner
-        poly = poly.add_term(m, DyadicRational(total, m))
-    return poly
+        coeffs[m] = coeffs.get(m, 0) + total
+    return DyadicPoly(coeffs)
 
 
 def eval_coeff(table: CoeffTable, k: int, n: int, y: float) -> float:

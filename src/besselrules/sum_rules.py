@@ -34,6 +34,7 @@ __all__ = [
     "jcs_sum_rule_sides",
     "jbar",
     "jbar_sum_rule_sides",
+    "auto_sideband_order",
     "general_sidebands",
     "general_modulation_rules",
     "recursion_residual",
@@ -363,9 +364,19 @@ def general_sidebands(mod: GeneralModulation, n_max: int) -> SidebandSpectrum:
     )
 
 
-def _auto_sideband_order(mod: GeneralModulation) -> int:
-    depth = sum(abs(n) * abs(c) for n, c in mod.fourier_coeffs.items())
-    return max(16, mod.support() + math.ceil(2.0 * depth) + 8)
+def auto_sideband_order(mod: GeneralModulation) -> int:
+    """Sideband order past which every amplitude is negligible (~1e-16).
+
+    exp(i phi) is the product over n > 0 of exp(i 2|c_n| cos(n Omega t +
+    theta_n)), whose factor n reaches sideband k n with amplitude
+    J_k(2|c_n|); truncating each factor at its Bessel envelope bounds the
+    reach of the product by the sum of n times that envelope.
+    """
+    return sum(
+        n * truncation_bound(2.0 * abs(c), 1e-16)
+        for n, c in mod.fourier_coeffs.items()
+        if n > 0
+    )
 
 
 def general_modulation_rules(
@@ -376,7 +387,7 @@ def general_modulation_rules(
     Returns (sum_n G_n conj(G_{n-s}), sum_n n G_n conj(G_{n-s}), i s phi_s);
     the first should be delta(s, 0) and the second should equal the third.
     """
-    n_max = _auto_sideband_order(mod) + abs(s)
+    n_max = auto_sideband_order(mod) + abs(s)
     spectrum = general_sidebands(mod, n_max)
     g = spectrum.values
     n = np.arange(-n_max, n_max + 1)
@@ -439,7 +450,7 @@ class SumRuleReport:
         )
 
     def passes(self, tolerance: float) -> bool:
-        return self.abs_residual <= tolerance * max(1.0, abs(self.closed_form))
+        return bool(self.abs_residual <= tolerance * max(1.0, abs(self.closed_form)))
 
     def to_json_obj(self) -> dict:
         return {
@@ -459,9 +470,18 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def write_reports_jsonl(reports: list[SumRuleReport], stream: io.TextIOBase) -> None:
-    for r in reports:
-        stream.write(json.dumps(r.to_json_obj(), sort_keys=False))
+def write_reports_jsonl(
+    reports: list[SumRuleReport],
+    stream: io.TextIOBase,
+    extra_fields: Mapping[str, list] | None = None,
+) -> None:
+    """One JSON object per line; extra_fields[name][i] is appended to line i."""
+    for i, r in enumerate(reports):
+        obj = r.to_json_obj()
+        if extra_fields:
+            for name, values in extra_fields.items():
+                obj[name] = values[i]
+        stream.write(json.dumps(obj, sort_keys=False))
         stream.write("\n")
 
 

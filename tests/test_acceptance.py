@@ -12,7 +12,6 @@ import pytest
 
 from besselrules.coefficients import (
     DyadicPoly,
-    DyadicRational,
     build_coeff_table,
     coeff_faa_di_bruno,
 )
@@ -52,7 +51,8 @@ def report(number: int, description: str, ok: bool, elapsed: float, limit: float
 
 
 def _poly(*terms):
-    return DyadicPoly({p: DyadicRational(num, e) for p, num, e in terms})
+    """(power, num, exp2) triples, num/2^exp2 y^power, as integers in y/2."""
+    return DyadicPoly({p: num << (p - e) for p, num, e in terms})
 
 
 # The low-order listing, in exact dyadics.  The (4, 0) entry is the

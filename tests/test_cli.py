@@ -87,6 +87,16 @@ class TestVerifyCommand:
         assert "mixed_modulation_moment" in ids
         assert "two_tone_moment" in ids
 
+    def test_all_suite_json(self, tmp_path):
+        out = tmp_path / "all.jsonl"
+        assert (
+            run("verify", "--suite", "all", "--format", "json", "--output", str(out))
+            == 0
+        )
+        lines = out.read_text().splitlines()
+        assert len(lines) == 1207  # every row of the CSV report
+        assert all(json.loads(line)["pass"] is True for line in lines)
+
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run("verify", "--suite", "core", "--output", str(a))
@@ -125,6 +135,23 @@ class TestSidebandsCommand:
         footer = out.read_text().strip().splitlines()[-1]
         assert footer.startswith("# energy_sum=")
         assert float(footer.split("=")[1]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_general_phase_automatic_order_keeps_tail(self, tmp_path):
+        # harmonics 1 and 3: sidebands of about 1e-6 reach past |n| = 17
+        phi = [
+            [1, 0.0, -0.5279], [-1, 0.0, 0.5279],
+            [3, -0.1922, -0.1812], [-3, -0.1922, 0.1812],
+        ]
+        out = tmp_path / "sb.json"
+        assert run(
+            "sidebands", "--phi-coeffs", json.dumps(phi), "--format", "json",
+            "--output", str(out),
+        ) == 0
+        obj = json.loads(out.read_text())
+        assert abs(obj["energy_sum"] - 1.0) < 1e-13
+        second = sum(r["n"] ** 2 * r["g_abs2"] for r in obj["rows"])
+        expected = sum(n**2 * (re**2 + im**2) for n, re, im in phi)
+        assert second == pytest.approx(expected, rel=1e-12)
 
     def test_malformed_phi_coeffs_named(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -445,17 +472,3 @@ class TestDeterminismAndUsage:
     def test_unwritable_output_is_usage_error(self, tmp_path):
         code = run("coeffs", "--k-max", "2", "--output", str(tmp_path / "no" / "x.json"))
         assert code == 2
-
-    def test_threads_env_honored(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BESSELRULES_THREADS", "2")
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        flags = (
-            "lineshape", "--Omega", "0.03", "--M", "0.5",
-            "--delta-min", "-2", "--delta-max", "2", "--delta-steps", "5",
-            "--method", "perturbative",
-        )
-        assert run(*flags, "--output", str(a)) == 0
-        monkeypatch.delenv("BESSELRULES_THREADS")
-        assert run(*flags, "--output", str(b)) == 0
-        assert a.read_bytes() == b.read_bytes()

@@ -1,7 +1,7 @@
 """Exact-arithmetic tests for the coefficient polynomials.
 
 The k <= 4 table is pinned entry by entry against the hand-checked closed
-forms; everything is exact DyadicRational equality, zero tolerance.
+forms; everything is exact integer equality in u = y/2, zero tolerance.
 """
 
 from fractions import Fraction
@@ -15,7 +15,6 @@ from besselrules.bessel_core import bessel_j_row, truncation_bound
 from besselrules.coefficients import (
     CoeffTable,
     DyadicPoly,
-    DyadicRational,
     build_coeff_table,
     coeff_faa_di_bruno,
     enumerate_derivative_partitions,
@@ -24,8 +23,8 @@ from besselrules.coefficients import (
 
 
 def poly(*terms: tuple[int, int, int]) -> DyadicPoly:
-    """Build a polynomial from (power, num, exp2) triples."""
-    return DyadicPoly({p: DyadicRational(num, e) for p, num, e in terms})
+    """Build a polynomial from (power, num, exp2) triples, num/2^exp2 y^power."""
+    return DyadicPoly({p: num << (p - e) for p, num, e in terms})
 
 
 # The full low-order table, entered by hand and pinned exactly; omitted
@@ -60,49 +59,34 @@ PINNED_TABLE = {
 }
 
 
-class TestDyadicRational:
-    def test_canonical_form(self):
-        r = DyadicRational(4, 3)
-        assert (r.num, r.exp2) == (1, 1)
-        z = DyadicRational(0, 5)
-        assert (z.num, z.exp2) == (0, 0)
-        even = DyadicRational(6, 0)  # even integers cannot reduce further
-        assert (even.num, even.exp2) == (6, 0)
-
-    def test_negative_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            DyadicRational(1, -1)
-
-    @given(
-        a=st.integers(-10**6, 10**6),
-        ea=st.integers(0, 40),
-        b=st.integers(-10**6, 10**6),
-        eb=st.integers(0, 40),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_arithmetic_matches_fractions(self, a, ea, b, eb):
-        x = DyadicRational(a, ea)
-        y = DyadicRational(b, eb)
-        fx, fy = Fraction(a, 2**ea), Fraction(b, 2**eb)
-        assert (x + y).as_fraction() == fx + fy
-        assert (x - y).as_fraction() == fx - fy
-        assert (x * y).as_fraction() == fx * fy
-        assert (-x).as_fraction() == -fx
-
-    def test_float_conversion_is_exact_for_small_dyadics(self):
-        assert float(DyadicRational(3, 3)) == 0.375
-        assert float(DyadicRational(-7, 2)) == -1.75
-
-
 class TestDyadicPoly:
     def test_no_zero_coefficients_stored(self):
-        p = poly((2, 1, 1)) + poly((2, -1, 1))
-        assert p.is_zero()
-        assert p.coeffs == {}
+        p = DyadicPoly({2: 0, 3: 5})
+        assert p.coeffs == {3: 5}
+        assert DyadicPoly({2: 0}).is_zero()
 
-    def test_mul_half_y(self):
-        p = poly((1, 1, 1)).mul_half_y()  # (y/2)(y/2) = y^2/4
-        assert p == poly((2, 1, 2))
+    def test_to_json_canonical_form(self):
+        # 4 (y/2)^3 = y^3 / 2; an even integer at power 0 cannot reduce
+        assert DyadicPoly({3: 4}).to_json_obj() == [{"power": 3, "num": "1", "exp2": 1}]
+        assert DyadicPoly({0: 6, 1: -6}).to_json_obj() == [
+            {"power": 0, "num": "6", "exp2": 0},
+            {"power": 1, "num": "-3", "exp2": 0},
+        ]
+        assert DyadicPoly({2: 0, 5: 3}).to_json_obj() == [
+            {"power": 5, "num": "3", "exp2": 5}
+        ]
+
+    @given(c=st.integers(-10**30, 10**30), power=st.integers(0, 80))
+    @settings(max_examples=200, deadline=None)
+    def test_serialized_value_matches_fractions(self, c, power):
+        terms = DyadicPoly({power: c}).to_json_obj()
+        if c == 0:
+            assert terms == []
+            return
+        (t,) = terms
+        num, exp2 = int(t["num"]), t["exp2"]
+        assert Fraction(num, 2**exp2) == Fraction(c, 2**power)
+        assert exp2 == 0 or num % 2 == 1
 
     def test_evaluate_exact_on_dyadic_points(self):
         p = poly((4, 3, 3), (2, 1, 2))  # 3 y^4 / 8 + y^2 / 4
@@ -116,8 +100,15 @@ class TestDyadicPoly:
             assert p.evaluate(y) == pytest.approx(exact, rel=1e-15)
 
     def test_json_round_trip_exact(self):
-        p = poly((7, 12345678901234567890, 9), (1, -3, 1))
+        p = poly((9, 12345678901234567890, 9), (1, -3, 1))
         assert DyadicPoly.from_json_obj(p.to_json_obj()) == p
+
+    def test_off_lattice_term_rejected(self):
+        # 1/2^9 y^7 is not an integer multiple of (y/2)^7
+        with pytest.raises(ValueError):
+            DyadicPoly.from_json_obj([{"power": 7, "num": "1", "exp2": 9}])
+        with pytest.raises(ValueError):
+            DyadicPoly.from_json_obj([{"power": 1, "num": "1", "exp2": -1}])
 
 
 class TestBuildCoeffTable:
@@ -160,13 +151,12 @@ class TestBuildCoeffTable:
                 assert all((p - n) % 2 == 0 for p in entry.coeffs)
         for k in range(13):
             # leading edge is exactly (y/2)^k
-            assert table.entry(k, k) == DyadicPoly(
-                {k: DyadicRational(1, k)}
-            )
-            assert table.entry(k, -k) == DyadicPoly({k: DyadicRational(1, k)})
+            assert table.entry(k, k) == DyadicPoly({k: 1})
+            assert table.entry(k, -k) == DyadicPoly({k: 1})
             for n in range(0, k + 1):
-                mirrored = table.entry(k, n).scale_int((-1) ** ((k + n) % 2))
-                assert table.entry(k, -n) == mirrored
+                sign = (-1) ** ((k + n) % 2)
+                mirrored = {p: sign * c for p, c in table.entry(k, n).coeffs.items()}
+                assert table.entry(k, -n).coeffs == mirrored
 
     def test_json_round_trip(self):
         table = build_coeff_table(6)
