@@ -52,6 +52,7 @@ from besselrules.modulation_spectroscopy import (
     a_s_newberger,
     a_s_series,
     average_power_unmodulated,
+    exact_truncation_order,
     general_modulation_power,
     modulated_power_exact,
     modulated_power_perturbative,

@@ -99,22 +99,22 @@ def _tiny_argument_series(n: int, y: float) -> float:
     return acc * (1.0 - 0.25 * y * y / (n + 1))
 
 
-def _downward_chain(y: float, captures: range) -> tuple[list[tuple[float, int]], float, int]:
-    """Run the Miller chain for y > 0.
+def _downward_chain(y: float, order_max: int) -> np.ndarray:
+    """J_0(y)..J_order_max(y) for y > 0 from one normalized Miller chain.
 
-    Returns ((mantissa, shift) for each order in `captures`, then the
-    even-order normalization sum as (mantissa, shift)).  True values are
-    mantissa * 2**shift divided by the normalization.
+    Each order keeps its (mantissa, shift) pair until the even-order
+    normalization sum is known; the value is then mantissa * 2**shift
+    divided by that sum.
     """
-    n_top = _chain_start(captures.stop - 1, y)
+    n_top = _chain_start(order_max, y)
     jp = 0.0  # ~J_{m+1}
     j = 2.0 ** -500  # ~J_m seed, arbitrary scale
     shift = -500
     even_sum = 0.0
-    out: dict[int, tuple[float, int]] = {}
+    captured: list[tuple[float, int]] = [(0.0, 0)] * (order_max + 1)
     for m in range(n_top, 0, -1):
-        if m in captures:
-            out[m] = (j, shift)
+        if m <= order_max:
+            captured[m] = (j, shift)
         if m % 2 == 0:
             even_sum += 2.0 * j
         jm1 = (2.0 * m / y) * j - jp
@@ -124,38 +124,26 @@ def _downward_chain(y: float, captures: range) -> tuple[list[tuple[float, int]],
             jp *= 2.0 ** -_RESCALE_SHIFT
             even_sum *= 2.0 ** -_RESCALE_SHIFT
             shift += _RESCALE_SHIFT
-    out[0] = (j, shift)
+    captured[0] = (j, shift)
     norm = even_sum + j  # J_0 + 2 sum_{m>=1} J_{2m} = 1
-    return [out[m] for m in captures], norm, shift
+    return np.array(
+        [math.ldexp(mant / norm, mshift - shift) for mant, mshift in captured]
+    )
 
 
 def bessel_j_int(n: int, y: float) -> float:
     """J_n(y) for integer n and real y.
 
-    Negative orders and arguments are reduced by parity.  Relative accuracy
-    holds down to about 1e-250 in magnitude; below that the result is only
-    absolutely accurate (and may underflow to zero).
+    Negative orders and arguments are reduced by parity: the value is
+    entry |n| of bessel_j_row, negated for odd negative n.  Relative
+    accuracy holds down to about 1e-250 in magnitude; below that the
+    result is only absolutely accurate (and may underflow to zero).
     """
-    if not math.isfinite(y):
-        raise ValueError(f"argument must be finite, got {y!r}")
-    if abs(y) > 1e6:
-        raise ValueError(f"|argument| must be <= 1e6, got {y!r}")
-    sign = 1.0
-    if n < 0:
-        n = -n
-        if n % 2 == 1:
-            sign = -sign
-    if y < 0.0:
-        y = -y
-        if n % 2 == 1:
-            sign = -sign
     if y == 0.0:
+        # +0.0 for every n != 0; negating the row entry would give -0.0
         return 1.0 if n == 0 else 0.0
-    if y < _TINY_ARGUMENT:
-        return sign * _tiny_argument_series(n, y)
-    captured, norm, norm_shift = _downward_chain(y, range(n, n + 1))
-    mant, shift = captured[0]
-    return sign * math.ldexp(mant / norm, shift - norm_shift)
+    value = bessel_j_row(abs(n), y)[abs(n)]
+    return -value if n < 0 and n % 2 else value
 
 
 def bessel_j_row(order_max: int, y: float) -> BesselRow:
@@ -170,17 +158,12 @@ def bessel_j_row(order_max: int, y: float) -> BesselRow:
         values = np.zeros(order_max + 1)
         values[0] = 1.0
         return BesselRow(order_max, y, values)
-    arg_sign = -1.0 if y < 0.0 else 1.0
     ya = abs(y)
-    values = np.empty(order_max + 1)
     if ya < _TINY_ARGUMENT:
-        for m in range(order_max + 1):
-            values[m] = _tiny_argument_series(m, ya)
+        values = np.array([_tiny_argument_series(m, ya) for m in range(order_max + 1)])
     else:
-        captured, norm, norm_shift = _downward_chain(ya, range(0, order_max + 1))
-        for m, (mant, shift) in enumerate(captured):
-            values[m] = math.ldexp(mant / norm, shift - norm_shift)
-    if arg_sign < 0.0:
+        values = _downward_chain(ya, order_max)
+    if y < 0.0:
         values[1::2] = -values[1::2]
     return BesselRow(order_max, y, values)
 

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime
 import json
 import sys
 
-from besselrules.bessel_core import ConvergenceError, OracleError, truncation_bound
+from besselrules.bessel_core import ConvergenceError, OracleError
 from besselrules.coefficients import build_coeff_table, coeff_faa_di_bruno
 from besselrules.modulation_spectroscopy import (
     HarmonicDecomposition,
@@ -29,6 +30,7 @@ from besselrules.modulation_spectroscopy import (
     a_s_geometric,
     a_s_newberger,
     a_s_series,
+    exact_truncation_order,
     modulated_power_exact,
     modulated_power_perturbative,
     time_domain_oracle,
@@ -58,10 +60,19 @@ EXIT_USAGE = 2
 EXIT_REGIME = 3
 
 
-def _stamp_value(enabled: bool) -> str | None:
-    if not enabled:
-        return None
-    return datetime.datetime.now(datetime.timezone.utc).isoformat()
+def _write_json(path: str, obj: dict, stamp: bool) -> None:
+    """Indented JSON with a trailing newline; --stamp appends the UTC time."""
+    if stamp:
+        obj["stamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    with open(path, "w") as fh:
+        fh.write(json.dumps(obj, indent=2) + "\n")
+
+
+def _write_csv(path: str, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -77,36 +88,24 @@ def cmd_coeffs(args) -> int:
             for n in range(-k, k + 1):
                 if coeff_faa_di_bruno(k, n) != table.entry(k, n):
                     mismatches.append((k, n))
-    if not dual_checked:
-        checksum = "skipped"
-    elif mismatches:
-        checksum = "mismatch:" + ";".join(f"({k},{n})" for k, n in mismatches)
-    else:
-        checksum = "ok"
+    unflagged = "ok" if dual_checked else "skipped"
 
     if args.format == "json":
         obj = table.to_json_obj()
-        obj["dual_path"] = checksum
-        stamp = _stamp_value(args.stamp)
-        if stamp:
-            obj["stamp"] = stamp
-        text = json.dumps(obj, indent=2) + "\n"
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        obj["dual_path"] = (
+            "mismatch:" + ";".join(f"({k},{n})" for k, n in mismatches)
+            if mismatches
+            else unflagged
+        )
+        _write_json(args.output, obj, args.stamp)
     else:
-        with open(args.output, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["k", "n", "power", "num", "exp2", "dual_path"])
+        def rows():
             for (k, n) in sorted(table.entries):
-                status = (
-                    "mismatch"
-                    if (k, n) in mismatches
-                    else ("ok" if dual_checked else "skipped")
-                )
+                flag = "mismatch" if (k, n) in mismatches else unflagged
                 for term in table.entries[(k, n)].to_json_obj():
-                    writer.writerow(
-                        [k, n, term["power"], term["num"], term["exp2"], status]
-                    )
+                    yield [k, n, term["power"], term["num"], term["exp2"], flag]
+
+        _write_csv(args.output, ["k", "n", "power", "num", "exp2", "dual_path"], rows())
     return EXIT_VERIFICATION if mismatches else EXIT_OK
 
 
@@ -283,23 +282,19 @@ def _suite_spectroscopy() -> list[SumRuleReport]:
     return reports
 
 
+# --suite name -> the report builders it runs, in order
 _SUITES = {
-    "core": ("core",),
-    "generalized": ("generalized",),
-    "spectroscopy": ("spectroscopy",),
-    "all": ("core", "generalized", "spectroscopy"),
-}
-_SUITE_BUILDERS = {
-    "core": _suite_core,
-    "generalized": _suite_generalized,
-    "spectroscopy": _suite_spectroscopy,
+    "core": (_suite_core,),
+    "generalized": (_suite_generalized,),
+    "spectroscopy": (_suite_spectroscopy,),
+    "all": (_suite_core, _suite_generalized, _suite_spectroscopy),
 }
 
 
 def cmd_verify(args) -> int:
     reports: list[SumRuleReport] = []
-    for name in _SUITES[args.suite]:
-        reports.extend(_SUITE_BUILDERS[name]())
+    for build in _SUITES[args.suite]:
+        reports.extend(build())
     passed = [r.passes(args.tolerance) for r in reports]
     if args.format == "json":
         with open(args.output, "w") as fh:
@@ -334,15 +329,16 @@ def _parse_phi_coeffs(text: str) -> dict[int, complex]:
         if (
             not isinstance(entry, list)
             or len(entry) != 3
-            or not all(isinstance(v, (int, float)) for v in entry)
+            or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry
+            )
         ):
             raise ValueError(
                 f"--phi-coeffs entry {i} must be [n, re, im], got {entry!r}"
             )
-        n = int(entry[0])
-        if n != entry[0]:
+        if isinstance(entry[0], float) and not entry[0].is_integer():
             raise ValueError(f"--phi-coeffs entry {i}: n must be an integer")
-        coeffs[n] = complex(entry[1], entry[2])
+        coeffs[int(entry[0])] = complex(entry[1], entry[2])
     return coeffs
 
 
@@ -374,6 +370,11 @@ def cmd_sidebands(args) -> int:
             n_eff = n
             break
 
+    rows = [
+        [n, spectrum[n].real, spectrum[n].imag, abs(spectrum[n]) ** 2]
+        for n in range(-n_eff, n_eff + 1)
+    ]
+    header = ["n", "g_re", "g_im", "g_abs2"]
     if args.format == "json":
         obj = {
             "n_max": n_eff,
@@ -381,29 +382,17 @@ def cmd_sidebands(args) -> int:
             "sample_count": spectrum.sample_count,
             "tail_estimate": spectrum.tail_estimate,
             "energy_sum": energy,
-            "rows": [
-                {
-                    "n": n,
-                    "g_re": spectrum[n].real,
-                    "g_im": spectrum[n].imag,
-                    "g_abs2": abs(spectrum[n]) ** 2,
-                }
-                for n in range(-n_eff, n_eff + 1)
-            ],
+            "rows": [dict(zip(header, row)) for row in rows],
         }
-        stamp = _stamp_value(args.stamp)
-        if stamp:
-            obj["stamp"] = stamp
-        with open(args.output, "w") as fh:
-            fh.write(json.dumps(obj, indent=2) + "\n")
+        _write_json(args.output, obj, args.stamp)
     else:
-        with open(args.output, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["n", "g_re", "g_im", "g_abs2"])
-            for n in range(-n_eff, n_eff + 1):
-                g = spectrum[n]
-                writer.writerow([n, _fmt(g.real), _fmt(g.imag), _fmt(abs(g) ** 2)])
-            fh.write(f"# energy_sum={_fmt(energy)}\n")
+        # the footer is a one-field row, which the csv writer leaves unquoted
+        _write_csv(
+            args.output,
+            header,
+            [[n, _fmt(re), _fmt(im), _fmt(a2)] for n, re, im, a2 in rows]
+            + [[f"# energy_sum={_fmt(energy)}"]],
+        )
     return EXIT_OK
 
 
@@ -423,24 +412,15 @@ def _sweep_values(lo: float, hi: float, count: int) -> list[float]:
 def _lineshape_point(
     base: OscillatorParams, delta_norm: float, method: str, harmonics: int
 ) -> HarmonicDecomposition:
-    p = OscillatorParams(
-        omega0=base.omega0,
-        gamma=base.gamma,
-        force=base.force,
-        delta=0.5 * delta_norm * base.gamma,
-        Omega=base.Omega,
-        M=base.M,
-    )
+    p = dataclasses.replace(base, delta=0.5 * delta_norm * base.gamma)
     if method == "exact":
         return modulated_power_exact(p, harmonics)
     if method == "perturbative":
         dec = modulated_power_perturbative(p)
-        cos_amps = list(dec.cos_amps[:harmonics])
-        sin_amps = list(dec.sin_amps[:harmonics])
-        while len(cos_amps) < harmonics:
-            cos_amps.append(0.0)
-            sin_amps.append(0.0)
-        return HarmonicDecomposition(dec.dc, tuple(cos_amps), tuple(sin_amps))
+        pad = (0.0,) * (harmonics - dec.n_harmonics)
+        return HarmonicDecomposition(
+            dec.dc, dec.cos_amps[:harmonics] + pad, dec.sin_amps[:harmonics] + pad
+        )
     mod = GeneralModulation.sinusoidal(p.M, p.Omega)
     return time_domain_oracle(
         p, mod, periods=4, samples_per_period=64, n_harmonics=harmonics
@@ -448,6 +428,8 @@ def _lineshape_point(
 
 
 def cmd_lineshape(args) -> int:
+    if args.harmonics < 0:
+        raise ValueError(f"--harmonics must be >= 0, got {args.harmonics}")
     if args.normalized:
         gamma = 1.0
         omega0 = args.omega0_over_gamma
@@ -469,17 +451,17 @@ def cmd_lineshape(args) -> int:
     else:
         deltas = [2.0 * args.delta / gamma]
 
-    rows = [_lineshape_point(base, d, args.method, args.harmonics) for d in deltas]
+    rows = []
+    for d in deltas:
+        dec = _lineshape_point(base, d, args.method, args.harmonics)
+        rows.append(
+            [d, dec.dc] + [v for pair in zip(dec.cos_amps, dec.sin_amps) for v in pair]
+        )
 
     header = ["delta", "dc"]
     for h in range(1, args.harmonics + 1):
         header += [f"h{h}_cos", f"h{h}_sin"]
     if args.format == "json":
-        truncation = (
-            truncation_bound(base.M, 1e-18) + args.harmonics + 8
-            if args.method == "exact"
-            else None
-        )
         obj = {
             "method": args.method,
             "params": {
@@ -490,37 +472,17 @@ def cmd_lineshape(args) -> int:
                 "M": base.M,
             },
             "harmonics": args.harmonics,
-            "truncation_order": truncation,
+            "truncation_order": (
+                exact_truncation_order(base.M, args.harmonics)
+                if args.method == "exact"
+                else None
+            ),
             "perturbative_valid": base.perturbative_valid,
-            "rows": [
-                dict(
-                    zip(
-                        header,
-                        [d, dec.dc]
-                        + [
-                            v
-                            for pair in zip(dec.cos_amps, dec.sin_amps)
-                            for v in pair
-                        ],
-                    )
-                )
-                for d, dec in zip(deltas, rows)
-            ],
+            "rows": [dict(zip(header, row)) for row in rows],
         }
-        stamp = _stamp_value(args.stamp)
-        if stamp:
-            obj["stamp"] = stamp
-        with open(args.output, "w") as fh:
-            fh.write(json.dumps(obj, indent=2) + "\n")
+        _write_json(args.output, obj, args.stamp)
     else:
-        with open(args.output, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for d, dec in zip(deltas, rows):
-                row = [_fmt(d), _fmt(dec.dc)]
-                for c, s in zip(dec.cos_amps, dec.sin_amps):
-                    row += [_fmt(c), _fmt(s)]
-                writer.writerow(row)
+        _write_csv(args.output, header, ([_fmt(v) for v in row] for row in rows))
     return EXIT_OK
 
 
@@ -528,33 +490,26 @@ def cmd_lineshape(args) -> int:
 # a-sum
 # ---------------------------------------------------------------------------
 
-def _a_sum_value(method: str, args) -> complex:
-    s, M, gamma, Omega = args.s, args.M, args.gamma, args.Omega
-    if method == "direct":
-        return a_s_direct(s, M, gamma, Omega, tol=args.tol)
-    if method == "newberger":
-        if s < 0:
-            value = a_s_newberger(-s, M, gamma, Omega)
-            return ((-1) ** (s % 2)) * value.conjugate()
-        return a_s_newberger(s, M, gamma, Omega)
-    if method == "series":
-        if s < 0:
-            value = a_s_series(-s, M, gamma, Omega, k_max=args.k_max)
-            return ((-1) ** (s % 2)) * value.conjugate()
-        return a_s_series(s, M, gamma, Omega, k_max=args.k_max)
-    return a_s_geometric(s, M, gamma, Omega, order=args.order)
+# --method name -> A_s from the parsed arguments, in --method help order
+_A_SUM_METHODS = {
+    "direct": lambda a: a_s_direct(a.s, a.M, a.gamma, a.Omega, tol=a.tol),
+    "newberger": lambda a: a_s_newberger(a.s, a.M, a.gamma, a.Omega),
+    "series": lambda a: a_s_series(a.s, a.M, a.gamma, a.Omega, k_max=a.k_max),
+    "geometric": lambda a: a_s_geometric(a.s, a.M, a.gamma, a.Omega, order=a.order),
+}
 
 
 def cmd_a_sum(args) -> int:
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
-    valid = {"direct", "newberger", "series", "geometric"}
     for m in methods:
-        if m not in valid:
-            raise ValueError(f"unknown method {m!r}; choose from {sorted(valid)}")
+        if m not in _A_SUM_METHODS:
+            raise ValueError(
+                f"unknown method {m!r}; choose from {sorted(_A_SUM_METHODS)}"
+            )
     if not methods:
         raise ValueError("at least one method is required")
 
-    values = {m: _a_sum_value(m, args) for m in methods}
+    values = {m: _A_SUM_METHODS[m](args) for m in methods}
     residuals = {}
     for i, m1 in enumerate(methods):
         for m2 in methods[i + 1 :]:
@@ -580,24 +535,19 @@ def cmd_a_sum(args) -> int:
         }
         if expansion is not None:
             obj["eta_coefficients"] = expansion
-        stamp = _stamp_value(args.stamp)
-        if stamp:
-            obj["stamp"] = stamp
-        with open(args.output, "w") as fh:
-            fh.write(json.dumps(obj, indent=2) + "\n")
+        _write_json(args.output, obj, args.stamp)
     else:
-        with open(args.output, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["kind", "name", "re", "im"])
-            for m in methods:
-                writer.writerow(["value", m, _fmt(values[m].real), _fmt(values[m].imag)])
-            for key in sorted(residuals):
-                writer.writerow(["residual", key, _fmt(residuals[key]), _fmt(0.0)])
-            if expansion is not None:
-                for row in expansion:
-                    writer.writerow(
-                        ["eta_coefficient", str(row["order"]), _fmt(row["re"]), _fmt(row["im"])]
-                    )
+        rows = [["value", m, values[m].real, values[m].imag] for m in methods]
+        rows += [["residual", key, residuals[key], 0.0] for key in sorted(residuals)]
+        rows += [
+            ["eta_coefficient", str(c["order"]), c["re"], c["im"]]
+            for c in expansion or ()
+        ]
+        _write_csv(
+            args.output,
+            ["kind", "name", "re", "im"],
+            ([kind, name, _fmt(re), _fmt(im)] for kind, name, re, im in rows),
+        )
     # the geometric path is a truncated expansion, so its deviation is
     # informational; only the exact methods gate the exit code
     gated = {
@@ -635,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run sum-rule residual grids")
     p.add_argument(
         "--suite",
-        choices=("core", "generalized", "spectroscopy", "all"),
+        choices=tuple(_SUITES),
         default="all",
     )
     p.add_argument("--tolerance", type=float, default=1e-9)
@@ -693,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=float, required=True)
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--Omega", type=float, required=True)
-    p.add_argument("--method", default="direct", help="comma list: direct,newberger,series,geometric")
+    p.add_argument("--method", default="direct", help="comma list: " + ",".join(_A_SUM_METHODS))
     p.add_argument("--order", type=int, default=3, help="geometric expansion order")
     p.add_argument("--k-max", type=int, default=40, help="series term count")
     p.add_argument("--tol", type=float, default=1e-14, help="direct-sum truncation tolerance")

@@ -45,6 +45,7 @@ __all__ = [
     "a_s_geometric",
     "a_s_eta_coefficients",
     "perturbative_validity",
+    "exact_truncation_order",
     "modulated_power_exact",
     "modulated_power_perturbative",
     "general_modulation_power",
@@ -115,11 +116,6 @@ class OscillatorParams:
         return abs(2.0 * self.Omega / self.gamma / complex(1.0, self.Delta))
 
     @property
-    def n_max_heuristic(self) -> int:
-        """Physics-scale sideband count ~2M (never below 1)."""
-        return max(1, math.ceil(2.0 * self.M))
-
-    @property
     def perturbative_valid(self) -> bool:
         return perturbative_validity(self.M, self.gamma, self.Omega)
 
@@ -178,18 +174,21 @@ def a_s_direct(
     return complex(np.sum(terms))
 
 
+def _reflected(s: int, value: complex) -> complex:
+    """A_s for s < 0 from value = A_{-s}: A_s = (-1)^s conj(A_{-s})."""
+    return ((-1) ** (s % 2)) * value.conjugate()
+
+
 def a_s_newberger(s: int, M: float, gamma: float, Omega: float) -> complex:
     """Closed form of the resonant sideband sum via complex-order Bessels.
 
-    Valid for s >= 0; negative s follows from A_{-s} = (-1)^s conj(A_s),
-    which callers apply themselves.  Guarded against sinh overflow at
+    The closed form holds for s >= 0; negative s follows from
+    A_{-s} = (-1)^s conj(A_s).  Guarded against sinh overflow at
     pi gamma / Omega > 700, where the prefactor and the Bessel product
     overflow in opposite directions.
     """
     if s < 0:
-        raise ValueError(
-            "s must be >= 0; use A_{-s} = (-1)^s conj(A_s) for negative s"
-        )
+        return _reflected(s, a_s_newberger(-s, M, gamma, Omega))
     if not (gamma > 0.0 and Omega > 0.0):
         raise ValueError("gamma and Omega must be > 0")
     if M == 0.0:
@@ -212,13 +211,15 @@ def a_s_newberger(s: int, M: float, gamma: float, Omega: float) -> complex:
 def a_s_series(
     s: int, M: float, gamma: float, Omega: float, k_max: int = 40
 ) -> complex:
-    """Gamma-product series for the resonant sideband sum, s >= 0.
+    """Gamma-product series for the resonant sideband sum.
 
-    Terms are factorially damped, so the partial sum to k_max converges
-    for every M; k_max = 40 reaches double precision for moderate M.
+    The series is written for s >= 0; negative s follows from
+    A_{-s} = (-1)^s conj(A_s).  Terms are factorially damped, so the
+    partial sum to k_max converges for every M; k_max = 40 reaches double
+    precision for moderate M.
     """
     if s < 0:
-        raise ValueError("s must be >= 0")
+        return _reflected(s, a_s_series(-s, M, gamma, Omega, k_max))
     if not (0 <= k_max <= 60):
         raise ValueError(f"k_max must lie in [0, 60], got {k_max}")
     if not (gamma > 0.0 and Omega > 0.0):
@@ -299,6 +300,11 @@ def _harmonics_from_sideband_sums(
     return HarmonicDecomposition(dc, tuple(cos_amps), tuple(sin_amps))
 
 
+def exact_truncation_order(M: float, s_max: int) -> int:
+    """Largest |n| that modulated_power_exact keeps for harmonics up to s_max."""
+    return truncation_bound(M, 1e-18) + s_max + 8
+
+
 def modulated_power_exact(p: OscillatorParams, s_max: int) -> HarmonicDecomposition:
     """Averaged absorbed power harmonics from the exact sideband sums.
 
@@ -309,7 +315,7 @@ def modulated_power_exact(p: OscillatorParams, s_max: int) -> HarmonicDecomposit
     """
     if s_max < 0:
         raise ValueError(f"s_max must be >= 0, got {s_max}")
-    n_max = truncation_bound(p.M, 1e-18) + s_max + 8
+    n_max = exact_truncation_order(p.M, s_max)
     center = n_max + s_max
     j = _j_symmetric(p.M, center)
     n = np.arange(-n_max, n_max + 1)

@@ -9,6 +9,7 @@ phase modulation handled through sampled Fourier analysis.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import io
 import json
@@ -77,9 +78,7 @@ def b_ks_brute(k: int, s: int, M: float, tol: float = 1e-14) -> float:
     center = n_max + abs(s)
     jn = j[n + center]
     jns = j[n - s + center]
-    return float(np.sum(n.astype(float) ** k * jn * jns)) if k > 0 else float(
-        np.sum(jn * jns)
-    )
+    return float(np.sum(n.astype(float) ** k * jn * jns))
 
 
 def addition_formula_sides(
@@ -109,9 +108,7 @@ def addition_formula_sides(
     j1 = _j_symmetric(y1, half)
     j2 = _j_symmetric(y2, half)
     n = np.arange(-n_max, n_max + 1)
-    rhs = np.sum(n.astype(float) ** k * j1[n + half] * j2[q - n + half]) if k else np.sum(
-        j1[n + half] * j2[q - n + half]
-    )
+    rhs = np.sum(n.astype(float) ** k * j1[n + half] * j2[q - n + half])
     return lhs_c, ik * complex(rhs)
 
 
@@ -128,7 +125,7 @@ def alternating_sum_sides(k: int, q: int, y: float) -> tuple[complex, complex]:
     j = _j_symmetric(y, center)
     n = np.arange(-n_max, n_max + 1)
     signs = np.where(n % 2 == 0, 1.0, -1.0)
-    weights = signs * n.astype(float) ** k if k else signs
+    weights = signs * n.astype(float) ** k
     lhs = float(np.sum(weights * j[n + center] * j[n - q + center]))
 
     table = build_coeff_table(k)
@@ -255,6 +252,9 @@ class GeneralModulation:
         if not (self.fundamental > 0.0 and math.isfinite(self.fundamental)):
             raise ValueError(f"fundamental must be > 0, got {self.fundamental!r}")
         coeffs = {int(n): complex(c) for n, c in self.fourier_coeffs.items() if c != 0}
+        for n, c in coeffs.items():
+            if not cmath.isfinite(c):
+                raise ValueError(f"coefficient at n = {n} must be finite, got {c}")
         scale = max((abs(c) for c in coeffs.values()), default=0.0)
         for n, c in coeffs.items():
             mate = coeffs.get(-n, 0.0 + 0.0j)
@@ -412,7 +412,7 @@ def recursion_residual(k: int, q: int, y: float) -> float:
         poly = table.entry(k, n)
         if not poly.is_zero():
             rhs += poly.evaluate(y) * j[q - n + m_max]
-    lhs = float(q) ** k * j[q + m_max] if k else j[q + m_max]
+    lhs = float(q) ** k * j[q + m_max]
     return abs(lhs - rhs)
 
 

@@ -155,11 +155,22 @@ class TestSidebandsCommand:
 
     def test_malformed_phi_coeffs_named(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
-        code = run(
-            "sidebands", "--phi-coeffs", '[[1, 0, -0.5], "bad"]', "--output", str(out)
-        )
-        assert code == 2
-        assert "entry 1" in capsys.readouterr().err
+        for text, named in (
+            ('[[1, 0, -0.5], "bad"]', "entry 1"),
+            # a JSON boolean is not a number, although Python counts it as an int
+            ("[[1, 0, -0.5], [-1, false, 0.5]]", "entry 1"),
+            ("[[1, 0, -0.5], [Infinity, 0, 0.5]]", "entry 1"),
+            ("[[1, NaN, -0.5], [-1, NaN, 0.5]]", "n = 1"),
+        ):
+            assert run("sidebands", "--phi-coeffs", text, "--output", str(out)) == 2
+            assert named in capsys.readouterr().err
+
+    def test_non_finite_modulation_is_usage_error(self, tmp_path, capsys):
+        # rejected before sampling, which would double the FFT up to its cap
+        out = tmp_path / "x.csv"
+        for flags in (("--M", "nan", "--n-max", "10"), ("--y1", "1.0", "--y2", "inf")):
+            assert run("sidebands", *flags, "--output", str(out)) == 2
+            assert "must be finite" in capsys.readouterr().err
 
     def test_modulation_flags_are_exclusive(self, tmp_path):
         out = tmp_path / "x.csv"
@@ -247,6 +258,16 @@ class TestLineshapeCommand:
         h1_ex = math.hypot(float(ex["h1_cos"]), float(ex["h1_sin"]))
         h1_od = math.hypot(float(od["h1_cos"]), float(od["h1_sin"]))
         assert h1_od == pytest.approx(h1_ex, rel=1e-6)
+
+    @pytest.mark.parametrize("method", ["exact", "perturbative", "ode"])
+    def test_negative_harmonics_usage_error(self, tmp_path, method):
+        out = tmp_path / "h.csv"
+        code = run(
+            "lineshape", "--Omega", "0.03", "--M", "0.5", "--method", method,
+            "--harmonics", "-1", "--output", str(out),
+        )
+        assert code == 2
+        assert not out.exists()
 
     def test_regime_error_exit_code(self, tmp_path):
         out = tmp_path / "bad.csv"
@@ -386,7 +407,7 @@ class TestASumCommand:
                 "--Omega",
                 "0.4",
                 "--method",
-                "direct,newberger",
+                "direct,newberger,series",
                 "--output",
                 str(out),
             )
@@ -394,6 +415,7 @@ class TestASumCommand:
         )
         obj = json.loads(out.read_text())
         assert obj["residuals"]["direct/newberger"] < 1e-8
+        assert obj["residuals"]["direct/series"] < 1e-8
 
     def test_geometric_residual_is_informational(self, tmp_path):
         # the truncated expansion deviates by ~eta^4 from the exact paths;
@@ -451,17 +473,27 @@ class TestASumCommand:
         )
 
 
-class TestDeterminismAndUsage:
-    def test_coeffs_byte_identical(self, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        run("coeffs", "--k-max", "6", "--output", str(a))
-        run("coeffs", "--k-max", "6", "--output", str(b))
-        assert a.read_bytes() == b.read_bytes()
+RERUN_COMMANDS = {
+    "coeffs": ("coeffs", "--k-max", "6"),
+    "verify": ("verify", "--suite", "core"),
+    "sidebands": ("sidebands", "--M", "1.7"),
+    "lineshape": (
+        "lineshape", "--Omega", "0.03", "--M", "0.5", "--delta-min", "-2",
+        "--delta-max", "2", "--delta-steps", "5", "--method", "exact",
+    ),
+    "a-sum": (
+        "a-sum", "--s", "-1", "--M", "0.5", "--Omega", "0.05", "--method",
+        "direct,newberger,series,geometric", "--expand", "--format", "json",
+    ),
+}
 
-    def test_sidebands_byte_identical(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run("sidebands", "--M", "1.7", "--output", str(a))
-        run("sidebands", "--M", "1.7", "--output", str(b))
+
+class TestDeterminismAndUsage:
+    @pytest.mark.parametrize("command", list(RERUN_COMMANDS))
+    def test_rerun_byte_identical(self, tmp_path, command):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(*RERUN_COMMANDS[command], "--output", str(a)) == 0
+        assert run(*RERUN_COMMANDS[command], "--output", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_usage_error_exit_code(self):

@@ -131,9 +131,12 @@ class TestClosedForms:
             closed = a_s_newberger(s, M, gamma, Omega)
             assert abs(closed - direct) <= 1e-8 * abs(direct)
 
-    def test_newberger_rejects_negative_order(self):
-        with pytest.raises(ValueError):
-            a_s_newberger(-1, 1.0, 1.0, 1.0)
+    def test_closed_forms_reflect_negative_order(self):
+        for s in (1, 2, 3):
+            for M, gamma, Omega in ((1.0, 1.0, 0.4), (2.0, 0.5, 0.3)):
+                direct = a_s_direct(-s, M, gamma, Omega)
+                assert abs(a_s_newberger(-s, M, gamma, Omega) - direct) < 1e-10
+                assert abs(a_s_series(-s, M, gamma, Omega) - direct) < 1e-10
 
     def test_newberger_overflow_guard(self):
         with pytest.raises(OverflowError):
