@@ -17,10 +17,15 @@ import csv
 import dataclasses
 import datetime
 import json
+import math
 import sys
 
 from besselrules.bessel_core import ConvergenceError, OracleError
-from besselrules.coefficients import build_coeff_table, coeff_faa_di_bruno
+from besselrules.coefficients import (
+    MAX_FAA_DI_BRUNO_K,
+    build_coeff_table,
+    coeff_faa_di_bruno,
+)
 from besselrules.modulation_spectroscopy import (
     HarmonicDecomposition,
     OscillatorParams,
@@ -75,6 +80,12 @@ def _write_csv(path: str, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+def _check_tolerance(tolerance: float) -> None:
+    # every comparison with NaN is false, so a NaN bound would gate nothing
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"--tolerance must be finite and >= 0, got {tolerance:g}")
+
+
 # ---------------------------------------------------------------------------
 # coeffs
 # ---------------------------------------------------------------------------
@@ -82,7 +93,7 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 def cmd_coeffs(args) -> int:
     table = build_coeff_table(args.k_max)
     mismatches: list[tuple[int, int]] = []
-    dual_checked = args.k_max <= 30
+    dual_checked = args.k_max <= MAX_FAA_DI_BRUNO_K
     if dual_checked:
         for k in range(1, args.k_max + 1):
             for n in range(-k, k + 1):
@@ -292,6 +303,7 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
+    _check_tolerance(args.tolerance)
     reports: list[SumRuleReport] = []
     for build in _SUITES[args.suite]:
         reports.extend(build())
@@ -500,6 +512,7 @@ _A_SUM_METHODS = {
 
 
 def cmd_a_sum(args) -> int:
+    _check_tolerance(args.tolerance)
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
     for m in methods:
         if m not in _A_SUM_METHODS:

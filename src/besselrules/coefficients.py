@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Mapping
+from typing import Mapping
 
 __all__ = [
     "DyadicPoly",
@@ -188,20 +188,76 @@ def enumerate_derivative_partitions(k: int) -> list[tuple[int, ...]]:
     """All tuples (m_1..m_k) of non-negative ints with sum(j*m_j) == k.
 
     Ordered descending-lexicographically in (m_1, m_2, ...); the count is
-    the integer-partition number p(k).
+    the integer-partition number p(k).  One list of multiplicities is
+    filled in place and copied to a tuple per partition; branches whose
+    remainder no larger part can make up are never entered.
     """
     if not (1 <= k <= MAX_RECURSION_K):
         raise ValueError(f"k must lie in [1, {MAX_RECURSION_K}], got {k}")
+    ms = [0] * k
+    out: list[tuple[int, ...]] = []
 
-    def rec(j: int, remaining: int, prefix: list[int]) -> Iterator[tuple[int, ...]]:
-        if j == k:
-            if remaining % k == 0:
-                yield tuple(prefix + [remaining // k])
+    def fill(j: int, remaining: int) -> None:
+        # ms[j-1:] are zero on entry and again on return
+        if remaining == 0:
+            out.append(tuple(ms))
             return
         for m in range(remaining // j, -1, -1):
-            yield from rec(j + 1, remaining - j * m, prefix + [m])
+            rest = remaining - j * m
+            if 0 < rest <= j:  # parts larger than j cannot make up rest
+                continue
+            ms[j - 1] = m
+            fill(j + 1, rest)
+        ms[j - 1] = 0
 
-    return list(rec(1, k, []))
+    fill(1, k)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _faa_di_bruno_row(k: int) -> dict[int, dict[int, int]]:
+    """Every n of row k of the closed form: n -> {m: c of c (y/2)^m}.
+
+    Each partition fixes m, a, b, the sign and the multinomial count, so
+    these are computed once; n enters only through the inner binomial
+    sum, which depends on the partition only through a and b.  The signed
+    counts are therefore summed per (a, b) before n is looped over.
+    """
+    k_fact = math.factorial(k)
+    weights: dict[tuple[int, int], int] = {}
+    for ms in enumerate_derivative_partitions(k):
+        m = sum(ms)
+        # a counts even derivative orders (sin factors), b = m - a the odd
+        # ones (cos factors); phi tracks the minus signs of sin/cos cycling,
+        # one per factor of order 2 or 3 (mod 4).
+        a = sum(ms[1::2])
+        b = m - a
+        phi = sum(ms[1::4]) + sum(ms[2::4])
+        phase_mod4 = (b - k) % 4
+        if phase_mod4 % 2:
+            raise RuntimeError(
+                f"imaginary residue in coefficient phase at k={k}, ms={ms}"
+            )
+        denom = 1
+        for j, mj in enumerate(ms, start=1):
+            if mj:
+                denom *= math.factorial(mj) * math.factorial(j) ** mj
+        phase = 1 if phase_mod4 == 0 else -1
+        weight = phase * (-1) ** phi * (k_fact // denom)
+        weights[a, b] = weights.get((a, b), 0) + weight
+    row: dict[int, dict[int, int]] = {}
+    for (a, b), weight in weights.items():
+        m = a + b
+        for half in range(m + 1):
+            # expansion count of a sin and b cos factors towards n = m - 2 half
+            inner = sum(
+                (-1) ** r * math.comb(a, r) * math.comb(b, half - r)
+                for r in range(max(0, half - b), min(a, half) + 1)
+            )
+            # the coefficient of (y/2)^m these partitions add to D[k, n]
+            coeffs = row.setdefault(m - 2 * half, {})
+            coeffs[m] = coeffs.get(m, 0) + weight * inner
+    return row
 
 
 def coeff_faa_di_bruno(k: int, n: int) -> DyadicPoly:
@@ -210,54 +266,15 @@ def coeff_faa_di_bruno(k: int, n: int) -> DyadicPoly:
     Sums, over every tuple with sum(j*m_j) == k, a multinomial weight, a
     trigonometric expansion count, and the (y/2)^m monomial.  The i-power
     bookkeeping must collapse to a real sign once i^k is divided out; a
-    leftover imaginary unit would be a bug and raises immediately.
+    leftover imaginary unit would be a bug and raises immediately.  One
+    enumeration of the partitions of k builds the whole row, which is
+    cached per k, so a sweep over n costs one pass over p(k) partitions.
     """
     if not (1 <= k <= MAX_FAA_DI_BRUNO_K):
         raise ValueError(f"k must lie in [1, {MAX_FAA_DI_BRUNO_K}], got {k}")
     if abs(n) > k:
         raise ValueError(f"|n| must be <= k, got n={n}, k={k}")
-    k_fact = math.factorial(k)
-    coeffs: dict[int, int] = {}
-    for ms in enumerate_derivative_partitions(k):
-        m = sum(ms)
-        if abs(n) > m or (m - n) % 2 != 0:
-            continue
-        # a counts even derivative orders (sin factors), b = m - a the odd
-        # ones (cos factors); phi tracks the minus signs of sin/cos cycling.
-        a = sum(ms[j - 1] for j in range(2, k + 1, 2))
-        b = m - a
-        phi = 0
-        for j in range(0, k, 4):
-            if j + 2 <= k:
-                phi += ms[j + 1]
-            if j + 3 <= k:
-                phi += ms[j + 2]
-        denom = 1
-        for j, mj in enumerate(ms, start=1):
-            if mj:
-                denom *= math.factorial(mj) * math.factorial(j) ** mj
-        count = k_fact // denom
-        half = (m - n) // 2
-        inner = 0
-        for r in range(a + 1):
-            second = half - r
-            if 0 <= second <= b:
-                inner += (-1) ** r * math.comb(a, r) * math.comb(b, second)
-        if inner == 0:
-            continue
-        phase_mod4 = (b - k) % 4
-        if phase_mod4 == 0:
-            phase = 1
-        elif phase_mod4 == 2:
-            phase = -1
-        else:
-            raise RuntimeError(
-                f"imaginary residue in coefficient phase at k={k}, n={n}, ms={ms}"
-            )
-        # total is the coefficient of (y/2)^m contributed by this partition
-        total = phase * (-1) ** phi * count * inner
-        coeffs[m] = coeffs.get(m, 0) + total
-    return DyadicPoly(coeffs)
+    return DyadicPoly(_faa_di_bruno_row(k).get(n))
 
 
 def eval_coeff(table: CoeffTable, k: int, n: int, y: float) -> float:

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import time
 
 import pytest
 
@@ -43,6 +44,15 @@ class TestCoeffsCommand:
         rows = read_csv(out)
         assert rows and all(r["dual_path"] == "ok" for r in rows)
 
+    def test_dual_path_through_k30_within_time_bound(self, tmp_path):
+        # one partition enumeration per k takes well under a second; one per
+        # (k, n) takes 95-124 s, which this loose bound catches
+        out = tmp_path / "coeffs.json"
+        start = time.perf_counter()
+        assert run("coeffs", "--k-max", "30", "--output", str(out)) == 0
+        assert time.perf_counter() - start < 30.0
+        assert json.loads(out.read_text())["dual_path"] == "ok"
+
     def test_large_k_skips_dual_path(self, tmp_path):
         out = tmp_path / "coeffs.json"
         assert run("coeffs", "--k-max", "31", "--output", str(out)) == 0
@@ -68,6 +78,16 @@ class TestVerifyCommand:
         )
         rows = read_csv(out)
         assert any(r["status"] == "FAIL" for r in rows)
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.5"])
+    def test_bad_tolerance_is_usage_error(self, tmp_path, capsys, tolerance):
+        out = tmp_path / "core.csv"
+        code = run(
+            "verify", "--suite", "core", "--tolerance", tolerance, "--output", str(out)
+        )
+        assert code == 2
+        assert "--tolerance" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_generalized_suite_contains_both_families(self, tmp_path):
         out = tmp_path / "gen.jsonl"
@@ -461,6 +481,18 @@ class TestASumCommand:
             str(out),
         )
         assert code == 3
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.5"])
+    def test_bad_tolerance_is_usage_error(self, tmp_path, capsys, tolerance):
+        out = tmp_path / "a.json"
+        code = run(
+            "a-sum", "--s", "1", "--M", "20", "--gamma", "1", "--Omega", "2",
+            "--method", "direct,newberger,series", "--tolerance", tolerance,
+            "--output", str(out),
+        )
+        assert code == 2
+        assert "--tolerance" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_method_usage_error(self, tmp_path):
         out = tmp_path / "am.json"

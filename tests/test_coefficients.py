@@ -218,6 +218,25 @@ class TestPartitions:
         assert set(got) == brute
         assert len(got) == len(set(got))
 
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_order_is_descending_lexicographic(self, k):
+        brute = [
+            ms
+            for ms in product(*(range(k // j + 1) for j in range(1, k + 1)))
+            if sum(j * m for j, m in enumerate(ms, start=1)) == k
+        ]
+        assert enumerate_derivative_partitions(k) == sorted(brute, reverse=True)
+
+    def test_counts_match_partition_numbers_through_k30(self):
+        # p(k) by the coin-change recurrence over part sizes 1..30
+        p = [1] + [0] * 30
+        for part in range(1, 31):
+            for total in range(part, 31):
+                p[total] += p[total - part]
+        assert (p[20], p[30]) == (627, 5604)
+        for k in range(1, 31):
+            assert len(enumerate_derivative_partitions(k)) == p[k], k
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             enumerate_derivative_partitions(0)
@@ -245,6 +264,14 @@ class TestFaaDiBruno:
             coeff_faa_di_bruno(31, 0)
         with pytest.raises(ValueError):
             coeff_faa_di_bruno(2, 3)
+
+
+    def test_row_entries_are_fresh_and_odd_k_centre_is_zero(self):
+        first = coeff_faa_di_bruno(4, 2)
+        first.coeffs.clear()
+        assert coeff_faa_di_bruno(4, 2) == build_coeff_table(4).entry(4, 2)
+        assert coeff_faa_di_bruno(3, 0).is_zero()
+        assert coeff_faa_di_bruno(5, 0).is_zero()
 
 
 class TestEvalCoeff:
