@@ -55,6 +55,7 @@ from besselrules.modulation_spectroscopy import (
     exact_truncation_order,
     general_modulation_power,
     modulated_power_exact,
+    modulated_power_exact_sweep,
     modulated_power_perturbative,
     perturbative_validity,
     steady_state_amplitude,

@@ -36,7 +36,7 @@ from besselrules.modulation_spectroscopy import (
     a_s_newberger,
     a_s_series,
     exact_truncation_order,
-    modulated_power_exact,
+    modulated_power_exact_sweep,
     modulated_power_perturbative,
     time_domain_oracle,
 )
@@ -425,8 +425,6 @@ def _lineshape_point(
     base: OscillatorParams, delta_norm: float, method: str, harmonics: int
 ) -> HarmonicDecomposition:
     p = dataclasses.replace(base, delta=0.5 * delta_norm * base.gamma)
-    if method == "exact":
-        return modulated_power_exact(p, harmonics)
     if method == "perturbative":
         dec = modulated_power_perturbative(p)
         pad = (0.0,) * (harmonics - dec.n_harmonics)
@@ -463,12 +461,16 @@ def cmd_lineshape(args) -> int:
     else:
         deltas = [2.0 * args.delta / gamma]
 
-    rows = []
-    for d in deltas:
-        dec = _lineshape_point(base, d, args.method, args.harmonics)
-        rows.append(
-            [d, dec.dc] + [v for pair in zip(dec.cos_amps, dec.sin_amps) for v in pair]
+    if args.method == "exact":
+        decs = modulated_power_exact_sweep(
+            base, [0.5 * d * gamma for d in deltas], args.harmonics
         )
+    else:
+        decs = [_lineshape_point(base, d, args.method, args.harmonics) for d in deltas]
+    rows = [
+        [d, dec.dc] + [v for pair in zip(dec.cos_amps, dec.sin_amps) for v in pair]
+        for d, dec in zip(deltas, decs)
+    ]
 
     header = ["delta", "dc"]
     for h in range(1, args.harmonics + 1):
@@ -581,8 +583,48 @@ def cmd_a_sum(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _is_negative_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return token.startswith("-")
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """An ArgumentParser that reads "-1e-3" as the value of a float option.
+
+    argparse takes only tokens shaped like "-5" or "-0.5" for negative
+    numbers; any other token that starts with "-" counts as an option, so
+    "--delta-min -1e-3" fails with "expected one argument".  Before
+    parsing, each float option is joined to a negative value that follows
+    it ("--delta-min=-1e-3"), a form argparse always reads as one option
+    and its value.  Subcommand parsers share this class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.float_options: set[str] = set()
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if kwargs.get("type") is float:
+            self.float_options.update(action.option_strings)
+        return action
+
+    def parse_known_args(self, args=None, namespace=None):
+        joined: list[str] = []
+        for token in sys.argv[1:] if args is None else args:
+            follows_float = joined and joined[-1] in self.float_options
+            if follows_float and _is_negative_number(token):
+                joined[-1] += "=" + token
+            else:
+                joined.append(token)
+        return super().parse_known_args(joined, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="besselrules",
         description="Bessel-product sum rules: tables, checks, spectra, lineshapes",
     )

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Mapping
 
 __all__ = [
@@ -95,6 +96,14 @@ class DyadicPoly:
         u = Fraction(y) / 2
         return sum((c * u**power for power, c in self.coeffs.items()), Fraction(0))
 
+    def _read_only(self) -> "DyadicPoly":
+        """This polynomial if its coefficients are read-only, else such a copy."""
+        if isinstance(self.coeffs, MappingProxyType):
+            return self
+        poly = DyadicPoly.__new__(DyadicPoly)
+        poly.coeffs = MappingProxyType(dict(self.coeffs))
+        return poly
+
     def __repr__(self) -> str:
         if not self.coeffs:
             return "DyadicPoly(0)"
@@ -126,7 +135,7 @@ class DyadicPoly:
 
 @dataclass(frozen=True)
 class CoeffTable:
-    """Immutable map (k, n) -> polynomial for all |n| <= k <= k_max.
+    """Read-only map (k, n) -> polynomial for all |n| <= k <= k_max.
 
     Entries with |n| > k are identically zero and not stored; neither are
     entries that happen to vanish (k + n odd forces the n = 0 column to
@@ -135,6 +144,12 @@ class CoeffTable:
 
     k_max: int
     entries: Mapping[tuple[int, int], DyadicPoly]
+
+    def __post_init__(self):
+        # build_coeff_table hands one cached table to every caller, so
+        # neither the entry map nor a polynomial may change in place
+        frozen = {key: poly._read_only() for key, poly in self.entries.items()}
+        object.__setattr__(self, "entries", MappingProxyType(frozen))
 
     def entry(self, k: int, n: int) -> DyadicPoly:
         if not (0 <= k <= self.k_max):
@@ -181,6 +196,9 @@ def build_coeff_table(k_max: int) -> CoeffTable:
             poly = DyadicPoly(acc)
             if not poly.is_zero():
                 entries[(k + 1, n)] = poly
+    # no other reference to these dicts exists, so they need no copy
+    for poly in entries.values():
+        poly.coeffs = MappingProxyType(poly.coeffs)
     return CoeffTable(k_max=k_max, entries=entries)
 
 

@@ -8,20 +8,25 @@ harmonic oscillator.  Sideband sums of the form
 are evaluated four ways: direct truncated summation, the complex-order
 Bessel closed form, its Gamma-product series elaboration, and the short
 geometric expansion in Omega/gamma.  The absorbed-power harmonics come
-from the exact sideband decomposition and, independently, from numerical
-integration of the oscillator equation in an exactly transformed modal
-frame (the optical carrier is factored out analytically so the integrator
-only tracks the slow envelope).
+from the exact sideband decomposition and, independently, from the
+periodic steady state of the oscillator equation in an exactly
+transformed modal frame (the optical carrier is factored out
+analytically, so only the slow envelope is propagated, by exponential
+time differencing with a certified Gauss-Legendre quadrature).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+
+# not called here: perfbench/tracer.py wraps this name at install time
+from scipy.integrate import solve_ivp  # noqa: F401
 
 from besselrules.bessel_core import (
     OracleError,
@@ -47,12 +52,20 @@ __all__ = [
     "perturbative_validity",
     "exact_truncation_order",
     "modulated_power_exact",
+    "modulated_power_exact_sweep",
     "modulated_power_perturbative",
     "general_modulation_power",
     "time_domain_oracle",
 ]
 
 SINH_GUARD = 700.0
+# detunings per response matrix in modulated_power_exact_sweep: bounds its
+# memory while keeping each matmul large
+_SWEEP_BLOCK = 64
+# Gauss-Legendre nodes per sub-step in time_domain_oracle: the first
+# count, and the cap its doubling may not pass
+_ORACLE_NODES = 8
+_ORACLE_MAX_NODES = 128
 
 
 class RegimeError(ValueError):
@@ -288,18 +301,6 @@ def a_s_eta_coefficients(s: int, M: float, order: int) -> list[complex]:
     return out
 
 
-def _harmonics_from_sideband_sums(
-    f: float, x_s: dict[int, complex], s_max: int
-) -> HarmonicDecomposition:
-    dc = -0.5 * f * f * x_s[0].imag
-    cos_amps = []
-    sin_amps = []
-    for h in range(1, s_max + 1):
-        cos_amps.append(-0.5 * f * f * (x_s[h].imag + x_s[-h].imag))
-        sin_amps.append(-0.5 * f * f * (x_s[h].real - x_s[-h].real))
-    return HarmonicDecomposition(dc, tuple(cos_amps), tuple(sin_amps))
-
-
 def exact_truncation_order(M: float, s_max: int) -> int:
     """Largest |n| that modulated_power_exact keeps for harmonics up to s_max."""
     return truncation_bound(M, 1e-18) + s_max + 8
@@ -311,27 +312,60 @@ def modulated_power_exact(p: OscillatorParams, s_max: int) -> HarmonicDecomposit
     Keeps the full response factor omega_n / (omega0^2 - omega_n^2 +
     i gamma omega_n) for every retained sideband omega_n = carrier + n
     Omega; only the optical-frequency (2 omega) components are discarded,
-    which is what the measurement average does.
+    which is what the measurement average does.  This is the one-detuning
+    call of modulated_power_exact_sweep.
+    """
+    return modulated_power_exact_sweep(p, [p.delta], s_max)[0]
+
+
+def modulated_power_exact_sweep(
+    base: OscillatorParams, deltas: Sequence[float], s_max: int
+) -> list[HarmonicDecomposition]:
+    """modulated_power_exact at each detuning in deltas (rad/s), base.delta unused.
+
+    M is fixed across the sweep, so the J row and the products
+    J_n J_{n-s} for every n and s are built once; each block of
+    _SWEEP_BLOCK detunings forms its response matrix and gets every X_s
+    from one matmul.
     """
     if s_max < 0:
         raise ValueError(f"s_max must be >= 0, got {s_max}")
-    n_max = exact_truncation_order(p.M, s_max)
-    center = n_max + s_max
-    j = _j_symmetric(p.M, center)
+    deltas = np.asarray(deltas, dtype=float)
+    if not np.all(np.isfinite(deltas)):
+        raise ValueError("force and delta must be finite")
+    n_max = exact_truncation_order(base.M, s_max)
     n = np.arange(-n_max, n_max + 1)
-    omega_n = p.carrier + n * p.Omega
-    if omega_n.min() <= 0.0:
+    carriers = base.omega0 + deltas
+    lowest = carriers + (-n_max) * base.Omega
+    bad = np.flatnonzero(lowest <= 0.0)
+    if bad.size:
         raise RegimeError(
-            f"sideband frequencies reach {omega_n.min():.3e} <= 0 within the "
+            f"sideband frequencies reach {lowest[bad[0]]:.3e} <= 0 within the "
             f"truncation range |n| <= {n_max}; the oscillator model needs "
             "positive drive frequencies"
         )
-    response = omega_n / (p.omega0**2 - omega_n**2 + 1j * p.gamma * omega_n)
-    jn = j[n + center]
-    x_s = {}
-    for s in range(-s_max, s_max + 1):
-        x_s[s] = complex(np.sum(jn * j[n - s + center] * response))
-    return _harmonics_from_sideband_sums(p.force, x_s, s_max)
+    center = n_max + s_max
+    j = _j_symmetric(base.M, center)
+    s = np.arange(-s_max, s_max + 1)
+    # products[n, s] = J_n J_{n-s}
+    products = (j[n + center][:, None] * j[n[:, None] - s + center]).astype(complex)
+    scale = -0.5 * base.force * base.force
+    out = []
+    for start in range(0, len(deltas), _SWEEP_BLOCK):
+        omega_n = carriers[start : start + _SWEEP_BLOCK, None] + n * base.Omega
+        response = omega_n / (
+            base.omega0**2 - omega_n**2 + 1j * base.gamma * omega_n
+        )
+        x = response @ products  # x[:, s_max + s] = X_s
+        dc = scale * x[:, s_max].imag
+        up, down = x[:, s_max + 1 :], x[:, :s_max][:, ::-1]  # X_h, X_{-h}
+        cos_amps = scale * (up.imag + down.imag)
+        sin_amps = scale * (up.real - down.real)
+        out.extend(
+            HarmonicDecomposition(d, tuple(c), tuple(si))
+            for d, c, si in zip(dc.tolist(), cos_amps.tolist(), sin_amps.tolist())
+        )
+    return out
 
 
 def modulated_power_perturbative(p: OscillatorParams) -> HarmonicDecomposition:
@@ -404,21 +438,33 @@ def time_domain_oracle(
     n_harmonics: int = 4,
     rtol: float = 1e-10,
 ) -> HarmonicDecomposition:
-    """Absorbed-power harmonics from direct integration of the oscillator.
+    """Absorbed-power harmonics from the periodic steady state of the oscillator.
 
     The second-order equation is solved exactly by variation of parameters
     over its two homogeneous modes; factoring the drive carrier out of the
-    co-rotating mode leaves a single slow complex amplitude, integrated
-    here with an adaptive 4/5-order embedded pair.  The counter-rotating
-    mode is forced at ~2 omega0 and stays asymptotically slaved to the
-    drive envelope, so its particular solution is accumulated analytically
-    (three derivative orders, accurate to ~(rate/omega0)^3).  The absorbed
-    power then comes from drive times velocity with the optical 2 omega
-    component dropped, exactly what a multi-cycle averaging window leaves.
+    co-rotating mode leaves one slow complex amplitude obeying
+    a' = kappa1 a + d(t), with d T-periodic (T = 2 pi / Omega).  Its steady
+    state is the one T-periodic solution, found without a settling run by
+    exponential time differencing: each of the samples_per_period
+    intervals is split into m sub-steps of length hs, with m chosen so that
+    (|kappa1| + max|phi'|) hs <= 2, and a_{j+1} = e^{kappa1 hs} a_j + I_j
+    with I_j = int_0^hs e^{kappa1 (hs - tau)} d(t_j + tau) dtau, all I_j from
+    one Gauss-Legendre evaluation; the m sub-steps of an interval are
+    composed into one step between samples.  a(T) = a(0) closes the period:
+    a_0 = sum_j e^{kappa1 hs (K-1-j)} I_j / (-expm1(kappa1 T)) over the
+    K sub-steps, with expm1 so that Omega >> gamma loses no digits.  The
+    node count starts at 8 and doubles until the samples move by at most
+    rtol of their largest magnitude; past a fixed cap OracleError is
+    raised.  No Bessel value is used.
 
-    Settling runs for at least 10/gamma (longer when needed to push the
-    startup transient below the integration tolerance) before `periods`
-    modulation periods are sampled `samples_per_period` times each.
+    The counter-rotating mode is forced at ~2 omega0 and stays
+    asymptotically slaved to the drive envelope, so its particular
+    solution is accumulated analytically (three derivative orders,
+    accurate to ~(rate/omega0)^3).  The absorbed power then comes from
+    drive times velocity with the optical 2 omega component dropped,
+    exactly what a multi-cycle averaging window leaves.  The steady state
+    repeats every period, so the harmonics are projected from one period
+    of samples and do not depend on `periods`.
     """
     if periods < 1 or samples_per_period < 4:
         raise ValueError("need periods >= 1 and samples_per_period >= 4")
@@ -432,9 +478,6 @@ def time_domain_oracle(
 
     def envelope(t: np.ndarray | float) -> np.ndarray | complex:
         return np.exp(1j * mod.phase(t))
-
-    def drive1(t):
-        return f * envelope(t) / dlam
 
     def counter_mode(t: np.ndarray | float) -> np.ndarray | complex:
         # Slaved particular solution of the counter-rotating mode:
@@ -450,36 +493,51 @@ def time_domain_oracle(
         h2 = h * (1j * phidd + (1j * phid) ** 2)
         return -(h / kappa2 + h1 / kappa2**2 + h2 / kappa2**3)
 
-    def rhs(t, y):
-        a = complex(y[0], y[1])
-        da = kappa1 * a + drive1(t)
-        return [da.real, da.imag]
-
     period = 2.0 * math.pi / p.Omega
-    # >= 50/gamma pushes the startup transient below ~1e-10 of the signal;
-    # whole periods keep the harmonic projection phase-aligned.
-    settle_periods = max(1, math.ceil(50.0 / (p.gamma * period)))
-    t_settle = settle_periods * period
-    t_end = t_settle + periods * period
-
-    a0 = -drive1(0.0) / kappa1  # frozen-envelope steady state
-    scale = abs(a0) + abs(f) / (p.gamma * p.omega0)
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_end),
-        [a0.real, a0.imag],
-        method="RK45",
-        rtol=rtol,
-        atol=scale * rtol * 1e-2,
-        dense_output=True,
+    n_samples = samples_per_period
+    step = period / n_samples
+    # |phi'| <= Omega sum_n |n c_n|
+    rate = abs(kappa1) + p.Omega * sum(
+        abs(n * c) for n, c in mod.fourier_coeffs.items()
     )
-    if not sol.success:
-        raise OracleError(f"oscillator integration failed: {sol.message}")
+    m = max(1, math.ceil(rate * step / 2.0))
+    hs = step / m
+    t = np.arange(n_samples) * step
+    # carries the forcing of interval k to the end of the period
+    closure = np.exp(kappa1 * step * np.arange(n_samples - 1, -1, -1))
+    denominator = -complex(np.expm1(kappa1 * period))
+    interval_decay = cmath.exp(kappa1 * step)
 
-    n_samples = periods * samples_per_period
-    t = t_settle + np.arange(n_samples) * (period / samples_per_period)
-    ya = sol.sol(t)
-    a1 = ya[0] + 1j * ya[1]
+    def steady_samples(nodes: int) -> np.ndarray:
+        x, w = np.polynomial.legendre.leggauss(nodes)
+        # tau[i, l]: node l of sub-step i, measured from the interval start
+        tau = (np.arange(m)[:, None] + 0.5 * (x + 1.0)) * hs
+        # the sub-steps of one interval, each propagated to its end:
+        # sum_i e^{kappa1 hs (m-1-i)} I_{km+i}, one weight per node
+        weights = (0.5 * hs * w * np.exp(kappa1 * (step - tau))).ravel()
+        forcing = (f / dlam) * (envelope(t[:, None] + tau.ravel()) @ weights)
+        a = np.empty(n_samples, dtype=complex)
+        a[0] = np.dot(closure, forcing) / denominator
+        for k in range(n_samples - 1):
+            a[k + 1] = interval_decay * a[k] + forcing[k]
+        return a
+
+    nodes = _ORACLE_NODES
+    a1 = steady_samples(nodes)
+    while True:
+        if 2 * nodes > _ORACLE_MAX_NODES:
+            raise OracleError(
+                f"time-domain oracle: {nodes} Gauss-Legendre nodes per sub-step "
+                f"of {hs:.3e} s did not settle to rtol {rtol:g}, and doubling "
+                f"them passes the cap of {_ORACLE_MAX_NODES} nodes"
+            )
+        nodes *= 2
+        finer = steady_samples(nodes)
+        settled = np.max(np.abs(finer - a1)) <= rtol * np.max(np.abs(finer))
+        a1 = finer
+        if settled:
+            break
+
     a2 = counter_mode(t)
     velocity_env = lam1 * a1 + lam2 * a2
     power = 0.5 * np.real(f * envelope(t) * np.conj(velocity_env))

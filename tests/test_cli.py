@@ -9,6 +9,7 @@ import pytest
 
 from besselrules.bessel_core import bessel_j_int
 from besselrules.cli import main
+from besselrules.modulation_spectroscopy import a_s_direct
 from besselrules.sum_rules import jbar
 
 
@@ -79,7 +80,7 @@ class TestVerifyCommand:
         rows = read_csv(out)
         assert any(r["status"] == "FAIL" for r in rows)
 
-    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.5"])
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.5", "-1e-3"])
     def test_bad_tolerance_is_usage_error(self, tmp_path, capsys, tolerance):
         out = tmp_path / "core.csv"
         code = run(
@@ -134,6 +135,15 @@ class TestSidebandsCommand:
                 bessel_j_int(n, 2.0), abs=1e-12
             )
             assert abs(float(row["g_im"])) < 1e-13
+
+    def test_negative_value_with_exponent(self, tmp_path):
+        out = tmp_path / "sb.csv"
+        assert run("sidebands", "--M", "-1e-3", "--output", str(out)) == 0
+        for row in read_csv(out):
+            n = int(row["n"])
+            assert float(row["g_re"]) == pytest.approx(
+                bessel_j_int(n, -1e-3), abs=1e-15
+            )
 
     def test_zero_modulation_single_row(self, tmp_path):
         out = tmp_path / "sb0.csv"
@@ -278,6 +288,30 @@ class TestLineshapeCommand:
         h1_ex = math.hypot(float(ex["h1_cos"]), float(ex["h1_sin"]))
         h1_od = math.hypot(float(od["h1_cos"]), float(od["h1_sin"]))
         assert h1_od == pytest.approx(h1_ex, rel=1e-6)
+
+    def test_ode_sweep_within_time_bound(self, tmp_path):
+        # the periodic steady state takes milliseconds per detuning; the
+        # RK45 integration it replaced took 3-4 s for these five points
+        flags = ("lineshape", "--Omega", "0.03", "--M", "0.5", "--delta-min", "-4",
+                 "--delta-max", "4", "--delta-steps", "5", "--output")
+        ode_f, exact_f = tmp_path / "o.csv", tmp_path / "e.csv"
+        start = time.perf_counter()
+        assert run(*flags, str(ode_f), "--method", "ode") == 0
+        assert time.perf_counter() - start < 2.0
+        assert run(*flags, str(exact_f), "--method", "exact") == 0
+        for od, ex in zip(read_csv(ode_f), read_csv(exact_f), strict=True):
+            scale = abs(float(ex["dc"]))
+            for name in ex:
+                assert abs(float(od[name]) - float(ex[name])) <= 1e-9 * scale
+
+    def test_negative_value_with_exponent(self, tmp_path):
+        out = tmp_path / "n.csv"
+        assert run(
+            "lineshape", "--Omega", "0.03", "--M", "0.5", "--delta-min", "-1e-3",
+            "--delta-max", "1e-3", "--delta-steps", "3", "--method", "perturbative",
+            "--output", str(out),
+        ) == 0
+        assert [float(r["delta"]) for r in read_csv(out)] == [-1e-3, 0.0, 1e-3]
 
     @pytest.mark.parametrize("method", ["exact", "perturbative", "ode"])
     def test_negative_harmonics_usage_error(self, tmp_path, method):
@@ -493,6 +527,17 @@ class TestASumCommand:
         assert code == 2
         assert "--tolerance" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_negative_value_with_exponent(self, tmp_path):
+        out = tmp_path / "neg.json"
+        assert run(
+            "a-sum", "--s", "1", "--M", "-1e-3", "--Omega", "0.1", "--method",
+            "direct", "--output", str(out),
+        ) == 0
+        obj = json.loads(out.read_text())
+        assert obj["M"] == -1e-3
+        value = obj["values"]["direct"]
+        assert complex(value["re"], value["im"]) == a_s_direct(1, -1e-3, 1.0, 0.1)
 
     def test_unknown_method_usage_error(self, tmp_path):
         out = tmp_path / "am.json"

@@ -164,6 +164,26 @@ class TestBuildCoeffTable:
         assert again.k_max == table.k_max
         assert dict(again.entries) == dict(table.entries)
 
+    def test_cached_table_cannot_be_changed_in_place(self):
+        table = build_coeff_table(4)
+        with pytest.raises(AttributeError):
+            table.entry(4, 0).coeffs.clear()
+        with pytest.raises(TypeError):
+            table.entry(4, 2).coeffs[2] = 5
+        with pytest.raises(TypeError):
+            table.entries[(4, 0)] = DyadicPoly()
+        with pytest.raises(TypeError):
+            del table.entries[(3, 1)]
+        source = {(0, 0): DyadicPoly.one()}
+        copied = CoeffTable(k_max=0, entries=source)
+        source[(0, 0)].coeffs.clear()
+        assert copied.entry(0, 0) == DyadicPoly.one()
+        rebuilt = build_coeff_table(4)
+        for k in range(5):
+            for n in range(-k, k + 1):
+                want = PINNED_TABLE.get((k, n), DyadicPoly.zero())
+                assert rebuilt.entry(k, n) == want
+
     def test_reported_discrepancy_at_4_0(self):
         """Both computation paths reject the circulated (4, 0) printed form.
 

@@ -1,10 +1,13 @@
 """Oscillator-absorption tests: the A_s oracle chain, lineshapes, ODE oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from besselrules import modulation_spectroscopy
+from besselrules.bessel_core import OracleError, bessel_j_int
 from besselrules.modulation_spectroscopy import (
     OscillatorParams,
     HarmonicDecomposition,
@@ -16,14 +19,16 @@ from besselrules.modulation_spectroscopy import (
     a_s_newberger,
     a_s_series,
     average_power_unmodulated,
+    exact_truncation_order,
     general_modulation_power,
     modulated_power_exact,
+    modulated_power_exact_sweep,
     modulated_power_perturbative,
     perturbative_validity,
     steady_state_amplitude,
     time_domain_oracle,
 )
-from besselrules.sum_rules import GeneralModulation
+from besselrules.sum_rules import GeneralModulation, jbar
 
 # Direct-sum anchors; a_s_direct is itself the oracle for the closed forms.
 DIRECT_FROZEN = {
@@ -36,6 +41,30 @@ def params(**overrides) -> OscillatorParams:
     base = dict(omega0=1e6, gamma=1.0, force=1.0, delta=0.0, Omega=0.03, M=0.5)
     base.update(overrides)
     return OscillatorParams(**base)
+
+
+def sideband_harmonics(
+    p: OscillatorParams, g: dict[int, float], n_max: int, s_max: int
+) -> HarmonicDecomposition:
+    """Power harmonics of a drive with real sideband amplitudes g_n.
+
+    X_s = sum over |n| <= n_max of g_n g_{n-s} times the response at
+    carrier + n Omega, one detuning and one sum per s at a time.
+    """
+    n = np.arange(-n_max, n_max + 1)
+    omega_n = p.carrier + n * p.Omega
+    response = omega_n / (p.omega0**2 - omega_n**2 + 1j * p.gamma * omega_n)
+    g_n = np.array([g[k] for k in n])
+    x = {
+        s: complex(np.sum(g_n * np.array([g[k - s] for k in n]) * response))
+        for s in range(-s_max, s_max + 1)
+    }
+    scale = -0.5 * p.force * p.force
+    return HarmonicDecomposition(
+        scale * x[0].imag,
+        tuple(scale * (x[h].imag + x[-h].imag) for h in range(1, s_max + 1)),
+        tuple(scale * (x[h].real - x[-h].real) for h in range(1, s_max + 1)),
+    )
 
 
 class TestOscillatorParams:
@@ -238,6 +267,35 @@ class TestModulatedPowerExact:
         with pytest.raises(RegimeError):
             modulated_power_exact(p, 2)
 
+    def test_sweep_matches_pointwise(self):
+        base = params(M=37.5, Omega=0.3)
+        deltas = 0.5 * np.linspace(-6.0, 6.0, 1001)
+        sweep = modulated_power_exact_sweep(base, deltas, 3)
+        n_max = exact_truncation_order(base.M, 3)
+        bessel_j = {
+            k: bessel_j_int(k, base.M) for k in range(-n_max - 3, n_max + 4)
+        }
+        assert len(sweep) == len(deltas)
+        for delta, dec in zip(deltas, sweep):
+            p = dataclasses.replace(base, delta=delta)
+            loop = sideband_harmonics(p, bessel_j, n_max, 3)
+            for ref in (modulated_power_exact(p, 3), loop):
+                assert dec.n_harmonics == ref.n_harmonics == 3
+                got = (dec.dc,) + dec.cos_amps + dec.sin_amps
+                want = (ref.dc,) + ref.cos_amps + ref.sin_amps
+                largest = max(abs(a - b) for a, b in zip(got, want))
+                assert largest <= 1e-14 * abs(ref.dc)
+
+    def test_sweep_regime_error_names_first_bad_detuning(self):
+        base = OscillatorParams(
+            omega0=200.0, gamma=0.5, force=1.0, delta=0.0, Omega=2.0, M=5.0
+        )
+        assert modulated_power_exact_sweep(base, [0.0], 2)[0].dc > 0.0
+        with pytest.raises(RegimeError) as err:
+            modulated_power_exact_sweep(base, [0.0, -100.0, -150.0], 2)
+        n_max = exact_truncation_order(base.M, 2)
+        assert f"reach {200.0 - 100.0 - n_max * 2.0:.3e} <= 0" in str(err.value)
+
 
 class TestModulatedPowerPerturbative:
     def test_on_resonance_structure(self):
@@ -377,3 +435,59 @@ class TestTimeDomainOracle:
         # leading behavior: dc stays near the Lorentzian
         scale = 0.5 * p.force**2 / p.gamma
         assert abs(dec.dc - scale / (1.0 + p.Delta**2)) < 0.01 * scale
+
+    @staticmethod
+    def largest_error(p, mod, want):
+        got = time_domain_oracle(
+            p, mod, periods=4, samples_per_period=64, n_harmonics=want.n_harmonics
+        )
+        pairs = zip((got.dc,) + got.cos_amps + got.sin_amps,
+                    (want.dc,) + want.cos_amps + want.sin_amps)
+        return max(abs(a - b) for a, b in pairs) / abs(want.dc)
+
+    @pytest.mark.parametrize("M, eta", [(0.5, 0.03), (5.0, 0.3), (17.0, 0.03)])
+    def test_agrees_with_exact_on_grid(self, M, eta):
+        for delta_norm in np.linspace(-4.0, 4.0, 5):
+            p = params(M=M, Omega=eta, delta=0.5 * delta_norm)
+            mod = GeneralModulation.sinusoidal(M, eta)
+            assert self.largest_error(p, mod, modulated_power_exact(p, 4)) <= 1e-9
+
+    @pytest.mark.parametrize("delta_norm", [-400.0, 400.0])
+    def test_agrees_with_exact_far_from_resonance(self, delta_norm):
+        p = params(delta=0.5 * delta_norm)
+        mod = GeneralModulation.sinusoidal(p.M, p.Omega)
+        assert self.largest_error(p, mod, modulated_power_exact(p, 4)) <= 1e-6
+
+    def test_agrees_with_exact_when_omega_far_exceeds_gamma(self):
+        # kappa1 T is about 1e-2 here, so 1 - e^{kappa1 T} needs expm1
+        for delta_norm in (0.0, 2.0):
+            p = params(Omega=300.0, delta=0.5 * delta_norm)
+            mod = GeneralModulation.sinusoidal(p.M, p.Omega)
+            assert self.largest_error(p, mod, modulated_power_exact(p, 4)) <= 1e-9
+
+    def test_two_tone_agrees_with_sideband_sum(self):
+        y1, y2 = 0.8, 0.3
+        n_max = 30
+        g = {n: jbar(n, y1, y2) for n in range(-n_max - 3, n_max + 4)}
+        for delta_norm in (-2.0, 0.5, 3.0):
+            p = params(M=0.0, Omega=0.05, delta=0.5 * delta_norm)
+            mod = GeneralModulation.two_tone(y1, y2, p.Omega)
+            want = sideband_harmonics(p, g, n_max, 3)
+            assert self.largest_error(p, mod, want) <= 1e-9
+
+    def test_independent_of_periods(self):
+        p = params(delta=0.7, M=2.0, Omega=0.1)
+        mod = GeneralModulation.sinusoidal(p.M, p.Omega)
+        one, many = (
+            time_domain_oracle(p, mod, periods=k, samples_per_period=32)
+            for k in (1, 5)
+        )
+        assert one == many
+
+    def test_node_cap_raises_oracle_error(self, monkeypatch):
+        monkeypatch.setattr(modulation_spectroscopy, "_ORACLE_MAX_NODES", 8)
+        p = params(delta=0.5)
+        with pytest.raises(OracleError, match="cap of 8 nodes"):
+            time_domain_oracle(
+                p, GeneralModulation.sinusoidal(p.M, p.Omega), 4, 64
+            )
