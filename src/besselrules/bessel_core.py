@@ -1,11 +1,9 @@
 """Floating-point kernels for Bessel functions of the first kind.
 
-Integer orders are evaluated by stable downward (Miller-style) recursion
-normalized with the even-order sum identity, which keeps relative accuracy
-even deep in the exponentially small tail.  Complex orders come from the
-ascending power series driven by a Lanczos complex log-Gamma.  A uniform
-full-period quadrature of the cosine integral representation acts as an
-independent oracle; it is meant for tests, not production sums.
+One Miller chain (downward recursion in the order) gives integer rows,
+normalized by the even-order sum, and complex orders, normalized by Neumann's
+sum and refused with ConvergenceError when that sum cancels too far.  A
+full-period quadrature of the cosine integral is an independent test oracle.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ __all__ = [
 
 
 class ConvergenceError(RuntimeError):
-    """A series or iteration failed to converge within its budget."""
+    """A series or iteration failed to converge, or cancelled too far."""
 
 
 class OracleError(RuntimeError):
@@ -76,16 +74,8 @@ _RESCALE_LIMIT = 2.0 ** 512
 _RESCALE_SHIFT = 512
 
 
-def _chain_start(n_need: int, y: float) -> int:
-    # Start far enough above both the target order and the turning point
-    # |n| ~ y that seed contamination has decayed below 1e-16.
-    base = max(n_need, int(math.ceil(y)))
-    pad = int(math.ceil(math.sqrt(40.0 * (base + 1)))) + 16
-    return base + pad
-
-
-# Below this the downward recursion factor 2n/y can overflow between
-# rescale checks; the ascending series is exact to double precision there.
+# Below this the recursion factor 2(nu+m)/y can overflow between rescale
+# checks; the two-term ascending series is exact to double precision there.
 _TINY_ARGUMENT = 1e-8
 
 
@@ -99,36 +89,48 @@ def _tiny_argument_series(n: int, y: float) -> float:
     return acc * (1.0 - 0.25 * y * y / (n + 1))
 
 
-def _downward_chain(y: float, order_max: int) -> np.ndarray:
-    """J_0(y)..J_order_max(y) for y > 0 from one normalized Miller chain.
+def _neumann_ratios(nu: complex, count: int) -> list[complex]:
+    """r_{i+1} / r_i for i = 1..count, r_i the weights of Neumann's sum for J_nu."""
+    return [(nu + 2 * i + 2) * (nu + i) / ((nu + 2 * i) * (i + 1))
+            for i in range(1, count + 1)]
 
-    Each order keeps its (mantissa, shift) pair until the even-order
-    normalization sum is known; the value is then mantissa * 2**shift
-    divided by that sum.
+
+def _downward_chain(y: float, order_max: int, nu: complex = 0) -> np.ndarray:
+    """J_{nu+m}(y) Gamma(nu+1) / (y/2)^nu, m = 0..order_max, y > 0, by Miller.
+
+    Two orders (even, then odd) per pass, normalized in Horner form by
+    Neumann's sum (y/2)^nu / Gamma(nu+1) = sum_i r_i J_{nu+2i}(y), r_0 = 1,
+    r_1 = nu + 2, then _neumann_ratios; at nu = 0 the r_i are 1, 2, 2, ....
     """
-    n_top = _chain_start(order_max, y)
-    jp = 0.0  # ~J_{m+1}
-    j = 2.0 ** -500  # ~J_m seed, arbitrary scale
+    # Start far enough above both the target order and the turning point
+    # |n| ~ y that seed contamination has decayed below 1e-16.
+    n_top = max(order_max, math.ceil(y))
+    n_top += math.ceil(math.sqrt(40.0 * (n_top + 1))) + 16
+    top = n_top + n_top % 2
+    # i = top/2 .. 1; every ratio is exactly 1 at nu = 0, so none is computed
+    ratios = [1.0] * (top // 2) if nu == 0 else _neumann_ratios(nu, top // 2)[::-1]
+    # J_{n_top} = seed, J_{n_top+1} = 0, or for odd n_top one step from (0, -seed)
+    jp, j = (0.0, 2.0 ** -500) if top == n_top else (-(2.0 ** -500), 0.0)
     shift = -500
-    even_sum = 0.0
-    captured: list[tuple[float, int]] = [(0.0, 0)] * (order_max + 1)
-    for m in range(n_top, 0, -1):
+    acc = 0.0  # Horner sum of the r_i J_{nu+2i}, over r_i
+    captured: list[tuple[complex, int]] = [(0.0, 0)] * (order_max + 1)
+    for m, ratio in zip(range(top, 0, -2), ratios):
+        acc = j + ratio * acc
         if m <= order_max:
             captured[m] = (j, shift)
-        if m % 2 == 0:
-            even_sum += 2.0 * j
-        jm1 = (2.0 * m / y) * j - jp
-        jp, j = j, jm1
+        jp, j = j, (2.0 * (nu + m) / y) * j - jp
+        if m - 1 <= order_max:
+            captured[m - 1] = (j, shift)
+        jp, j = j, (2.0 * (nu + m - 1) / y) * j - jp
         if abs(j) > _RESCALE_LIMIT:
-            j *= 2.0 ** -_RESCALE_SHIFT
-            jp *= 2.0 ** -_RESCALE_SHIFT
-            even_sum *= 2.0 ** -_RESCALE_SHIFT
+            j, jp, acc = (v * 2.0 ** -_RESCALE_SHIFT for v in (j, jp, acc))
             shift += _RESCALE_SHIFT
     captured[0] = (j, shift)
-    norm = even_sum + j  # J_0 + 2 sum_{m>=1} J_{2m} = 1
-    return np.array(
-        [math.ldexp(mant / norm, mshift - shift) for mant, mshift in captured]
-    )
+    norm = j + (nu + 2.0) * acc
+    ldexp = math.ldexp if isinstance(norm, float) else (
+        lambda x, e: complex(math.ldexp(x.real, e), math.ldexp(x.imag, e)))
+    values = [ldexp(mant / norm, mshift - shift) for mant, mshift in captured]
+    return np.array(values)
 
 
 def bessel_j_int(n: int, y: float) -> float:
@@ -247,14 +249,16 @@ def ln_gamma_complex(z: complex) -> complex:
     return _HALF_LOG_TWO_PI + (zm1 + 0.5) * cmath.log(t) - t + cmath.log(acc)
 
 
-_SERIES_MAX_TERMS = 500
+_MAX_CHAIN_ERROR = 1e-8  # largest estimated relative error returned
 
 
 def bessel_j_complex_order(nu: complex, z: float) -> complex:
-    """J_nu(z) for complex order nu and real z >= 0, by the power series.
+    """J_nu(z) for complex order nu and real z >= 0, by the Miller chain.
 
-    Terms are (z/2)^nu * (-z^2/4)^k / (k! Gamma(nu+k+1)); summation stops
-    once three consecutive terms fall below 1e-18 of the partial sum.
+    The chain runs from base nu - k, k = floor(Re nu), so 0 <= Re(nu - k) < 1;
+    entry k (for k < 0, the recursion carried on down) times (z/2)^(nu-k) /
+    Gamma(nu-k+1) is J_nu.  Below _TINY_ARGUMENT the two-term series is used.
+    Raises ConvergenceError past _MAX_CHAIN_ERROR, OverflowError past doubles.
     """
     nu = complex(nu)
     if not (z >= 0.0) or not math.isfinite(z):
@@ -262,35 +266,30 @@ def bessel_j_complex_order(nu: complex, z: float) -> complex:
     if abs(nu.imag) > 50.0:
         raise ValueError(f"|Im nu| must be <= 50, got {nu.imag!r}")
     if nu.imag == 0.0 and nu.real == int(nu.real):
-        # integer orders go through the recursion kernel; for negative ones
-        # this also sidesteps the Gamma poles of the series
         return complex(bessel_j_int(int(nu.real), z))
     if z == 0.0:
-        if nu == 0:
-            return 1.0 + 0.0j
         if nu.real > 0.0:
             return 0.0 + 0.0j
         raise ValueError(f"J_nu(0) is singular for Re nu <= 0, nu = {nu}")
-    q = -0.25 * z * z
-    total = 0.0 + 0.0j
-    power = 1.0 + 0.0j  # (-z^2/4)^k
-    log_k_fact = 0.0
-    small_streak = 0
-    for k in range(_SERIES_MAX_TERMS):
-        if k > 0:
-            power *= q
-            log_k_fact += math.log(k)
-        term = power * cmath.exp(-log_k_fact - ln_gamma_complex(nu + k + 1))
-        total += term
-        if abs(term) < 1e-18 * max(abs(total), 1e-300):
-            small_streak += 1
-            if small_streak >= 3:
-                break
-        else:
-            small_streak = 0
+    k = math.floor(nu.real)
+    if z < _TINY_ARGUMENT:
+        k, value = 0, 1.0 - 0.25 * z * z / (nu + 1.0)
     else:
-        raise ConvergenceError(
-            f"power series for J_nu({z}), nu={nu}, "
-            f"did not converge in {_SERIES_MAX_TERMS} terms"
-        )
-    return cmath.exp(nu * math.log(0.5 * z)) * total
+        # the Neumann terms, whose sum is 1, die off past the turning point z
+        n = max(k, 1) + math.ceil(z) + 8
+        values = _downward_chain(z, n, nu - k)
+        weights = np.cumprod([1.0, nu - k + 2.0, *_neumann_ratios(nu - k, n // 2 - 1)])
+        error = 2.0 ** -52 * float(np.sum(np.abs(weights * values[::2])))
+        if error > _MAX_CHAIN_ERROR:
+            raise ConvergenceError(
+                f"J_nu({z}), nu = {nu}: the Miller chain's normalization sum cancels "
+                f"to an estimated relative error {error:.1e} > {_MAX_CHAIN_ERROR:g}"
+            )
+        value, jp = complex(values[max(k, 0)]), complex(values[1])
+        for m in range(0, k, -1):
+            jp, value = value, (2.0 * (nu - k + m) / z) * value - jp
+    log_scale = (nu - k) * (math.log(z) - math.log(2.0))
+    result = cmath.exp(log_scale - ln_gamma_complex(nu - k + 1.0)) * value
+    if not cmath.isfinite(result):
+        raise OverflowError(f"J_nu({z}), nu = {nu}, overflows a double")
+    return result

@@ -418,6 +418,8 @@ def _sweep_values(lo: float, hi: float, count: int) -> list[float]:
     if count == 1:
         return [lo]
     step = (hi - lo) / (count - 1)
+    if not math.isfinite(step):
+        raise ValueError(f"--delta-min and --delta-max give a non-finite step {step!r}")
     return [lo + i * step for i in range(count)]
 
 
@@ -432,9 +434,7 @@ def _lineshape_point(
             dec.dc, dec.cos_amps[:harmonics] + pad, dec.sin_amps[:harmonics] + pad
         )
     mod = GeneralModulation.sinusoidal(p.M, p.Omega)
-    return time_domain_oracle(
-        p, mod, periods=4, samples_per_period=64, n_harmonics=harmonics
-    )
+    return time_domain_oracle(p, mod, samples_per_period=64, n_harmonics=harmonics)
 
 
 def cmd_lineshape(args) -> int:

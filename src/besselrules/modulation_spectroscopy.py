@@ -195,13 +195,15 @@ def _reflected(s: int, value: complex) -> complex:
 def a_s_newberger(s: int, M: float, gamma: float, Omega: float) -> complex:
     """Closed form of the resonant sideband sum via complex-order Bessels.
 
-    The closed form holds for s >= 0; negative s follows from
-    A_{-s} = (-1)^s conj(A_s).  Guarded against sinh overflow at
-    pi gamma / Omega > 700, where the prefactor and the Bessel product
-    overflow in opposite directions.
+    The closed form holds for s >= 0 and M >= 0; negative s follows from
+    A_{-s} = (-1)^s conj(A_s), and negative M from A_s(-M) = (-1)^s A_s(M).
+    Guarded against sinh overflow at pi gamma / Omega > 700, where the
+    prefactor and the Bessel product overflow in opposite directions.
     """
     if s < 0:
         return _reflected(s, a_s_newberger(-s, M, gamma, Omega))
+    if M < 0.0:
+        return ((-1) ** (s % 2)) * a_s_newberger(s, -M, gamma, Omega)
     if not (gamma > 0.0 and Omega > 0.0):
         raise ValueError("gamma and Omega must be > 0")
     if M == 0.0:
@@ -433,7 +435,6 @@ def _modal_constants(p: OscillatorParams) -> tuple[complex, complex, complex]:
 def time_domain_oracle(
     p: OscillatorParams,
     mod: GeneralModulation,
-    periods: int,
     samples_per_period: int,
     n_harmonics: int = 4,
     rtol: float = 1e-10,
@@ -464,10 +465,10 @@ def time_domain_oracle(
     drive times velocity with the optical 2 omega component dropped,
     exactly what a multi-cycle averaging window leaves.  The steady state
     repeats every period, so the harmonics are projected from one period
-    of samples and do not depend on `periods`.
+    of samples.
     """
-    if periods < 1 or samples_per_period < 4:
-        raise ValueError("need periods >= 1 and samples_per_period >= 4")
+    if samples_per_period < 4:
+        raise ValueError("need samples_per_period >= 4")
     if mod.fundamental != p.Omega:
         raise ValueError("modulation fundamental must equal p.Omega")
     lam1, lam2, omega = _modal_constants(p)

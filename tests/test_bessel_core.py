@@ -2,7 +2,8 @@
 
 Frozen reference values were produced by the stated independent oracles
 (the full-period quadrature for integer orders, 30-digit mpmath series
-summation for complex orders and log-Gamma) and are asserted as literals.
+summation for complex orders and log-Gamma) and are asserted as literals;
+the complex-order grid is checked against mpmath directly.
 """
 
 import cmath
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from besselrules.bessel_core import (
+    ConvergenceError,
     bessel_j_complex_order,
     bessel_j_int,
     bessel_j_quadrature_oracle,
@@ -245,3 +247,26 @@ class TestBesselJComplexOrder:
             bessel_j_complex_order(1.0 + 60.0j, 1.0)
         with pytest.raises(ValueError):
             bessel_j_complex_order(1.0 + 0.5j, -1.0)
+
+    @pytest.mark.parametrize(
+        "nu",
+        [0.5j, 1 - 0.5j, 3 - 5j, 10 - 10j, -0.5 + 1.25j, -2.5 + 0.1j, -2.7 - 10j, 2.25],
+    )
+    def test_matches_mpmath_across_arguments(self, nu):
+        # the tiny-argument series, the chain, and large z where an
+        # ascending power series cancels catastrophically; a base order of
+        # negative real part would cancel in the Neumann sum at -2.7 - 10j
+        for z in (1e-9, 1e-3, 0.75, 20.0, 40.0, 80.0, 300.0, 1000.0):
+            want = complex(mp.besselj(mp.mpc(nu), z))
+            got = bessel_j_complex_order(nu, z)
+            assert abs(got - want) <= 1e-10 * abs(want), (nu, z)
+
+    def test_cancelling_normalization_is_refused(self):
+        # the chain's Neumann sum cancels here; unchecked it is off by 6e-3
+        with pytest.raises(ConvergenceError, match=r"J_nu\(300\.0\), nu = \(2-40j\)"):
+            bessel_j_complex_order(2 - 40j, 300.0)
+
+    def test_value_beyond_double_range_is_refused(self):
+        # |J_{-150.5+i}(0.5)| is about 7e352
+        with pytest.raises(OverflowError, match=r"nu = \(-150\.5\+1j\)"):
+            bessel_j_complex_order(-150.5 + 1j, 0.5)

@@ -313,6 +313,18 @@ class TestLineshapeCommand:
         ) == 0
         assert [float(r["delta"]) for r in read_csv(out)] == [-1e-3, 0.0, 1e-3]
 
+    def test_overflowing_sweep_step_is_usage_error(self, tmp_path, capsys):
+        # finite ends whose step (hi - lo) / (steps - 1) overflows to inf
+        out = tmp_path / "wide.csv"
+        code = run(
+            "lineshape", "--Omega", "0.03", "--M", "0.5", "--delta-min", "-1e308",
+            "--delta-max", "1e308", "--delta-steps", "3", "--output", str(out),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--delta-min" in err and "--delta-max" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("method", ["exact", "perturbative", "ode"])
     def test_negative_harmonics_usage_error(self, tmp_path, method):
         out = tmp_path / "h.csv"
@@ -470,6 +482,15 @@ class TestASumCommand:
         obj = json.loads(out.read_text())
         assert obj["residuals"]["direct/newberger"] < 1e-8
         assert obj["residuals"]["direct/series"] < 1e-8
+
+    def test_closed_form_at_large_modulation_index(self, tmp_path):
+        # J_{1-0.5i}(30): the terms of its ascending series reach ~1e11
+        out = tmp_path / "a30.json"
+        assert run(
+            "a-sum", "--s", "1", "--M", "30", "--gamma", "1", "--Omega", "2",
+            "--method", "direct,newberger", "--output", str(out),
+        ) == 0
+        assert json.loads(out.read_text())["residuals"]["direct/newberger"] < 1e-8
 
     def test_geometric_residual_is_informational(self, tmp_path):
         # the truncated expansion deviates by ~eta^4 from the exact paths;
