@@ -22,7 +22,6 @@ from besselrules.coefficients import (
     build_coeff_table,
     coeff_faa_di_bruno,
     enumerate_derivative_partitions,
-    eval_coeff,
 )
 from besselrules.sum_rules import (
     AccuracyError,

@@ -124,61 +124,32 @@ def cmd_coeffs(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
+def _report(rule_id: str, closed: complex, brute: complex, **params: float) -> SumRuleReport:
+    return SumRuleReport.from_values(rule_id, params, closed, brute, truncation_order=0)
+
+
 def _suite_core() -> list[SumRuleReport]:
     reports = []
     for k in range(0, 7):
         for s in range(-8, 9):
             for M in (0.5, 1.0, 2.0, 5.0):
-                closed = b_ks_closed(k, s, M)
-                brute = b_ks_brute(k, s, M)
-                reports.append(
-                    SumRuleReport.from_values(
-                        "weighted_product_moment",
-                        {"k": k, "s": s, "M": M},
-                        closed,
-                        brute,
-                        truncation_order=0,
-                    )
-                )
+                closed, brute = b_ks_closed(k, s, M), b_ks_brute(k, s, M)
+                reports.append(_report("weighted_product_moment", closed, brute, k=k, s=s, M=M))
     for k in range(0, 5):
         for q in range(-4, 5):
             for y1, y2 in ((1.0, 0.7), (2.0, -1.3), (0.5, 0.5)):
                 lhs, rhs = addition_formula_sides(k, q, y1, y2)
-                reports.append(
-                    SumRuleReport.from_values(
-                        "addition_formula",
-                        {"k": k, "q": q, "y1": y1, "y2": y2},
-                        lhs,
-                        rhs,
-                        truncation_order=0,
-                    )
-                )
+                reports.append(_report("addition_formula", lhs, rhs, k=k, q=q, y1=y1, y2=y2))
     for k in range(0, 4):
         for q in range(-3, 4):
             for y in (0.5, 1.3, 2.0):
                 lhs, rhs = alternating_sum_sides(k, q, y)
-                reports.append(
-                    SumRuleReport.from_values(
-                        "alternating_sum",
-                        {"k": k, "q": q, "y": y},
-                        rhs,
-                        lhs,
-                        truncation_order=0,
-                    )
-                )
+                reports.append(_report("alternating_sum", rhs, lhs, k=k, q=q, y=y))
     for k in (1, 2, 3, 4):
         for q in range(-10, 11):
             for y in (0.3, 1.0, 2.0, 5.0):
                 resid = recursion_residual(k, q, y)
-                reports.append(
-                    SumRuleReport.from_values(
-                        "recursion_relation",
-                        {"k": k, "q": q, "y": y},
-                        0.0,
-                        resid,
-                        truncation_order=0,
-                    )
-                )
+                reports.append(_report("recursion_relation", 0.0, resid, k=k, q=q, y=y))
     return reports
 
 
@@ -187,66 +158,22 @@ def _suite_generalized() -> list[SumRuleReport]:
     for q in range(-2, 3):
         for x, y in ((1.0, 2.0), (0.5, 0.5), (2.0, 0.0), (0.0, 1.5)):
             lhs, rhs = jcs_sum_rule_sides(q, x, y)
-            reports.append(
-                SumRuleReport.from_values(
-                    "mixed_modulation_moment",
-                    {"q": q, "x": x, "y": y},
-                    rhs,
-                    lhs,
-                    truncation_order=0,
-                )
-            )
+            reports.append(_report("mixed_modulation_moment", rhs, lhs, q=q, x=x, y=y))
     for s in range(-3, 4):
         for y1, y2 in ((2.0, 0.7), (1.0, 0.5), (0.5, 0.0)):
             lhs, rhs = jbar_sum_rule_sides(s, y1, y2)
-            reports.append(
-                SumRuleReport.from_values(
-                    "two_tone_moment",
-                    {"s": s, "y1": y1, "y2": y2},
-                    complex(rhs),
-                    complex(lhs),
-                    truncation_order=0,
-                )
-            )
+            reports.append(_report("two_tone_moment", rhs, lhs, s=s, y1=y1, y2=y2))
     mods = [
-        ("sinusoidal", GeneralModulation.sinusoidal(1.2, 1.0)),
-        ("two_tone", GeneralModulation.two_tone(1.0, 0.5, 1.0)),
-        (
-            "three_harmonic",
-            GeneralModulation(
-                {
-                    1: -0.4j,
-                    -1: 0.4j,
-                    2: -0.2j,
-                    -2: 0.2j,
-                    3: -0.1j,
-                    -3: 0.1j,
-                },
-                1.0,
-            ),
-        ),
+        GeneralModulation.sinusoidal(1.2, 1.0),
+        GeneralModulation.two_tone(1.0, 0.5, 1.0),
+        GeneralModulation({1: -0.4j, -1: 0.4j, 2: -0.2j, -2: 0.2j, 3: -0.1j, -3: 0.1j}, 1.0),
     ]
-    for idx, (_, mod) in enumerate(mods):
+    for idx, mod in enumerate(mods):
         for s in range(-2, 3):
             energy, moment, expected = general_modulation_rules(mod, s)
-            reports.append(
-                SumRuleReport.from_values(
-                    "modulation_energy",
-                    {"mod": idx, "s": s},
-                    complex(1.0 if s == 0 else 0.0),
-                    energy,
-                    truncation_order=0,
-                )
-            )
-            reports.append(
-                SumRuleReport.from_values(
-                    "modulation_first_moment",
-                    {"mod": idx, "s": s},
-                    expected,
-                    moment,
-                    truncation_order=0,
-                )
-            )
+            delta = complex(1.0 if s == 0 else 0.0)
+            reports.append(_report("modulation_energy", delta, energy, mod=idx, s=s))
+            reports.append(_report("modulation_first_moment", expected, moment, mod=idx, s=s))
     return reports
 
 
@@ -259,37 +186,15 @@ def _suite_spectroscopy() -> list[SumRuleReport]:
             for s in (0, 1, 2, 3):
                 direct = a_s_direct(s, M, gamma, Omega)
                 params = {"M": M, "gamma_over_Omega": g_over_o, "s": s}
-                reports.append(
-                    SumRuleReport.from_values(
-                        "resonant_sum_newberger",
-                        params,
-                        direct,
-                        a_s_newberger(s, M, gamma, Omega),
-                        truncation_order=0,
-                    )
-                )
-                reports.append(
-                    SumRuleReport.from_values(
-                        "resonant_sum_series",
-                        params,
-                        direct,
-                        a_s_series(s, M, gamma, Omega),
-                        truncation_order=0,
-                    )
-                )
+                newberger = a_s_newberger(s, M, gamma, Omega)
+                series = a_s_series(s, M, gamma, Omega)
+                reports.append(_report("resonant_sum_newberger", direct, newberger, **params))
+                reports.append(_report("resonant_sum_series", direct, series, **params))
     for s in (1, 2, 3):
         for M, Omega in ((0.8, 0.4), (1.5, 1.0), (2.0, 0.2)):
-            plus = a_s_direct(s, M, gamma, Omega)
-            minus = a_s_direct(-s, M, gamma, Omega)
-            reports.append(
-                SumRuleReport.from_values(
-                    "negative_order_symmetry",
-                    {"s": s, "M": M, "Omega": Omega},
-                    minus,
-                    ((-1) ** (s % 2)) * plus.conjugate(),
-                    truncation_order=0,
-                )
-            )
+            lhs = a_s_direct(-s, M, gamma, Omega)
+            rhs = ((-1) ** (s % 2)) * a_s_direct(s, M, gamma, Omega).conjugate()
+            reports.append(_report("negative_order_symmetry", lhs, rhs, s=s, M=M, Omega=Omega))
     return reports
 
 
@@ -506,9 +411,9 @@ def cmd_lineshape(args) -> int:
 
 # --method name -> A_s from the parsed arguments, in --method help order
 _A_SUM_METHODS = {
-    "direct": lambda a: a_s_direct(a.s, a.M, a.gamma, a.Omega, tol=a.tol),
+    "direct": lambda a: a_s_direct(a.s, a.M, a.gamma, a.Omega),
     "newberger": lambda a: a_s_newberger(a.s, a.M, a.gamma, a.Omega),
-    "series": lambda a: a_s_series(a.s, a.M, a.gamma, a.Omega, k_max=a.k_max),
+    "series": lambda a: a_s_series(a.s, a.M, a.gamma, a.Omega),
     "geometric": lambda a: a_s_geometric(a.s, a.M, a.gamma, a.Omega, order=a.order),
 }
 
@@ -599,11 +504,12 @@ class _ArgumentParser(argparse.ArgumentParser):
     "--delta-min -1e-3" fails with "expected one argument".  Before
     parsing, each float option is joined to a negative value that follows
     it ("--delta-min=-1e-3"), a form argparse always reads as one option
-    and its value.  Subcommand parsers share this class.
+    and its value.  Options must be spelled in full, so that "--tol" is
+    not read as "--tolerance".  Subcommand parsers share this class.
     """
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         self.float_options: set[str] = set()
 
     def add_argument(self, *args, **kwargs):
@@ -700,8 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Omega", type=float, required=True)
     p.add_argument("--method", default="direct", help="comma list: " + ",".join(_A_SUM_METHODS))
     p.add_argument("--order", type=int, default=3, help="geometric expansion order")
-    p.add_argument("--k-max", type=int, default=40, help="series term count")
-    p.add_argument("--tol", type=float, default=1e-14, help="direct-sum truncation tolerance")
     p.add_argument("--tolerance", type=float, default=1e-8, help="cross-method residual bound")
     p.add_argument("--expand", action="store_true", help="emit eta-expansion coefficients")
     p.add_argument("--format", choices=("json", "csv"), default="json")

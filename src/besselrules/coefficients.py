@@ -16,7 +16,6 @@ rounds.  Only serialization reduces c / 2^m to the y-basis dyadic form.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +29,6 @@ __all__ = [
     "build_coeff_table",
     "enumerate_derivative_partitions",
     "coeff_faa_di_bruno",
-    "eval_coeff",
 ]
 
 MAX_RECURSION_K = 64
@@ -162,9 +160,6 @@ class CoeffTable:
             items.append({"k": k, "n": n, "poly": self.entries[(k, n)].to_json_obj()})
         return {"k_max": self.k_max, "entries": items}
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_json_obj(), indent=indent, sort_keys=False)
-
     @classmethod
     def from_json_obj(cls, obj: dict) -> "CoeffTable":
         entries = {
@@ -172,10 +167,6 @@ class CoeffTable:
             for e in obj["entries"]
         }
         return cls(k_max=int(obj["k_max"]), entries=entries)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CoeffTable":
-        return cls.from_json_obj(json.loads(text))
 
 
 @lru_cache(maxsize=None)
@@ -293,8 +284,3 @@ def coeff_faa_di_bruno(k: int, n: int) -> DyadicPoly:
     if abs(n) > k:
         raise ValueError(f"|n| must be <= k, got n={n}, k={k}")
     return DyadicPoly(_faa_di_bruno_row(k).get(n))
-
-
-def eval_coeff(table: CoeffTable, k: int, n: int, y: float) -> float:
-    """Float value of the (k, n) polynomial at y, by Horner evaluation."""
-    return table.entry(k, n).evaluate(y)

@@ -18,6 +18,7 @@ time differencing with a certified Gauss-Legendre quadrature).
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import warnings
 from collections.abc import Sequence
@@ -29,6 +30,8 @@ import numpy as np
 from scipy.integrate import solve_ivp  # noqa: F401
 
 from besselrules.bessel_core import (
+    _MAX_CHAIN_ERROR,
+    ConvergenceError,
     OracleError,
     _j_symmetric,
     bessel_j_complex_order,
@@ -66,6 +69,9 @@ _SWEEP_BLOCK = 64
 # count, and the cap its doubling may not pass
 _ORACLE_NODES = 8
 _ORACLE_MAX_NODES = 128
+# the doubling stops once the samples move by at most this fraction of
+# their largest magnitude
+_ORACLE_RTOL = 1e-10
 
 
 class RegimeError(ValueError):
@@ -173,13 +179,25 @@ def average_power_unmodulated(p: OscillatorParams, omega: float) -> float:
     return num / den if den else 0.0
 
 
-def a_s_direct(
-    s: int, M: float, gamma: float, Omega: float, tol: float = 1e-14
-) -> complex:
-    """Truncated direct sum of J_n(M) J_{n-s}(M) / (gamma + i n Omega)."""
-    if not (gamma > 0.0):
-        raise ValueError(f"gamma must be > 0, got {gamma!r}")
-    n_max = truncation_bound(abs(M), tol) + abs(s) + 8
+def _check_a_s_args(M: float, gamma: float, Omega: float) -> None:
+    """Refuse a non-finite M, and a gamma or Omega that is not finite and > 0.
+
+    Shared by the four A_s paths; the ValueError names the parameter.
+    """
+    if not math.isfinite(M):
+        raise ValueError(f"M must be finite, got {M!r}")
+    for name, value in (("gamma", gamma), ("Omega", Omega)):
+        if not (value > 0.0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def a_s_direct(s: int, M: float, gamma: float, Omega: float) -> complex:
+    """Truncated direct sum of J_n(M) J_{n-s}(M) / (gamma + i n Omega).
+
+    The sum runs over every n where |J_n(M)| >= 1e-14, plus |s| + 8 more.
+    """
+    _check_a_s_args(M, gamma, Omega)
+    n_max = truncation_bound(abs(M), 1e-14) + abs(s) + 8
     j = _j_symmetric(M, n_max + abs(s))
     n = np.arange(-n_max, n_max + 1)
     center = n_max + abs(s)
@@ -200,12 +218,11 @@ def a_s_newberger(s: int, M: float, gamma: float, Omega: float) -> complex:
     Guarded against sinh overflow at pi gamma / Omega > 700, where the
     prefactor and the Bessel product overflow in opposite directions.
     """
+    _check_a_s_args(M, gamma, Omega)
     if s < 0:
         return _reflected(s, a_s_newberger(-s, M, gamma, Omega))
     if M < 0.0:
         return ((-1) ** (s % 2)) * a_s_newberger(s, -M, gamma, Omega)
-    if not (gamma > 0.0 and Omega > 0.0):
-        raise ValueError("gamma and Omega must be > 0")
     if M == 0.0:
         return (1.0 / gamma if s == 0 else 0.0) + 0.0j
     x = math.pi * gamma / Omega
@@ -223,22 +240,19 @@ def a_s_newberger(s: int, M: float, gamma: float, Omega: float) -> complex:
     )
 
 
-def a_s_series(
-    s: int, M: float, gamma: float, Omega: float, k_max: int = 40
-) -> complex:
+def a_s_series(s: int, M: float, gamma: float, Omega: float) -> complex:
     """Gamma-product series for the resonant sideband sum.
 
     The series is written for s >= 0; negative s follows from
-    A_{-s} = (-1)^s conj(A_s).  Terms are factorially damped, so the
-    partial sum to k_max converges for every M; k_max = 40 reaches double
-    precision for moderate M.
+    A_{-s} = (-1)^s conj(A_s).  Its terms alternate in sign and are
+    factorially damped, so the sum runs past the largest term until one
+    more term no longer changes it.  The digits lost to cancellation are
+    bounded by 2^-52 sum|t_k| / |sum t_k|; past _MAX_CHAIN_ERROR, or on a
+    term beyond double range, ConvergenceError is raised.
     """
+    _check_a_s_args(M, gamma, Omega)
     if s < 0:
-        return _reflected(s, a_s_series(-s, M, gamma, Omega, k_max))
-    if not (0 <= k_max <= 60):
-        raise ValueError(f"k_max must lie in [0, 60], got {k_max}")
-    if not (gamma > 0.0 and Omega > 0.0):
-        raise ValueError("gamma and Omega must be > 0")
+        return _reflected(s, a_s_series(-s, M, gamma, Omega))
     a = gamma / Omega
     # term_k = (-M^2/4)^k (s+2k)!/((s+k)! k!) prod_{p<=s} 1/(k+p-ia)
     #          * prod_{p<=k} 1/(p^2+a^2), built incrementally.
@@ -246,14 +260,32 @@ def a_s_series(
     for p in range(1, s + 1):
         term /= complex(p, -a)
     total = term
+    magnitude = abs(term)
     q = -0.25 * M * M
-    for k in range(k_max):
+    for k in itertools.count():
         ratio = q * (s + 2 * k + 1) * (s + 2 * k + 2) / ((s + k + 1) * (k + 1))
         if s > 0:
             ratio *= complex(k + 1, -a) / complex(k + 1 + s, -a)
         ratio /= (k + 1) ** 2 + a * a
         term *= ratio
+        if not cmath.isfinite(term):
+            raise ConvergenceError(
+                f"A_s series at s = {s}, M = {M}, gamma/Omega = {a:g}: "
+                f"term {k + 1} leaves double range"
+            )
+        magnitude += abs(term)
+        # before the largest term (|ratio| >= 1) the terms still grow
+        if total + term == total and abs(ratio) < 1.0:
+            break
         total += term
+    error = 2.0 ** -52 * magnitude / abs(total) if total else math.inf
+    # written so that a NaN estimate is refused too
+    if not error <= _MAX_CHAIN_ERROR:
+        raise ConvergenceError(
+            f"A_s series at s = {s}, M = {M}, gamma/Omega = {a:g}: the terms "
+            f"cancel to an estimated relative error {error:.1e} > "
+            f"{_MAX_CHAIN_ERROR:g}"
+        )
     return ((-1) ** (s % 2)) / gamma * (0.5 * M) ** s * total
 
 
@@ -267,8 +299,7 @@ def a_s_geometric(
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    if not (gamma > 0.0 and Omega > 0.0):
-        raise ValueError("gamma and Omega must be > 0")
+    _check_a_s_args(M, gamma, Omega)
     if not perturbative_validity(M, gamma, Omega):
         warnings.warn(
             "geometric expansion evaluated outside its validity bound "
@@ -437,7 +468,6 @@ def time_domain_oracle(
     mod: GeneralModulation,
     samples_per_period: int,
     n_harmonics: int = 4,
-    rtol: float = 1e-10,
 ) -> HarmonicDecomposition:
     """Absorbed-power harmonics from the periodic steady state of the oscillator.
 
@@ -454,9 +484,9 @@ def time_domain_oracle(
     composed into one step between samples.  a(T) = a(0) closes the period:
     a_0 = sum_j e^{kappa1 hs (K-1-j)} I_j / (-expm1(kappa1 T)) over the
     K sub-steps, with expm1 so that Omega >> gamma loses no digits.  The
-    node count starts at 8 and doubles until the samples move by at most
-    rtol of their largest magnitude; past a fixed cap OracleError is
-    raised.  No Bessel value is used.
+    node count starts at _ORACLE_NODES and doubles until the samples move
+    by at most _ORACLE_RTOL (1e-10) of their largest magnitude; past
+    _ORACLE_MAX_NODES OracleError is raised.  No Bessel value is used.
 
     The counter-rotating mode is forced at ~2 omega0 and stays
     asymptotically slaved to the drive envelope, so its particular
@@ -529,12 +559,12 @@ def time_domain_oracle(
         if 2 * nodes > _ORACLE_MAX_NODES:
             raise OracleError(
                 f"time-domain oracle: {nodes} Gauss-Legendre nodes per sub-step "
-                f"of {hs:.3e} s did not settle to rtol {rtol:g}, and doubling "
+                f"of {hs:.3e} s did not settle to rtol {_ORACLE_RTOL:g}, and doubling "
                 f"them passes the cap of {_ORACLE_MAX_NODES} nodes"
             )
         nodes *= 2
         finer = steady_samples(nodes)
-        settled = np.max(np.abs(finer - a1)) <= rtol * np.max(np.abs(finer))
+        settled = np.max(np.abs(finer - a1)) <= _ORACLE_RTOL * np.max(np.abs(finer))
         a1 = finer
         if settled:
             break

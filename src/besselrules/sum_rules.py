@@ -20,7 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from besselrules.bessel_core import _j_symmetric, truncation_bound
-from besselrules.coefficients import build_coeff_table, eval_coeff
+from besselrules.coefficients import build_coeff_table
 
 __all__ = [
     "AccuracyError",
@@ -49,6 +49,8 @@ class AccuracyError(RuntimeError):
 
 
 _TAIL_TOL = 1e-13
+# largest sample count general_sidebands may use
+_MAX_SAMPLES = 1 << 22
 
 
 def _brute_order(y: float, extra: int, tol: float = 1e-16) -> int:
@@ -61,18 +63,18 @@ def b_ks_closed(k: int, s: int, M: float) -> float:
         raise ValueError(f"k must be >= 0, got {k}")
     if abs(s) > k:
         return 0.0
-    return eval_coeff(build_coeff_table(k), k, s, M)
+    return build_coeff_table(k).entry(k, s).evaluate(M)
 
 
-def b_ks_brute(k: int, s: int, M: float, tol: float = 1e-14) -> float:
+def b_ks_brute(k: int, s: int, M: float) -> float:
     """Truncated direct evaluation of sum_n n^k J_n(M) J_{n-s}(M).
 
     The n^k weight amplifies the tail, so the cut extends max(8, 2k) + |s|
-    orders past the plain envelope bound.
+    orders past the envelope bound for |J_n(M)| < 1e-14.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    n_max = _brute_order(M, max(8, 2 * k) + abs(s), tol)
+    n_max = _brute_order(M, max(8, 2 * k) + abs(s), 1e-14)
     j = _j_symmetric(M, n_max + abs(s))
     n = np.arange(-n_max, n_max + 1)
     center = n_max + abs(s)
@@ -328,7 +330,8 @@ def general_sidebands(mod: GeneralModulation, n_max: int) -> SidebandSpectrum:
 
     The sample count starts at a power of two >= 8 n_max and doubles until
     the aliasing tail (largest amplitude in the outer half of the sampled
-    spectrum) falls below 1e-13; failing that raises AccuracyError.
+    spectrum) falls below 1e-13.  A count past _MAX_SAMPLES raises
+    AccuracyError; when the first count is past it, nothing is sampled.
     """
     if n_max < mod.support():
         raise ValueError(
@@ -337,6 +340,11 @@ def general_sidebands(mod: GeneralModulation, n_max: int) -> SidebandSpectrum:
     m = 256
     while m < 8 * max(n_max, 1):
         m *= 2
+    if m > _MAX_SAMPLES:
+        raise AccuracyError(
+            f"n_max = {n_max} needs at least {m} samples, past the cap of "
+            f"{_MAX_SAMPLES}"
+        )
     while True:
         t = np.arange(m) * (2.0 * math.pi / (mod.fundamental * m))
         g = np.fft.fft(np.exp(1j * mod.phase(t))) / m
@@ -344,10 +352,10 @@ def general_sidebands(mod: GeneralModulation, n_max: int) -> SidebandSpectrum:
             np.concatenate([g[m // 4 : m // 2], g[m // 2 : 3 * m // 4]])
         )
         tail = float(guard.max()) if guard.size else 0.0
-        if tail < _TAIL_TOL and m >= 8 * max(n_max, 1):
+        if tail < _TAIL_TOL:
             break
         m *= 2
-        if m > (1 << 22):
+        if m > _MAX_SAMPLES:
             raise AccuracyError(
                 f"sideband sampling tail {tail:.3e} did not fall below "
                 f"{_TAIL_TOL:.0e}"

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from besselrules import sum_rules
 from besselrules.bessel_core import bessel_j_int
 from besselrules.cli import main
 from besselrules.modulation_spectroscopy import a_s_direct
@@ -205,6 +206,16 @@ class TestSidebandsCommand:
     def test_modulation_flags_are_exclusive(self, tmp_path):
         out = tmp_path / "x.csv"
         assert run("sidebands", "--M", "1.0", "--y1", "1.0", "--output", str(out)) == 2
+
+    def test_order_past_sample_cap_is_refused(self, tmp_path, capsys, monkeypatch):
+        # harmonic 1e5 gives an automatic order of 2.4e6, which needs 2^25
+        # samples; the refusal comes before numpy is reached
+        monkeypatch.setattr(sum_rules, "np", None)
+        out = tmp_path / "x.csv"
+        phi = "[[100000, 0, -0.5], [-100000, 0, 0.5]]"
+        assert run("sidebands", "--phi-coeffs", phi, "--output", str(out)) == 3
+        assert "past the cap of 4194304" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestLineshapeCommand:
@@ -559,6 +570,37 @@ class TestASumCommand:
         assert obj["M"] == -1e-3
         value = obj["values"]["direct"]
         assert complex(value["re"], value["im"]) == a_s_direct(1, -1e-3, 1.0, 0.1)
+
+    @pytest.mark.parametrize("flag, value", [("--M", "nan"), ("--M", "inf"), ("--Omega", "0")])
+    @pytest.mark.parametrize("method", ["direct", "newberger", "series", "geometric"])
+    def test_bad_argument_is_usage_error(self, tmp_path, capsys, method, flag, value):
+        # the last value given for an option is the one parsed
+        out = tmp_path / "a.json"
+        code = run("a-sum", "--s", "1", "--M", "1.0", "--Omega", "0.5", flag, value,
+                   "--method", method, "--output", str(out))
+        assert code == 2
+        assert f"{flag[2:]} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cancelled_series_is_refused(self, tmp_path, capsys):
+        # the alternating terms cancel every digit of A_1 at M = 20
+        out = tmp_path / "a.json"
+        code = run(
+            "a-sum", "--s", "1", "--M", "20", "--gamma", "1", "--Omega", "2",
+            "--method", "series", "--output", str(out),
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "s = 1, M = 20.0, gamma/Omega = 0.5" in err
+        assert "estimated relative error" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option", [("--k-max", "40"), ("--tol", "1e-14")])
+    def test_accuracy_options_are_gone(self, tmp_path, option):
+        with pytest.raises(SystemExit) as err:
+            run("a-sum", "--s", "1", "--M", "1", "--Omega", "0.5", *option,
+                "--output", str(tmp_path / "a.json"))
+        assert err.value.code == 2
 
     def test_unknown_method_usage_error(self, tmp_path):
         out = tmp_path / "am.json"

@@ -4,6 +4,7 @@ The k <= 4 table is pinned entry by entry against the hand-checked closed
 forms; everything is exact integer equality in u = y/2, zero tolerance.
 """
 
+import json
 from fractions import Fraction
 from itertools import product
 
@@ -18,7 +19,6 @@ from besselrules.coefficients import (
     build_coeff_table,
     coeff_faa_di_bruno,
     enumerate_derivative_partitions,
-    eval_coeff,
 )
 
 
@@ -160,7 +160,7 @@ class TestBuildCoeffTable:
 
     def test_json_round_trip(self):
         table = build_coeff_table(6)
-        again = CoeffTable.from_json(table.to_json())
+        again = CoeffTable.from_json_obj(json.loads(json.dumps(table.to_json_obj())))
         assert again.k_max == table.k_max
         assert dict(again.entries) == dict(table.entries)
 
@@ -298,15 +298,15 @@ class TestEvalCoeff:
     def test_unit_entry(self):
         table = build_coeff_table(2)
         for y in (0.0, 1.7, -4.0):
-            assert eval_coeff(table, 0, 0, y) == 1.0
+            assert table.entry(0, 0).evaluate(y) == 1.0
 
     def test_linear_entry(self):
-        assert eval_coeff(build_coeff_table(1), 1, 1, 2.0) == 1.0
+        assert build_coeff_table(1).entry(1, 1).evaluate(2.0) == 1.0
 
     def test_quartic_entry(self):
         # 3/8 + 1/2 (the oracle-verified (4, 0) value, see the discrepancy test)
-        assert eval_coeff(build_coeff_table(4), 4, 0, 1.0) == 0.875
+        assert build_coeff_table(4).entry(4, 0).evaluate(1.0) == 0.875
 
     def test_out_of_table_range(self):
         with pytest.raises(ValueError):
-            eval_coeff(build_coeff_table(2), 3, 0, 1.0)
+            build_coeff_table(2).entry(3, 0).evaluate(1.0)

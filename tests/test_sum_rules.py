@@ -235,8 +235,17 @@ class TestGeneralModulation:
         import besselrules.sum_rules as sr
 
         monkeypatch.setattr(sr, "_TAIL_TOL", 0.0)
-        with pytest.raises(AccuracyError):
+        monkeypatch.setattr(sr, "_MAX_SAMPLES", 1024)
+        with pytest.raises(AccuracyError, match="did not fall below"):
             general_sidebands(GeneralModulation.sinusoidal(1.0, 1.0), 4)
+
+    def test_sample_cap_checked_before_sampling(self, monkeypatch):
+        import besselrules.sum_rules as sr
+
+        # n_max = 6e5 needs 2^23 samples, past the cap; numpy is never reached
+        monkeypatch.setattr(sr, "np", None)
+        with pytest.raises(AccuracyError, match="n_max = 600000 .* cap of 4194304"):
+            general_sidebands(GeneralModulation.sinusoidal(1.0, 1.0), 600000)
 
     def test_energy_and_moment_rules(self):
         mods = [
