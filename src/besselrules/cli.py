@@ -19,6 +19,7 @@ import datetime
 import json
 import math
 import sys
+import warnings
 
 from besselrules.bessel_core import ConvergenceError, OracleError
 from besselrules.coefficients import (
@@ -29,6 +30,7 @@ from besselrules.coefficients import (
 from besselrules.modulation_spectroscopy import (
     HarmonicDecomposition,
     OscillatorParams,
+    PerturbativeDomainWarning,
     RegimeError,
     a_s_direct,
     a_s_eta_coefficients,
@@ -65,10 +67,15 @@ EXIT_USAGE = 2
 EXIT_REGIME = 3
 
 
+def _utc_stamp() -> str:
+    """The value of the "stamp" field that --stamp appends."""
+    return datetime.datetime.now(datetime.timezone.utc).isoformat()
+
+
 def _write_json(path: str, obj: dict, stamp: bool) -> None:
     """Indented JSON with a trailing newline; --stamp appends the UTC time."""
     if stamp:
-        obj["stamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+        obj["stamp"] = _utc_stamp()
     with open(path, "w") as fh:
         fh.write(json.dumps(obj, indent=2) + "\n")
 
@@ -92,31 +99,36 @@ def _check_tolerance(tolerance: float) -> None:
 
 def cmd_coeffs(args) -> int:
     table = build_coeff_table(args.k_max)
-    mismatches: list[tuple[int, int]] = []
     dual_checked = args.k_max <= MAX_FAA_DI_BRUNO_K
-    if dual_checked:
-        for k in range(1, args.k_max + 1):
-            for n in range(-k, k + 1):
-                if coeff_faa_di_bruno(k, n) != table.entry(k, n):
-                    mismatches.append((k, n))
+    mismatches = {
+        (k, n)
+        for k in range(1, args.k_max + 1)
+        for n in range(-k, k + 1)
+        if dual_checked and coeff_faa_di_bruno(k, n) != table.entry(k, n)
+    }
     unflagged = "ok" if dual_checked else "skipped"
 
     if args.format == "json":
-        obj = table.to_json_obj()
-        obj["dual_path"] = (
-            "mismatch:" + ";".join(f"({k},{n})" for k, n in mismatches)
-            if mismatches
-            else unflagged
-        )
-        _write_json(args.output, obj, args.stamp)
+        trailing = {
+            "dual_path": (
+                "mismatch:" + ";".join(f"({k},{n})" for k, n in sorted(mismatches))
+                if mismatches
+                else unflagged
+            )
+        }
+        if args.stamp:
+            trailing["stamp"] = _utc_stamp()
+        with open(args.output, "w") as fh:
+            fh.write(table.to_json_text(**trailing))
     else:
-        def rows():
-            for (k, n) in sorted(table.entries):
-                flag = "mismatch" if (k, n) in mismatches else unflagged
-                for term in table.entries[(k, n)].to_json_obj():
-                    yield [k, n, term["power"], term["num"], term["exp2"], flag]
-
-        _write_csv(args.output, ["k", "n", "power", "num", "exp2", "dual_path"], rows())
+        # no field needs quoting, so each row is the line csv.writer writes
+        lines = ["k,n,power,num,exp2,dual_path\n"]
+        for (k, n), poly in sorted(table.entries.items()):
+            flag = "mismatch" if (k, n) in mismatches else unflagged
+            row = "%d,%d,%%d,%%d,%%d,%s\n" % (k, n, flag)
+            lines += [row % term for term in poly.terms()]
+        with open(args.output, "w", newline="") as fh:
+            fh.write("".join(lines))
     return EXIT_VERIFICATION if mismatches else EXIT_OK
 
 
@@ -619,14 +631,31 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (RegimeError, OverflowError, AccuracyError, ConvergenceError, OracleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REGIME
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    with warnings.catch_warnings():
+        # each distinct domain warning is one "warning:" line, however many
+        # points of a sweep raise it; other warnings keep Python's format
+        warnings.simplefilter("always", PerturbativeDomainWarning)
+        show_other = warnings.showwarning
+        shown: set[str] = set()
+
+        def show(message, category, *where):
+            if not issubclass(category, PerturbativeDomainWarning):
+                show_other(message, category, *where)
+            elif str(message) not in shown:
+                shown.add(str(message))
+                print(f"warning: {message}", file=sys.stderr)
+
+        warnings.showwarning = show
+        try:
+            return args.func(args)
+        except (
+            RegimeError, OverflowError, AccuracyError, ConvergenceError, OracleError
+        ) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_REGIME
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
 
 
 if __name__ == "__main__":

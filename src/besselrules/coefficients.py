@@ -16,12 +16,13 @@ rounds.  Only serialization reduces c / 2^m to the y-basis dyadic form.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterator, Mapping
 
 __all__ = [
     "DyadicPoly",
@@ -108,14 +109,23 @@ class DyadicPoly:
         parts = [f"{self.coeffs[p]}*(y/2)^{p}" for p in sorted(self.coeffs)]
         return "DyadicPoly(" + " + ".join(parts) + ")"
 
-    def to_json_obj(self) -> list[dict]:
-        """Terms as (num / 2^exp2) y^power with num odd unless exp2 == 0."""
-        terms = []
+    def terms(self) -> Iterator[tuple[int, int, int]]:
+        """(power, num, exp2) per term (num / 2^exp2) y^power, by power.
+
+        num is odd unless exp2 == 0: c (y/2)^m is reduced to the canonical
+        dyadic pair here and nowhere else.
+        """
         for power in sorted(self.coeffs):
             c = self.coeffs[power]
             tz = min((c & -c).bit_length() - 1, power)
-            terms.append({"power": power, "num": str(c >> tz), "exp2": power - tz})
-        return terms
+            yield power, c >> tz, power - tz
+
+    def to_json_obj(self) -> list[dict]:
+        """Terms as (num / 2^exp2) y^power with num odd unless exp2 == 0."""
+        return [
+            {"power": power, "num": str(num), "exp2": exp2}
+            for power, num, exp2 in self.terms()
+        ]
 
     @classmethod
     def from_json_obj(cls, obj: list[dict]) -> "DyadicPoly":
@@ -129,6 +139,20 @@ class DyadicPoly:
                 )
             coeffs[power] = num << (power - exp2)
         return cls(coeffs)
+
+
+# one term of a "poly" list and one item of "entries", as json.dumps(indent=2)
+# lays them out at their depth in the table document
+_JSON_TERM = (
+    '        {\n          "power": %d,\n          "num": "%d",\n'
+    '          "exp2": %d\n        }'
+)
+_JSON_ENTRY = '    {\n      "k": %d,\n      "n": %d,\n      "poly": %s\n    }'
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """A JSON list of laid-out items whose closing bracket sits at indent."""
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
 
 
 @dataclass(frozen=True)
@@ -159,6 +183,28 @@ class CoeffTable:
         for (k, n) in sorted(self.entries):
             items.append({"k": k, "n": n, "poly": self.entries[(k, n)].to_json_obj()})
         return {"k_max": self.k_max, "entries": items}
+
+    def to_json_text(self, **trailing: object) -> str:
+        """json.dumps(self.to_json_obj() | trailing, indent=2) + newline, to the byte.
+
+        The schema is fixed, so each term and entry is one format template
+        and the document is one join; CPython's indented encoder is pure
+        Python and takes about four times as long.  The trailing top-level
+        fields follow "entries" in order, each encoded by json.dumps.
+        """
+        entries = []
+        for (k, n), poly in sorted(self.entries.items()):
+            terms = [_JSON_TERM % term for term in poly.terms()]
+            entries.append(_JSON_ENTRY % (k, n, _json_list(terms, "      ")))
+        # a nested value lies one level deep, so its own lines indent by two more
+        fields = "".join(
+            ",\n  %s: %s"
+            % (json.dumps(key), json.dumps(value, indent=2).replace("\n", "\n  "))
+            for key, value in trailing.items()
+        )
+        return '{\n  "k_max": %d,\n  "entries": %s%s\n}\n' % (
+            self.k_max, _json_list(entries, "  "), fields
+        )
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "CoeffTable":

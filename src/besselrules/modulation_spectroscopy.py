@@ -179,13 +179,18 @@ def average_power_unmodulated(p: OscillatorParams, omega: float) -> float:
     return num / den if den else 0.0
 
 
+def _check_M(M: float) -> None:
+    """Refuse a non-finite modulation index M with a ValueError naming M."""
+    if not math.isfinite(M):
+        raise ValueError(f"M must be finite, got {M!r}")
+
+
 def _check_a_s_args(M: float, gamma: float, Omega: float) -> None:
     """Refuse a non-finite M, and a gamma or Omega that is not finite and > 0.
 
     Shared by the four A_s paths; the ValueError names the parameter.
     """
-    if not math.isfinite(M):
-        raise ValueError(f"M must be finite, got {M!r}")
+    _check_M(M)
     for name, value in (("gamma", gamma), ("Omega", Omega)):
         if not (value > 0.0 and math.isfinite(value)):
             raise ValueError(f"{name} must be finite and > 0, got {value!r}")
@@ -233,10 +238,13 @@ def a_s_newberger(s: int, M: float, gamma: float, Omega: float) -> complex:
         )
     a = gamma / Omega
     prefactor = ((-1) ** (s % 2)) / gamma * (x / math.sinh(x))
+    # |J_{ia}(M)| grows like e^{x/2} and the prefactor falls like x e^{-x}, so
+    # their product comes first: the prefactor times a small J_{s-ia}(M)
+    # would leave the normal double range before J_{ia}(M) brought it back
     return (
         prefactor
-        * bessel_j_complex_order(complex(s, -a), M)
         * bessel_j_complex_order(complex(0.0, a), M)
+        * bessel_j_complex_order(complex(s, -a), M)
     )
 
 
@@ -326,6 +334,7 @@ def a_s_eta_coefficients(s: int, M: float, order: int) -> list[complex]:
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
+    _check_M(M)
     table = build_coeff_table(order)
     out = []
     for k in range(order + 1):

@@ -1,15 +1,18 @@
 """Command-line front end: file contents, determinism, exit codes."""
 
 import csv
+import datetime
+import io
 import json
 import math
 import time
 
 import pytest
 
-from besselrules import sum_rules
+from besselrules import cli, sum_rules
 from besselrules.bessel_core import bessel_j_int
 from besselrules.cli import main
+from besselrules.coefficients import DyadicPoly, build_coeff_table
 from besselrules.modulation_spectroscopy import a_s_direct
 from besselrules.sum_rules import jbar
 
@@ -23,7 +26,70 @@ def read_csv(path):
         return list(csv.DictReader(row for row in fh if not row.startswith("#")))
 
 
+def coeffs_json_reference(k_max: int, **trailing) -> str:
+    """The coefficient table as the indented JSON encoder writes it."""
+    obj = build_coeff_table(k_max).to_json_obj() | trailing
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def coeffs_csv_reference(k_max: int, flag_of) -> str:
+    """The coefficient table as csv.writer writes it; flag_of(k, n) is dual_path."""
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["k", "n", "power", "num", "exp2", "dual_path"])
+    for entry in build_coeff_table(k_max).to_json_obj()["entries"]:
+        k, n = entry["k"], entry["n"]
+        for t in entry["poly"]:
+            writer.writerow([k, n, t["power"], t["num"], t["exp2"], flag_of(k, n)])
+    return fh.getvalue()
+
+
 class TestCoeffsCommand:
+    @pytest.mark.parametrize("k_max", [0, 1, 20, 64])
+    def test_files_match_the_generic_writers(self, tmp_path, k_max):
+        flag = "ok" if k_max <= 30 else "skipped"
+        out = tmp_path / "coeffs.json"
+        assert run("coeffs", "--k-max", str(k_max), "--output", str(out)) == 0
+        assert out.read_bytes() == coeffs_json_reference(k_max, dual_path=flag).encode()
+        out = tmp_path / "coeffs.csv"
+        assert run(
+            "coeffs", "--k-max", str(k_max), "--format", "csv", "--output", str(out)
+        ) == 0
+        want = coeffs_csv_reference(k_max, lambda k, n: flag)
+        assert out.read_bytes() == want.encode()
+
+    def test_stamp_is_the_last_field(self, tmp_path):
+        out = tmp_path / "coeffs.json"
+        assert run("coeffs", "--k-max", "3", "--stamp", "--output", str(out)) == 0
+        obj = json.loads(out.read_text())
+        assert list(obj) == ["k_max", "entries", "dual_path", "stamp"]
+        stamp = datetime.datetime.fromisoformat(obj["stamp"])
+        assert stamp.utcoffset() == datetime.timedelta(0)
+        want = coeffs_json_reference(3, dual_path="ok", stamp=obj["stamp"])
+        assert out.read_text() == want
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_forced_mismatch_is_flagged(self, tmp_path, monkeypatch, fmt):
+        real = cli.coeff_faa_di_bruno
+
+        def disagree_at_3_1(k, n):
+            return DyadicPoly({0: 7}) if (k, n) == (3, 1) else real(k, n)
+
+        monkeypatch.setattr(cli, "coeff_faa_di_bruno", disagree_at_3_1)
+        out = tmp_path / f"coeffs.{fmt}"
+        code = run("coeffs", "--k-max", "5", "--format", fmt, "--output", str(out))
+        assert code == 1
+        if fmt == "json":
+            want = coeffs_json_reference(5, dual_path="mismatch:(3,1)")
+        else:
+            want = coeffs_csv_reference(
+                5, lambda k, n: "mismatch" if (k, n) == (3, 1) else "ok"
+            )
+            # D[3, 1] = y/2 + 3 y^3/8, the only flagged rows
+            assert want.count("mismatch") == 2
+            assert "\n3,1,1,1,1,mismatch\n3,1,3,3,3,mismatch\n" in want
+        assert out.read_text() == want
+
     def test_json_pins_quartic_entry(self, tmp_path):
         out = tmp_path / "coeffs.json"
         assert run("coeffs", "--k-max", "4", "--format", "json", "--output", str(out)) == 0
@@ -244,6 +310,18 @@ class TestLineshapeCommand:
         rows = {float(r["delta"]): float(r["h1_cos"]) for r in read_csv(out)}
         for d in (1.0, 2.0, 5.0):
             assert rows[d] == pytest.approx(-rows[-d], abs=1e-18)
+
+    def test_perturbative_sweep_warns_once_per_run(self, tmp_path, capsys):
+        # every one of the 1001 points lies outside the validity bound
+        argv = (
+            "lineshape", "--Omega", "0.5", "--M", "3", "--delta-min", "-5",
+            "--delta-max", "5", "--delta-steps", "1001", "--method",
+            "perturbative", "--output", str(tmp_path / "ls.csv"),
+        )
+        want = "warning: perturbative lineshape evaluated outside its validity bound\n"
+        for _ in range(2):
+            assert run(*argv) == 0
+            assert capsys.readouterr().err == want
 
     def test_unmodulated_dc_is_lorentzian(self, tmp_path):
         out = tmp_path / "ls0.csv"
@@ -601,6 +679,17 @@ class TestASumCommand:
             run("a-sum", "--s", "1", "--M", "1", "--Omega", "0.5", *option,
                 "--output", str(tmp_path / "a.json"))
         assert err.value.code == 2
+
+    def test_domain_warning_is_one_line(self, tmp_path, capsys):
+        out = tmp_path / "a.json"
+        assert run(
+            "a-sum", "--s", "1", "--M", "0.5", "--Omega", "2", "--method",
+            "geometric", "--output", str(out),
+        ) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning: geometric expansion evaluated outside")
+        assert err.count("\n") == 1
+        assert "cli.py" not in err
 
     def test_unknown_method_usage_error(self, tmp_path):
         out = tmp_path / "am.json"

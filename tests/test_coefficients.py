@@ -99,6 +99,15 @@ class TestDyadicPoly:
             exact = float(p.evaluate_exact(Fraction(y)))
             assert p.evaluate(y) == pytest.approx(exact, rel=1e-15)
 
+    def test_terms_are_the_serialized_triples(self):
+        p = DyadicPoly({0: 6, 1: -6, 3: 4, 7: 3})
+        assert list(p.terms()) == [(0, 6, 0), (1, -3, 0), (3, 1, 1), (7, 3, 7)]
+        assert p.to_json_obj() == [
+            {"power": power, "num": str(num), "exp2": exp2}
+            for power, num, exp2 in p.terms()
+        ]
+        assert list(DyadicPoly().terms()) == []
+
     def test_json_round_trip_exact(self):
         p = poly((9, 12345678901234567890, 9), (1, -3, 1))
         assert DyadicPoly.from_json_obj(p.to_json_obj()) == p
@@ -163,6 +172,27 @@ class TestBuildCoeffTable:
         again = CoeffTable.from_json_obj(json.loads(json.dumps(table.to_json_obj())))
         assert again.k_max == table.k_max
         assert dict(again.entries) == dict(table.entries)
+
+    @pytest.mark.parametrize("k_max", [0, 1, 5, 64])
+    @pytest.mark.parametrize(
+        "trailing",
+        [{}, {"dual_path": "ok"}, {"dual_path": "skipped", "stamp": "t"}],
+    )
+    def test_json_text_is_the_indented_dump(self, k_max, trailing):
+        table = build_coeff_table(k_max)
+        want = json.dumps(table.to_json_obj() | trailing, indent=2) + "\n"
+        assert table.to_json_text(**trailing) == want
+
+    def test_json_text_of_empty_parts_and_nested_fields(self):
+        # empty lists are written "[]", and a nested trailing value is
+        # indented one level deeper, as the indented encoder lays them out
+        trailing = {"nested": [1, {"a": [], "b": ["x"]}], "empty": {}}
+        for table in (
+            CoeffTable(k_max=0, entries={}),
+            CoeffTable(k_max=1, entries={(1, 1): DyadicPoly()}),
+        ):
+            want = json.dumps(table.to_json_obj() | trailing, indent=2) + "\n"
+            assert table.to_json_text(**trailing) == want
 
     def test_cached_table_cannot_be_changed_in_place(self):
         table = build_coeff_table(4)

@@ -6,7 +6,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from besselrules import modulation_spectroscopy
@@ -191,6 +191,8 @@ class TestClosedForms:
         ratio=st.floats(min_value=0.1, max_value=50.0),
     )
     @settings(max_examples=40, deadline=None)
+    # the prefactor times the tiny J_{s-ia}(M) here once fell into subnormals
+    @example(s=1, M=1.5078337715247707e-292, ratio=37.0)
     def test_newberger_matches_mpmath_closed_form(self, s, M, ratio):
         # No refusal is allowed: the kernel's estimated error stays < 1e-11.
         assume(M != 0.0)
@@ -211,6 +213,21 @@ class TestClosedForms:
         assume(M != 0.0)
         try:
             got = a_s_series(s, M, 1.0, 1.0 / ratio)
+        except ConvergenceError:
+            return
+        want = newberger_mpmath(s, M, 1.0, 1.0 / ratio)
+        assert abs(got - want) <= 1e-8 * abs(want) + 1e-300
+
+    @given(
+        s=st.integers(min_value=-3, max_value=3),
+        M=st.floats(min_value=-50.0, max_value=50.0),
+        ratio=st.floats(min_value=0.1, max_value=100.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_direct_matches_mpmath_or_refuses(self, s, M, ratio):
+        assume(M != 0.0)
+        try:
+            got = a_s_direct(s, M, 1.0, 1.0 / ratio)
         except ConvergenceError:
             return
         want = newberger_mpmath(s, M, 1.0, 1.0 / ratio)
@@ -259,6 +276,11 @@ class TestGeometricExpansion:
     def test_unmodulated(self):
         assert a_s_geometric(0, 0.0, 2.0, 0.1, 5) == pytest.approx(0.5)
         assert a_s_geometric(2, 0.0, 2.0, 0.1, 5) == 0.0
+
+    @pytest.mark.parametrize("M", [math.nan, math.inf, -math.inf])
+    def test_eta_coefficients_refuse_non_finite_m(self, M):
+        with pytest.raises(ValueError, match="M must be finite"):
+            a_s_eta_coefficients(1, M, 3)
 
     def test_eta_coefficients_exact(self):
         for M in (0.5, 1.0):
