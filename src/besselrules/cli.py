@@ -553,7 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output", required=True)
     p.add_argument("--stamp", action="store_true")
-    p.set_defaults(func=cmd_coeffs)
 
     p = sub.add_parser("verify", help="run sum-rule residual grids")
     p.add_argument(
@@ -564,7 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sidebands", help="emit a sideband spectrum")
     p.add_argument("--M", type=float, default=None, help="sinusoidal modulation index")
@@ -580,7 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.add_argument("--output", required=True)
     p.add_argument("--stamp", action="store_true")
-    p.set_defaults(func=cmd_sidebands)
 
     p = sub.add_parser("lineshape", help="emit absorbed-power harmonic sweeps")
     p.add_argument("--omega0", type=float, default=1e6)
@@ -609,7 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.add_argument("--output", required=True)
     p.add_argument("--stamp", action="store_true")
-    p.set_defaults(func=cmd_lineshape)
 
     p = sub.add_parser("a-sum", help="evaluate a resonant sideband sum")
     p.add_argument("--s", type=int, required=True)
@@ -623,14 +619,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output", required=True)
     p.add_argument("--stamp", action="store_true")
-    p.set_defaults(func=cmd_a_sum)
 
     return parser
 
 
+# built once per process: every main() call parses with it
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    # looked up per call, so that a cmd_* replaced after import is the one run
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     with warnings.catch_warnings():
         # each distinct domain warning is one "warning:" line, however many
         # points of a sweep raise it; other warnings keep Python's format
@@ -647,7 +647,7 @@ def main(argv: list[str] | None = None) -> int:
 
         warnings.showwarning = show
         try:
-            return args.func(args)
+            return command(args)
         except (
             RegimeError, OverflowError, AccuracyError, ConvergenceError, OracleError
         ) as exc:

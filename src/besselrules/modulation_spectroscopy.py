@@ -12,7 +12,8 @@ from the exact sideband decomposition and, independently, from the
 periodic steady state of the oscillator equation in an exactly
 transformed modal frame (the optical carrier is factored out
 analytically, so only the slow envelope is propagated, by exponential
-time differencing with a certified Gauss-Legendre quadrature).
+time differencing with a certified Gauss-Legendre quadrature).  No
+integrator library is needed, so importing this module imports no scipy.
 """
 
 from __future__ import annotations
@@ -25,9 +26,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-
-# not called here: perfbench/tracer.py wraps this name at install time
-from scipy.integrate import solve_ivp  # noqa: F401
+from numpy.polynomial.legendre import leggauss
 
 from besselrules.bessel_core import (
     _MAX_CHAIN_ERROR,
@@ -37,7 +36,7 @@ from besselrules.bessel_core import (
     bessel_j_complex_order,
     truncation_bound,
 )
-from besselrules.coefficients import build_coeff_table
+from besselrules.coefficients import MAX_RECURSION_K, build_coeff_table
 from besselrules.sum_rules import GeneralModulation
 
 __all__ = [
@@ -60,6 +59,17 @@ __all__ = [
     "general_modulation_power",
     "time_domain_oracle",
 ]
+
+
+def __getattr__(name: str):
+    # scipy's solve_ivp is called nowhere here, but perfbench/tracer.py
+    # reads this name at install time: import scipy only when it is read
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 SINH_GUARD = 700.0
 # detunings per response matrix in modulated_power_exact_sweep: bounds its
@@ -185,6 +195,14 @@ def _check_M(M: float) -> None:
         raise ValueError(f"M must be finite, got {M!r}")
 
 
+def _check_order(order: int) -> None:
+    """Refuse an expansion order outside the exact table, naming the order."""
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+    if order > MAX_RECURSION_K:
+        raise ValueError(f"order must lie in [0, {MAX_RECURSION_K}], got {order}")
+
+
 def _check_a_s_args(M: float, gamma: float, Omega: float) -> None:
     """Refuse a non-finite M, and a gamma or Omega that is not finite and > 0.
 
@@ -305,8 +323,7 @@ def a_s_geometric(
     Outside the convergence bound the value is still returned but a
     PerturbativeDomainWarning is issued.
     """
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+    _check_order(order)
     _check_a_s_args(M, gamma, Omega)
     if not perturbative_validity(M, gamma, Omega):
         warnings.warn(
@@ -332,8 +349,7 @@ def a_s_eta_coefficients(s: int, M: float, order: int) -> list[complex]:
     c_k = (-i)^k B[k, s](M), evaluated from the exact coefficient table;
     for dyadic M the float results are exact.
     """
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+    _check_order(order)
     _check_M(M)
     table = build_coeff_table(order)
     out = []
@@ -549,7 +565,7 @@ def time_domain_oracle(
     interval_decay = cmath.exp(kappa1 * step)
 
     def steady_samples(nodes: int) -> np.ndarray:
-        x, w = np.polynomial.legendre.leggauss(nodes)
+        x, w = leggauss(nodes)
         # tau[i, l]: node l of sub-step i, measured from the interval start
         tau = (np.arange(m)[:, None] + 0.5 * (x + 1.0)) * hs
         # the sub-steps of one interval, each propagated to its end:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
+from numpy.fft import fft
 
 from besselrules.bessel_core import _j_symmetric, truncation_bound
 from besselrules.coefficients import build_coeff_table
@@ -347,7 +348,7 @@ def general_sidebands(mod: GeneralModulation, n_max: int) -> SidebandSpectrum:
         )
     while True:
         t = np.arange(m) * (2.0 * math.pi / (mod.fundamental * m))
-        g = np.fft.fft(np.exp(1j * mod.phase(t))) / m
+        g = fft(np.exp(1j * mod.phase(t))) / m
         guard = np.abs(
             np.concatenate([g[m // 4 : m // 2], g[m // 2 : 3 * m // 4]])
         )

@@ -691,6 +691,15 @@ class TestASumCommand:
         assert err.count("\n") == 1
         assert "cli.py" not in err
 
+    @pytest.mark.parametrize("flags", [("--expand",), ("--method", "geometric")])
+    def test_order_past_the_table_is_usage_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "a.json"
+        code = run("a-sum", "--s", "1", "--M", "1", "--Omega", "0.1", "--order", "65",
+                   *flags, "--output", str(out))
+        assert code == 2
+        assert "error: order must lie in [0, 64], got 65" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_method_usage_error(self, tmp_path):
         out = tmp_path / "am.json"
         assert (
@@ -729,6 +738,16 @@ class TestDeterminismAndUsage:
         with pytest.raises(SystemExit) as err:
             run("verify", "--suite", "bogus", "--output", "/tmp/x")
         assert err.value.code == 2
+
+    def test_main_runs_the_command_function_bound_at_call_time(self, tmp_path, monkeypatch):
+        # a function that replaces cmd_a_sum after import (a spy, a tracer's
+        # wrapper) is the one main() runs
+        seen = []
+        monkeypatch.setattr(cli, "cmd_a_sum", lambda args: seen.append(args.s) or 0)
+        out = tmp_path / "a.json"
+        assert run("a-sum", "--s", "2", "--M", "1", "--Omega", "0.5", "--output", str(out)) == 0
+        assert seen == [2]
+        assert not out.exists()
 
     def test_unwritable_output_is_usage_error(self, tmp_path):
         code = run("coeffs", "--k-max", "2", "--output", str(tmp_path / "no" / "x.json"))

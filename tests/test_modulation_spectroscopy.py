@@ -282,6 +282,16 @@ class TestGeometricExpansion:
         with pytest.raises(ValueError, match="M must be finite"):
             a_s_eta_coefficients(1, M, 3)
 
+    @pytest.mark.parametrize(
+        "order, message", [(-1, r"be >= 0, got -1"), (65, r"lie in \[0, 64\], got 65")]
+    )
+    def test_order_outside_the_table_is_named(self, order, message):
+        with pytest.raises(ValueError, match="order must " + message):
+            a_s_eta_coefficients(1, 1.0, order)
+        with pytest.raises(ValueError, match="order must " + message):
+            a_s_geometric(1, 1.0, 1.0, 0.1, order)
+        a_s_eta_coefficients(1, 1.0, 64)
+
     def test_eta_coefficients_exact(self):
         for M in (0.5, 1.0):
             c0, c1, c2, c3 = a_s_eta_coefficients(1, M, 3)
