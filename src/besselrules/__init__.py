@@ -11,7 +11,6 @@ from besselrules.bessel_core import (
     OracleError,
     bessel_j_complex_order,
     bessel_j_int,
-    bessel_j_quadrature_oracle,
     bessel_j_row,
     ln_gamma_complex,
     truncation_bound,
@@ -50,14 +49,11 @@ from besselrules.modulation_spectroscopy import (
     a_s_geometric,
     a_s_newberger,
     a_s_series,
-    average_power_unmodulated,
     exact_truncation_order,
-    general_modulation_power,
     modulated_power_exact,
     modulated_power_exact_sweep,
     modulated_power_perturbative,
     perturbative_validity,
-    steady_state_amplitude,
     time_domain_oracle,
 )
 

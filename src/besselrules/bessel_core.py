@@ -2,8 +2,7 @@
 
 One Miller chain (downward recursion in the order) gives integer rows,
 normalized by the even-order sum, and complex orders, normalized by Neumann's
-sum and refused with ConvergenceError when that sum cancels too far.  A
-full-period quadrature of the cosine integral is an independent test oracle.
+sum and refused with ConvergenceError when that sum cancels too far.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ __all__ = [
     "OracleError",
     "bessel_j_int",
     "bessel_j_row",
-    "bessel_j_quadrature_oracle",
     "bessel_j_complex_order",
     "ln_gamma_complex",
     "truncation_bound",
@@ -32,7 +30,7 @@ class ConvergenceError(RuntimeError):
 
 
 class OracleError(RuntimeError):
-    """The independent quadrature oracle could not certify its result."""
+    """An independent oracle could not certify its result."""
 
 
 @dataclass(frozen=True)
@@ -183,29 +181,17 @@ def _j_symmetric(y: float, n_max: int) -> np.ndarray:
     return full
 
 
-def bessel_j_quadrature_oracle(n: int, y: float) -> float:
-    """J_n(y) as the full-period average of cos(n*theta - y*sin(theta)).
+def _lagged(
+    values: np.ndarray, s: int | np.ndarray, n_max: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """n, values[n] and values[n - s] for n in [-n_max, n_max].
 
-    Uniform midpoint sampling over one period is spectrally accurate here;
-    the node count doubles until two consecutive refinements agree to 1e-14
-    absolute.  Intended as ground truth in tests only.
+    values is indexed by n + len(values) // 2, as _j_symmetric returns it;
+    for an array of lags s the last result is values[n - s] per (n, s).
     """
-    if abs(n) > 200 or abs(y) > 100:
-        raise ValueError("oracle domain is |n| <= 200, |y| <= 100")
-    if not math.isfinite(y):
-        raise ValueError(f"argument must be finite, got {y!r}")
-    m = 64
-    prev = None
-    while m <= (1 << 21):
-        theta = (np.arange(m) + 0.5) * (2.0 * math.pi / m)
-        val = float(np.mean(np.cos(n * theta - y * np.sin(theta))))
-        if prev is not None and abs(val - prev) < 1e-14:
-            return val
-        prev = val
-        m *= 2
-    raise OracleError(
-        f"quadrature for J_{n}({y}) did not stabilize at {m // 2} nodes"
-    )
+    center = len(values) // 2
+    n = np.arange(-n_max, n_max + 1)
+    return n, values[n + center], values[np.subtract.outer(n, s) + center]
 
 
 # Lanczos approximation, g = 7, nine coefficients.  Accurate to ~1e-14

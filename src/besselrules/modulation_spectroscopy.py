@@ -33,6 +33,7 @@ from besselrules.bessel_core import (
     ConvergenceError,
     OracleError,
     _j_symmetric,
+    _lagged,
     bessel_j_complex_order,
     truncation_bound,
 )
@@ -44,8 +45,6 @@ __all__ = [
     "HarmonicDecomposition",
     "RegimeError",
     "PerturbativeDomainWarning",
-    "steady_state_amplitude",
-    "average_power_unmodulated",
     "a_s_direct",
     "a_s_newberger",
     "a_s_series",
@@ -56,7 +55,6 @@ __all__ = [
     "modulated_power_exact",
     "modulated_power_exact_sweep",
     "modulated_power_perturbative",
-    "general_modulation_power",
     "time_domain_oracle",
 ]
 
@@ -177,18 +175,6 @@ class HarmonicDecomposition:
         return total if total.shape else float(total)
 
 
-def steady_state_amplitude(p: OscillatorParams, omega: float) -> complex:
-    """Settled complex response amplitude f / (omega0^2 - omega^2 + i gamma omega)."""
-    return p.force / complex(p.omega0**2 - omega**2, p.gamma * omega)
-
-
-def average_power_unmodulated(p: OscillatorParams, omega: float) -> float:
-    """Cycle-averaged absorbed power of an unmodulated drive at omega."""
-    num = 0.5 * p.force**2 * omega**2 * p.gamma
-    den = (omega**2 - p.omega0**2) ** 2 + (omega * p.gamma) ** 2
-    return num / den if den else 0.0
-
-
 def _check_M(M: float) -> None:
     """Refuse a non-finite modulation index M with a ValueError naming M."""
     if not math.isfinite(M):
@@ -221,11 +207,8 @@ def a_s_direct(s: int, M: float, gamma: float, Omega: float) -> complex:
     """
     _check_a_s_args(M, gamma, Omega)
     n_max = truncation_bound(abs(M), 1e-14) + abs(s) + 8
-    j = _j_symmetric(M, n_max + abs(s))
-    n = np.arange(-n_max, n_max + 1)
-    center = n_max + abs(s)
-    terms = j[n + center] * j[n - s + center] / (gamma + 1j * n * Omega)
-    return complex(np.sum(terms))
+    n, jn, jns = _lagged(_j_symmetric(M, n_max + abs(s)), s, n_max)
+    return complex(np.sum(jn * jns / (gamma + 1j * n * Omega)))
 
 
 def _reflected(s: int, value: complex) -> complex:
@@ -392,7 +375,6 @@ def modulated_power_exact_sweep(
     if not np.all(np.isfinite(deltas)):
         raise ValueError("force and delta must be finite")
     n_max = exact_truncation_order(base.M, s_max)
-    n = np.arange(-n_max, n_max + 1)
     carriers = base.omega0 + deltas
     lowest = carriers + (-n_max) * base.Omega
     bad = np.flatnonzero(lowest <= 0.0)
@@ -402,11 +384,10 @@ def modulated_power_exact_sweep(
             f"truncation range |n| <= {n_max}; the oscillator model needs "
             "positive drive frequencies"
         )
-    center = n_max + s_max
-    j = _j_symmetric(base.M, center)
     s = np.arange(-s_max, s_max + 1)
+    n, jn, jns = _lagged(_j_symmetric(base.M, n_max + s_max), s, n_max)
     # products[n, s] = J_n J_{n-s}
-    products = (j[n + center][:, None] * j[n[:, None] - s + center]).astype(complex)
+    products = (jn[:, None] * jns).astype(complex)
     scale = -0.5 * base.force * base.force
     out = []
     for start in range(0, len(deltas), _SWEEP_BLOCK):
@@ -454,23 +435,6 @@ def modulated_power_perturbative(p: OscillatorParams) -> HarmonicDecomposition:
         dc=scale * (lorentz + second),
         cos_amps=(scale * h1_cos, scale * second),
         sin_amps=(scale * h1_sin, 0.0),
-    )
-
-
-def general_modulation_power(
-    p: OscillatorParams, mod: GeneralModulation, t: float
-) -> float:
-    """Leading-order instantaneous averaged power for arbitrary modulation.
-
-    Uses the instantaneous-frequency form: the Lorentzian dc plus the
-    first Lorentzian derivative times d phi/dt.
-    """
-    scale = 0.5 * p.force**2 / p.gamma
-    d = p.Delta
-    rate = mod.phase_rate(t)
-    return scale * (
-        1.0 / (1.0 + d * d)
-        + (2.0 / p.gamma) * (-2.0 * d / (1.0 + d * d) ** 2) * rate
     )
 
 
@@ -539,11 +503,8 @@ def time_domain_oracle(
         # Slaved particular solution of the counter-rotating mode:
         # -(h/k2 + h'/k2^2 + h''/k2^3) with h = -f g / dlam.
         g = envelope(t)
-        phid = mod.phase_rate(t)
-        wt = p.Omega * np.asarray(t, dtype=float)
-        phidd = np.zeros_like(wt, dtype=complex)
-        for nn, c in mod.fourier_coeffs.items():
-            phidd += (1j * nn * p.Omega) ** 2 * c * np.exp(1j * nn * wt)
+        phid = mod.phase(t, 1)
+        phidd = mod.phase(t, 2)
         h = -f * g / dlam
         h1 = h * 1j * phid
         h2 = h * (1j * phidd + (1j * phid) ** 2)

@@ -20,7 +20,7 @@ from typing import Mapping
 import numpy as np
 from numpy.fft import fft
 
-from besselrules.bessel_core import _j_symmetric, truncation_bound
+from besselrules.bessel_core import _j_symmetric, _lagged, truncation_bound
 from besselrules.coefficients import build_coeff_table
 
 __all__ = [
@@ -58,6 +58,31 @@ def _brute_order(y: float, extra: int, tol: float = 1e-16) -> int:
     return truncation_bound(abs(y), tol) + extra
 
 
+def _table_sum(k: int, q: int, y: float, j: np.ndarray) -> float:
+    """sum_{n=-k..k} D[k, n](y) j_{q-n}, j indexed by order + len(j) // 2."""
+    table = build_coeff_table(k)
+    center = len(j) // 2
+    total = 0.0
+    for n in range(-k, k + 1):
+        poly = table.entry(k, n)
+        if not poly.is_zero():
+            total += poly.evaluate(y) * j[q - n + center]
+    return total
+
+
+def _centered(conv: np.ndarray, n_max: int) -> np.ndarray:
+    """Entries n in [-n_max, n_max] of conv, indexed by n + len(conv) // 2.
+
+    Orders past either end of conv are zero.
+    """
+    center = len(conv) // 2
+    out = np.zeros(2 * n_max + 1, dtype=conv.dtype)
+    lo = max(-n_max, -center)
+    hi = min(n_max, center)
+    out[lo + n_max : hi + n_max + 1] = conv[lo + center : hi + center + 1]
+    return out
+
+
 def b_ks_closed(k: int, s: int, M: float) -> float:
     """Closed form of sum_n n^k J_n(M) J_{n-s}(M): the (k, s) polynomial at M."""
     if k < 0:
@@ -76,11 +101,7 @@ def b_ks_brute(k: int, s: int, M: float) -> float:
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     n_max = _brute_order(M, max(8, 2 * k) + abs(s), 1e-14)
-    j = _j_symmetric(M, n_max + abs(s))
-    n = np.arange(-n_max, n_max + 1)
-    center = n_max + abs(s)
-    jn = j[n + center]
-    jns = j[n - s + center]
+    n, jn, jns = _lagged(_j_symmetric(M, n_max + abs(s)), s, n_max)
     return float(np.sum(n.astype(float) ** k * jn * jns))
 
 
@@ -95,16 +116,8 @@ def addition_formula_sides(
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    table = build_coeff_table(k)
     ik = 1j**k
-    m_max = abs(q) + k
-    j_sum = _j_symmetric(y1 + y2, m_max)
-    lhs = 0.0
-    for m in range(q - k, q + k + 1):
-        poly = table.entry(k, q - m)
-        if not poly.is_zero():
-            lhs += poly.evaluate(y1) * j_sum[m + m_max]
-    lhs_c = ik * lhs
+    lhs_c = ik * _table_sum(k, q, y1, _j_symmetric(y1 + y2, abs(q) + k))
 
     n_max = _brute_order(y1, max(8, 2 * k) + abs(q))
     half = n_max + abs(q) + _brute_order(y2, 8)
@@ -124,22 +137,12 @@ def alternating_sum_sides(k: int, q: int, y: float) -> tuple[complex, complex]:
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     n_max = _brute_order(y, max(8, 2 * k) + abs(q))
-    center = n_max + abs(q)
-    j = _j_symmetric(y, center)
-    n = np.arange(-n_max, n_max + 1)
+    n, jn, jnq = _lagged(_j_symmetric(y, n_max + abs(q)), q, n_max)
     signs = np.where(n % 2 == 0, 1.0, -1.0)
     weights = signs * n.astype(float) ** k
-    lhs = float(np.sum(weights * j[n + center] * j[n - q + center]))
+    lhs = float(np.sum(weights * jn * jnq))
 
-    table = build_coeff_table(k)
-    m_max = abs(q) + k
-    j2y = _j_symmetric(2.0 * y, m_max)
-    rhs = 0.0
-    for m in range(q - k, q + k + 1):
-        poly = table.entry(k, q - m)
-        if not poly.is_zero():
-            rhs += poly.evaluate(y) * j2y[m + m_max]
-    rhs *= (-1) ** (q % 2)
+    rhs = (-1) ** (q % 2) * _table_sum(k, q, y, _j_symmetric(2.0 * y, abs(q) + k))
     return complex(lhs), complex(rhs)
 
 
@@ -149,14 +152,7 @@ def _jcs_array(x: float, y: float, n_max: int) -> np.ndarray:
     ny = _brute_order(y, 4)
     qs = np.arange(-nx, nx + 1)
     a = (1j**(qs % 4)) * _j_symmetric(x, nx)
-    b = _j_symmetric(y, ny)
-    conv = np.convolve(a, b)  # index i <-> n = i - (nx + ny)
-    center = nx + ny
-    out = np.zeros(2 * n_max + 1, dtype=complex)
-    lo = max(-n_max, -center)
-    hi = min(n_max, center)
-    out[lo + n_max : hi + n_max + 1] = conv[lo + center : hi + center + 1]
-    return out
+    return _centered(np.convolve(a, _j_symmetric(y, ny)), n_max)
 
 
 def jcs(n: int, x: float, y: float) -> complex:
@@ -179,12 +175,8 @@ def jcs_sum_rule_sides(q: int, x: float, y: float) -> tuple[complex, complex]:
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError("arguments must be finite")
     n_max = _brute_order(x, 8) + _brute_order(y, 8) + abs(q)
-    vals = _jcs_array(x, y, n_max + abs(q))
-    center = n_max + abs(q)
-    n = np.arange(-n_max, n_max + 1)
-    lhs = 2.0 * np.sum(
-        n * vals[n + center] * np.conj(vals[n - q + center])
-    )
+    n, gn, gnq = _lagged(_jcs_array(x, y, n_max + abs(q)), q, n_max)
+    lhs = 2.0 * np.sum(n * gn * np.conj(gnq))
     rhs = 0.0 + 0.0j
     if q == 1:
         rhs = y + 1j * x
@@ -199,13 +191,7 @@ def _jbar_array(y1: float, y2: float, n_max: int) -> np.ndarray:
     a = _j_symmetric(y1, n1)
     b = np.zeros(4 * n2 + 1)
     b[::2] = _j_symmetric(y2, n2)  # J_q(y2) placed at position 2q
-    conv = np.convolve(a, b)  # index i <-> n = i - (n1 + 2 n2)
-    center = n1 + 2 * n2
-    out = np.zeros(2 * n_max + 1)
-    lo = max(-n_max, -center)
-    hi = min(n_max, center)
-    out[lo + n_max : hi + n_max + 1] = conv[lo + center : hi + center + 1]
-    return out
+    return _centered(np.convolve(a, b), n_max)
 
 
 def jbar(n: int, y1: float, y2: float) -> float:
@@ -228,10 +214,8 @@ def jbar_sum_rule_sides(s: int, y1: float, y2: float) -> tuple[float, float]:
     if not (math.isfinite(y1) and math.isfinite(y2)):
         raise ValueError("arguments must be finite")
     n_max = _brute_order(y1, 8) + 2 * _brute_order(y2, 8) + abs(s)
-    vals = _jbar_array(y1, y2, n_max + abs(s))
-    center = n_max + abs(s)
-    n = np.arange(-n_max, n_max + 1)
-    lhs = float(np.sum(n * vals[n + center] * vals[n - s + center]))
+    n, gn, gns = _lagged(_jbar_array(y1, y2, n_max + abs(s)), s, n_max)
+    lhs = float(np.sum(n * gn * gns))
     rhs = 0.0
     if abs(s) == 1:
         rhs = 0.5 * y1
@@ -290,20 +274,17 @@ class GeneralModulation:
     def support(self) -> int:
         return max((abs(n) for n in self.fourier_coeffs), default=0)
 
-    def phase(self, t: float | np.ndarray) -> float | np.ndarray:
-        """phi(t), evaluated from the coefficient sum (real by construction)."""
-        wt = self.fundamental * np.asarray(t, dtype=float)
-        total = np.zeros_like(wt, dtype=complex)
-        for n, c in self.fourier_coeffs.items():
-            total += c * np.exp(1j * n * wt)
-        return total.real if total.shape else float(total.real)
+    def phase(self, t: float | np.ndarray, order: int = 0) -> float | np.ndarray:
+        """d^order phi/dt^order, from the term-by-term differentiated series.
 
-    def phase_rate(self, t: float | np.ndarray) -> float | np.ndarray:
-        """d phi/dt from the term-by-term differentiated series."""
+        Real by construction: the real part of the coefficient sum.
+        """
+        if order < 0:
+            raise ValueError(f"order must be >= 0, got {order}")
         wt = self.fundamental * np.asarray(t, dtype=float)
         total = np.zeros_like(wt, dtype=complex)
         for n, c in self.fourier_coeffs.items():
-            total += 1j * n * self.fundamental * c * np.exp(1j * n * wt)
+            total += (1j * n * self.fundamental) ** order * c * np.exp(1j * n * wt)
         return total.real if total.shape else float(total.real)
 
 
@@ -413,16 +394,9 @@ def recursion_residual(k: int, q: int, y: float) -> float:
     """|q^k J_q(y) - sum_n D[k, n](y) J_{q-n}(y)| over the finite support."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    table = build_coeff_table(k)
     m_max = abs(q) + k
     j = _j_symmetric(y, m_max)
-    rhs = 0.0
-    for n in range(-k, k + 1):
-        poly = table.entry(k, n)
-        if not poly.is_zero():
-            rhs += poly.evaluate(y) * j[q - n + m_max]
-    lhs = float(q) ** k * j[q + m_max]
-    return abs(lhs - rhs)
+    return abs(float(q) ** k * j[q + m_max] - _table_sum(k, q, y, j))
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,11 @@ import io
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from besselrules.bessel_core import bessel_j_int
 from besselrules.sum_rules import (
@@ -28,6 +31,10 @@ from besselrules.sum_rules import (
 )
 
 M_GRID = (0.5, 1.0, 2.0, 5.0)
+
+# the domain of the mpmath checks of jcs and jbar
+ARGUMENT = st.floats(min_value=-30.0, max_value=30.0, allow_nan=False)
+ORDER = st.integers(min_value=-40, max_value=40)
 
 
 def fourier_coefficient(fn, n: int, samples: int = 4096) -> complex:
@@ -153,6 +160,16 @@ class TestMixedModulationFunctions:
         assert rhs == 0.0
         assert abs(lhs) < 1e-10
 
+    @given(n=ORDER, x=ARGUMENT, y=ARGUMENT)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_mpmath_rotated_bessel(self, n, x, y):
+        # x cos(theta) + y sin(theta) = r sin(theta + alpha)
+        with mp.workdps(30):
+            r = mp.sqrt(mp.mpf(x) ** 2 + mp.mpf(y) ** 2)
+            alpha = mp.atan2(x, y)
+            want = complex(mp.besselj(n, r) * mp.expj(n * alpha))
+        assert abs(jcs(n, x, y) - want) <= 1e-14
+
     def test_x_zero_reduces_to_first_moment_rule(self):
         # with no cosine part the rule is the plain first-moment relation
         lhs, rhs = jcs_sum_rule_sides(1, 0.0, 1.7)
@@ -178,6 +195,16 @@ class TestTwoToneFunctions:
             )
             assert abs(ref.imag) < 1e-13  # real for real arguments
             assert abs(jbar(n, y1, y2) - ref.real) < 1e-12
+
+    @given(n=ORDER, y1=ARGUMENT, y2=ARGUMENT)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_mpmath_convolution(self, n, y1, y2):
+        # |J_q(y2)| < 1e-21 past |q| = 70 for |y2| <= 30
+        with mp.workdps(30):
+            want = float(mp.fsum(
+                mp.besselj(q, y2) * mp.besselj(n - 2 * q, y1) for q in range(-70, 71)
+            ))
+        assert abs(jbar(n, y1, y2) - want) <= 1e-14
 
     def test_sum_rule_values(self):
         lhs, rhs = jbar_sum_rule_sides(1, 2.0, 0.7)
@@ -209,7 +236,18 @@ class TestGeneralModulation:
         mod = GeneralModulation.sinusoidal(1.5, 2.0)
         t = np.linspace(0.0, 3.0, 50)
         assert np.allclose(mod.phase(t), 1.5 * np.sin(2.0 * t), atol=1e-15)
-        assert np.allclose(mod.phase_rate(t), 3.0 * np.cos(2.0 * t), atol=1e-15)
+        assert np.allclose(mod.phase(t, 1), 3.0 * np.cos(2.0 * t), atol=1e-15)
+
+    def test_second_derivative_of_two_tone_phase(self):
+        # phi = y1 sin(W t) + y2 sin(2 W t)
+        y1, y2, w = 0.8, -0.3, 1.7
+        mod = GeneralModulation.two_tone(y1, y2, w)
+        t = np.linspace(-2.0, 5.0, 41)
+        want = -(w**2) * (y1 * np.sin(w * t) + 4.0 * y2 * np.sin(2.0 * w * t))
+        assert np.allclose(mod.phase(t, 2), want, rtol=0.0, atol=1e-14)
+        assert mod.phase(t[3], 2) == pytest.approx(want[3], abs=1e-14)
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            mod.phase(t, -1)
 
     def test_sinusoidal_sidebands_match_bessel(self):
         spectrum = general_sidebands(GeneralModulation.sinusoidal(2.0, 1.0), 12)
