@@ -16,6 +16,7 @@ import argparse
 import csv
 import dataclasses
 import datetime
+import itertools
 import json
 import math
 import sys
@@ -46,17 +47,17 @@ from besselrules.sum_rules import (
     AccuracyError,
     GeneralModulation,
     SumRuleReport,
+    _addition_grid,
+    _alternating_grid,
+    _b_ks_grid,
     _fmt,
-    addition_formula_sides,
-    alternating_sum_sides,
+    _jbar_moment_grid,
+    _jcs_moment_grid,
+    _modulation_moment_grid,
+    _recursion_grid,
     auto_sideband_order,
-    b_ks_brute,
     b_ks_closed,
-    general_modulation_rules,
     general_sidebands,
-    jbar_sum_rule_sides,
-    jcs_sum_rule_sides,
-    recursion_residual,
     write_reports_csv,
     write_reports_jsonl,
 )
@@ -136,56 +137,66 @@ def cmd_coeffs(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _report(rule_id: str, closed: complex, brute: complex, **params: float) -> SumRuleReport:
-    return SumRuleReport.from_values(rule_id, params, closed, brute, truncation_order=0)
+def _report(
+    rule_id: str, closed: complex, brute: complex, order: int, **params: float
+) -> SumRuleReport:
+    return SumRuleReport.from_values(rule_id, params, closed, brute, truncation_order=order)
 
 
-def _suite_core() -> list[SumRuleReport]:
+def _family(rule_id: str, kernel, axes: dict, arguments: list[dict]) -> list[SumRuleReport]:
+    """The rows of one rule family, in the order of the axes, then the arguments.
+
+    kernel(*axis values, *argument values) runs once per argument and
+    returns n_max and the closed and brute sides over the grid of the axes.
+    """
+    sides = [(argument, kernel(*axes.values(), *argument.values())) for argument in arguments]
     reports = []
-    for k in range(0, 7):
-        for s in range(-8, 9):
-            for M in (0.5, 1.0, 2.0, 5.0):
-                closed, brute = b_ks_closed(k, s, M), b_ks_brute(k, s, M)
-                reports.append(_report("weighted_product_moment", closed, brute, k=k, s=s, M=M))
-    for k in range(0, 5):
-        for q in range(-4, 5):
-            for y1, y2 in ((1.0, 0.7), (2.0, -1.3), (0.5, 0.5)):
-                lhs, rhs = addition_formula_sides(k, q, y1, y2)
-                reports.append(_report("addition_formula", lhs, rhs, k=k, q=q, y1=y1, y2=y2))
-    for k in range(0, 4):
-        for q in range(-3, 4):
-            for y in (0.5, 1.3, 2.0):
-                lhs, rhs = alternating_sum_sides(k, q, y)
-                reports.append(_report("alternating_sum", rhs, lhs, k=k, q=q, y=y))
-    for k in (1, 2, 3, 4):
-        for q in range(-10, 11):
-            for y in (0.3, 1.0, 2.0, 5.0):
-                resid = recursion_residual(k, q, y)
-                reports.append(_report("recursion_relation", 0.0, resid, k=k, q=q, y=y))
+    for index in itertools.product(*(range(len(values)) for values in axes.values())):
+        point = {name: values[i] for (name, values), i in zip(axes.items(), index)}
+        for argument, (n_max, closed, brute) in sides:
+            reports.append(
+                _report(rule_id, closed[index], brute[index], n_max, **point, **argument)
+            )
     return reports
 
 
-def _suite_generalized() -> list[SumRuleReport]:
-    reports = []
-    for q in range(-2, 3):
-        for x, y in ((1.0, 2.0), (0.5, 0.5), (2.0, 0.0), (0.0, 1.5)):
-            lhs, rhs = jcs_sum_rule_sides(q, x, y)
-            reports.append(_report("mixed_modulation_moment", rhs, lhs, q=q, x=x, y=y))
-    for s in range(-3, 4):
-        for y1, y2 in ((2.0, 0.7), (1.0, 0.5), (0.5, 0.0)):
-            lhs, rhs = jbar_sum_rule_sides(s, y1, y2)
-            reports.append(_report("two_tone_moment", rhs, lhs, s=s, y1=y1, y2=y2))
-    mods = [
-        GeneralModulation.sinusoidal(1.2, 1.0),
-        GeneralModulation.two_tone(1.0, 0.5, 1.0),
-        GeneralModulation({1: -0.4j, -1: 0.4j, 2: -0.2j, -2: 0.2j, 3: -0.1j, -3: 0.1j}, 1.0),
+def _suite_core() -> list[SumRuleReport]:
+    return [
+        *_family("weighted_product_moment", _b_ks_grid, {"k": range(7), "s": range(-8, 9)},
+                 [{"M": M} for M in (0.5, 1.0, 2.0, 5.0)]),
+        *_family("addition_formula", _addition_grid, {"k": range(5), "q": range(-4, 5)},
+                 [{"y1": 1.0, "y2": 0.7}, {"y1": 2.0, "y2": -1.3}, {"y1": 0.5, "y2": 0.5}]),
+        *_family("alternating_sum", _alternating_grid, {"k": range(4), "q": range(-3, 4)},
+                 [{"y": y} for y in (0.5, 1.3, 2.0)]),
+        *_family("recursion_relation", _recursion_grid, {"k": (1, 2, 3, 4), "q": range(-10, 11)},
+                 [{"y": y} for y in (0.3, 1.0, 2.0, 5.0)]),
     ]
-    for idx, mod in enumerate(mods):
-        for s in range(-2, 3):
-            energy, moment, expected = general_modulation_rules(mod, s)
+
+
+# the phases of the modulation_* rows, by their "mod" parameter
+_SUITE_MODULATIONS = (
+    GeneralModulation.sinusoidal(1.2, 1.0),
+    GeneralModulation.two_tone(1.0, 0.5, 1.0),
+    GeneralModulation({1: -0.4j, -1: 0.4j, 2: -0.2j, -2: 0.2j, 3: -0.1j, -3: 0.1j}, 1.0),
+)
+
+
+def _suite_generalized() -> list[SumRuleReport]:
+    reports = [
+        *_family("mixed_modulation_moment", _jcs_moment_grid, {"q": range(-2, 3)},
+                 [{"x": 1.0, "y": 2.0}, {"x": 0.5, "y": 0.5}, {"x": 2.0, "y": 0.0},
+                  {"x": 0.0, "y": 1.5}]),
+        *_family("two_tone_moment", _jbar_moment_grid, {"s": range(-3, 4)},
+                 [{"y1": 2.0, "y2": 0.7}, {"y1": 1.0, "y2": 0.5}, {"y1": 0.5, "y2": 0.0}]),
+    ]
+    lags = range(-2, 3)
+    for idx, mod in enumerate(_SUITE_MODULATIONS):
+        n_max, energy, moment, expected = _modulation_moment_grid(mod, lags)
+        for j, s in enumerate(lags):
             delta = complex(1.0 if s == 0 else 0.0)
-            reports.append(_report("modulation_energy", delta, energy, mod=idx, s=s))
-            reports.append(_report("modulation_first_moment", expected, moment, mod=idx, s=s))
+            reports.append(_report("modulation_energy", delta, energy[j], n_max, mod=idx, s=s))
+            reports.append(_report("modulation_first_moment", expected[j], moment[j], n_max,
+                                   mod=idx, s=s))
     return reports
 
 
@@ -200,13 +211,13 @@ def _suite_spectroscopy() -> list[SumRuleReport]:
                 params = {"M": M, "gamma_over_Omega": g_over_o, "s": s}
                 newberger = a_s_newberger(s, M, gamma, Omega)
                 series = a_s_series(s, M, gamma, Omega)
-                reports.append(_report("resonant_sum_newberger", direct, newberger, **params))
-                reports.append(_report("resonant_sum_series", direct, series, **params))
+                reports.append(_report("resonant_sum_newberger", direct, newberger, 0, **params))
+                reports.append(_report("resonant_sum_series", direct, series, 0, **params))
     for s in (1, 2, 3):
         for M, Omega in ((0.8, 0.4), (1.5, 1.0), (2.0, 0.2)):
             lhs = a_s_direct(-s, M, gamma, Omega)
             rhs = ((-1) ** (s % 2)) * a_s_direct(s, M, gamma, Omega).conjugate()
-            reports.append(_report("negative_order_symmetry", lhs, rhs, s=s, M=M, Omega=Omega))
+            reports.append(_report("negative_order_symmetry", lhs, rhs, 0, s=s, M=M, Omega=Omega))
     return reports
 
 

@@ -58,16 +58,15 @@ def _brute_order(y: float, extra: int, tol: float = 1e-16) -> int:
     return truncation_bound(abs(y), tol) + extra
 
 
-def _table_sum(k: int, q: int, y: float, j: np.ndarray) -> float:
-    """sum_{n=-k..k} D[k, n](y) j_{q-n}, j indexed by order + len(j) // 2."""
+def _table_sums(k: int, y: float, j: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """sum_{n=-k..k} D[k, n](y) j_{q-n} for each q in qs.
+
+    j is indexed by order + len(j) // 2 and must reach order max|q| + k.
+    D[k, .](y) is evaluated once and convolved with j, which gives every q.
+    """
     table = build_coeff_table(k)
-    center = len(j) // 2
-    total = 0.0
-    for n in range(-k, k + 1):
-        poly = table.entry(k, n)
-        if not poly.is_zero():
-            total += poly.evaluate(y) * j[q - n + center]
-    return total
+    d = [table.entry(k, n).evaluate(y) for n in range(-k, k + 1)]
+    return np.convolve(d, j)[qs + k + len(j) // 2]
 
 
 def _centered(conv: np.ndarray, n_max: int) -> np.ndarray:
@@ -83,13 +82,47 @@ def _centered(conv: np.ndarray, n_max: int) -> np.ndarray:
     return out
 
 
-def b_ks_closed(k: int, s: int, M: float) -> float:
-    """Closed form of sum_n n^k J_n(M) J_{n-s}(M): the (k, s) polynomial at M."""
+def _moments(ks, n: np.ndarray, products: np.ndarray) -> np.ndarray:
+    """sum_n n^k products[n, s]: one row per k in ks, one column per lag s.
+
+    One product and sum per k, not a matmul: the sums have a few thousand
+    terms, and a real matmul would load BLAS's dgemm, whose code and
+    buffers add about 0.5 MB to the peak memory of a command-line process.
+    """
+    weights = n.astype(float) ** np.asarray(ks)[:, None]
+    return np.array([(w[:, None] * products).sum(axis=0) for w in weights])
+
+
+def _grid(*axes) -> tuple[np.ndarray, ...]:
+    """Each axis as an integer array, and the largest |entry| of the last."""
+    arrays = tuple(np.atleast_1d(np.asarray(a, dtype=int)) for a in axes)
+    return (*arrays, int(np.abs(arrays[-1]).max()))
+
+
+def _check_k(k: int) -> None:
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
+
+
+def b_ks_closed(k: int, s: int, M: float) -> float:
+    """Closed form of sum_n n^k J_n(M) J_{n-s}(M): the (k, s) polynomial at M."""
+    _check_k(k)
     if abs(s) > k:
         return 0.0
     return build_coeff_table(k).entry(k, s).evaluate(M)
+
+
+def _b_ks_grid(ks, lags, M: float):
+    """n_max, then D[k, s](M) and sum_{|n| <= n_max} n^k J_n(M) J_{n-s}(M):
+    rows k, columns s.
+
+    One cut, at the largest k and |s| of the grid, serves every entry.
+    """
+    ks, lags, reach = _grid(ks, lags)
+    closed = [[b_ks_closed(k, s, M) for s in lags.tolist()] for k in ks.tolist()]
+    n_max = _brute_order(M, max(8, 2 * int(ks.max())) + reach, 1e-14)
+    n, jn, jns = _lagged(_j_symmetric(M, n_max + reach), lags, n_max)
+    return n_max, np.array(closed), _moments(ks, n, jn[:, None] * jns)
 
 
 def b_ks_brute(k: int, s: int, M: float) -> float:
@@ -98,11 +131,25 @@ def b_ks_brute(k: int, s: int, M: float) -> float:
     The n^k weight amplifies the tail, so the cut extends max(8, 2k) + |s|
     orders past the envelope bound for |J_n(M)| < 1e-14.
     """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    n_max = _brute_order(M, max(8, 2 * k) + abs(s), 1e-14)
-    n, jn, jns = _lagged(_j_symmetric(M, n_max + abs(s)), s, n_max)
-    return float(np.sum(n.astype(float) ** k * jn * jns))
+    _check_k(k)
+    return float(_b_ks_grid(k, s, M)[2][0, 0])
+
+
+def _addition_grid(ks, qs, y1: float, y2: float):
+    """n_max, then the closed and brute sides of the addition identity:
+    rows k, columns q.
+
+    Closed: i^k sum_m D[k, q-m](y1) J_m(y1+y2).  Brute: i^k sum_n n^k
+    J_n(y1) J_{q-n}(y2) over |n| <= n_max, with J_{q-n}(y2) = J_{n-q}(-y2).
+    """
+    ks, qs, reach = _grid(ks, qs)
+    ik = np.array([1j**k for k in ks.tolist()])[:, None]
+    wide = _j_symmetric(y1 + y2, reach + int(ks.max()))
+    closed = ik * np.array([_table_sums(k, y1, wide, qs) for k in ks.tolist()])
+    n_max = _brute_order(y1, max(8, 2 * int(ks.max())) + reach)
+    n, _, lagged = _lagged(_j_symmetric(-y2, n_max + reach), qs, n_max)
+    brute = ik * _moments(ks, n, _j_symmetric(y1, n_max)[:, None] * lagged)
+    return n_max, closed, brute
 
 
 def addition_formula_sides(
@@ -114,18 +161,28 @@ def addition_formula_sides(
     coefficient support is |q-m| <= k.  Right: the truncated sum
     sum_n (i n)^k J_n(y1) J_{q-n}(y2).
     """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    ik = 1j**k
-    lhs_c = ik * _table_sum(k, q, y1, _j_symmetric(y1 + y2, abs(q) + k))
+    _check_k(k)
+    _, closed, brute = _addition_grid(k, q, y1, y2)
+    return complex(closed[0, 0]), complex(brute[0, 0])
 
-    n_max = _brute_order(y1, max(8, 2 * k) + abs(q))
-    half = n_max + abs(q) + _brute_order(y2, 8)
-    j1 = _j_symmetric(y1, half)
-    j2 = _j_symmetric(y2, half)
-    n = np.arange(-n_max, n_max + 1)
-    rhs = np.sum(n.astype(float) ** k * j1[n + half] * j2[q - n + half])
-    return lhs_c, ik * complex(rhs)
+
+def _alternating_grid(ks, qs, y: float):
+    """n_max, then the closed and brute sides of the alternating identity:
+    rows k, columns q.
+
+    Closed: (-1)^q sum_m D[k, q-m](y) J_m(2y).  Brute: sum_{|n| <= n_max}
+    (-1)^n n^k J_n(y) J_{n-q}(y).
+    """
+    ks, qs, reach = _grid(ks, qs)
+    n_max = _brute_order(y, max(8, 2 * int(ks.max())) + reach)
+    n, jn, jnq = _lagged(_j_symmetric(y, n_max + reach), qs, n_max)
+    signs = np.where(n % 2 == 0, 1.0, -1.0)
+    brute = _moments(ks, n, (signs * jn)[:, None] * jnq)
+    wide = _j_symmetric(2.0 * y, reach + int(ks.max()))
+    closed = np.where(qs % 2 == 0, 1.0, -1.0) * np.array(
+        [_table_sums(k, y, wide, qs) for k in ks.tolist()]
+    )
+    return n_max, closed, brute
 
 
 def alternating_sum_sides(k: int, q: int, y: float) -> tuple[complex, complex]:
@@ -134,16 +191,9 @@ def alternating_sum_sides(k: int, q: int, y: float) -> tuple[complex, complex]:
     Left: sum_n (-1)^n n^k J_n(y) J_{n-q}(y), truncated.  Right:
     (-1)^q sum_m D[k, q-m](y) J_m(2y) over the finite coefficient support.
     """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    n_max = _brute_order(y, max(8, 2 * k) + abs(q))
-    n, jn, jnq = _lagged(_j_symmetric(y, n_max + abs(q)), q, n_max)
-    signs = np.where(n % 2 == 0, 1.0, -1.0)
-    weights = signs * n.astype(float) ** k
-    lhs = float(np.sum(weights * jn * jnq))
-
-    rhs = (-1) ** (q % 2) * _table_sum(k, q, y, _j_symmetric(2.0 * y, abs(q) + k))
-    return complex(lhs), complex(rhs)
+    _check_k(k)
+    _, closed, brute = _alternating_grid(k, q, y)
+    return complex(brute[0, 0]), complex(closed[0, 0])
 
 
 def _jcs_array(x: float, y: float, n_max: int) -> np.ndarray:
@@ -166,23 +216,26 @@ def jcs(n: int, x: float, y: float) -> complex:
     return complex(_jcs_array(x, y, abs(n))[n + abs(n)])
 
 
+def _jcs_moment_grid(qs, x: float, y: float):
+    """n_max, then per q the exact value of 2 sum_{|n| <= n_max} n jcs_n
+    conj(jcs_{n-q}) and the sum."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError("arguments must be finite")
+    qs, reach = _grid(qs)
+    n_max = _brute_order(x, 8) + _brute_order(y, 8) + reach
+    n, gn, gnq = _lagged(_jcs_array(x, y, n_max + reach), qs, n_max)
+    exact = np.select([qs == 1, qs == -1], [y + 1j * x, y - 1j * x], 0.0j)
+    return n_max, exact, 2.0 * _moments([1], n, gn[:, None] * np.conj(gnq))[0]
+
+
 def jcs_sum_rule_sides(q: int, x: float, y: float) -> tuple[complex, complex]:
     """First-moment rule for the mixed-modulation functions.
 
     Left: 2 sum_n n jcs_n conj(jcs_{n-q}), truncated.  Right is exact:
     (y + ix) delta(q, 1) + (y - ix) delta(q, -1).
     """
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError("arguments must be finite")
-    n_max = _brute_order(x, 8) + _brute_order(y, 8) + abs(q)
-    n, gn, gnq = _lagged(_jcs_array(x, y, n_max + abs(q)), q, n_max)
-    lhs = 2.0 * np.sum(n * gn * np.conj(gnq))
-    rhs = 0.0 + 0.0j
-    if q == 1:
-        rhs = y + 1j * x
-    elif q == -1:
-        rhs = y - 1j * x
-    return complex(lhs), rhs
+    _, exact, sums = _jcs_moment_grid(q, x, y)
+    return complex(sums[0]), complex(exact[0])
 
 
 def _jbar_array(y1: float, y2: float, n_max: int) -> np.ndarray:
@@ -205,23 +258,26 @@ def jbar(n: int, y1: float, y2: float) -> float:
     return float(_jbar_array(y1, y2, abs(n))[abs(n) + n])
 
 
+def _jbar_moment_grid(lags, y1: float, y2: float):
+    """n_max, then per s the exact value of sum_{|n| <= n_max} n jbar_n
+    jbar_{n-s} and the sum."""
+    if not (math.isfinite(y1) and math.isfinite(y2)):
+        raise ValueError("arguments must be finite")
+    lags, reach = _grid(lags)
+    n_max = _brute_order(y1, 8) + 2 * _brute_order(y2, 8) + reach
+    n, gn, gns = _lagged(_jbar_array(y1, y2, n_max + reach), lags, n_max)
+    exact = np.select([np.abs(lags) == 1, np.abs(lags) == 2], [0.5 * y1, y2], 0.0)
+    return n_max, exact, _moments([1], n, gn[:, None] * gns)[0]
+
+
 def jbar_sum_rule_sides(s: int, y1: float, y2: float) -> tuple[float, float]:
     """First-moment rule for the two-tone functions.
 
     Left: sum_n n jbar_n jbar_{n-s}, truncated.  Right is exact:
     (y1/2)(delta(s,1)+delta(s,-1)) + y2 (delta(s,2)+delta(s,-2)).
     """
-    if not (math.isfinite(y1) and math.isfinite(y2)):
-        raise ValueError("arguments must be finite")
-    n_max = _brute_order(y1, 8) + 2 * _brute_order(y2, 8) + abs(s)
-    n, gn, gns = _lagged(_jbar_array(y1, y2, n_max + abs(s)), s, n_max)
-    lhs = float(np.sum(n * gn * gns))
-    rhs = 0.0
-    if abs(s) == 1:
-        rhs = 0.5 * y1
-    elif abs(s) == 2:
-        rhs = y2
-    return lhs, rhs
+    _, exact, sums = _jbar_moment_grid(s, y1, y2)
+    return float(sums[0]), float(exact[0])
 
 
 @dataclass(frozen=True)
@@ -369,6 +425,17 @@ def auto_sideband_order(mod: GeneralModulation) -> int:
     )
 
 
+def _modulation_moment_grid(mod: GeneralModulation, lags):
+    """n_max, then per s: sum_{|n| <= n_max} G_n conj(G_{n-s}), the same sum
+    weighted by n, and the first one's exact value i s phi_s."""
+    lags, reach = _grid(lags)
+    n_max = auto_sideband_order(mod) + reach
+    n, gn, gns = _lagged(general_sidebands(mod, n_max + reach).values, lags, n_max)
+    energy, moment = _moments([0, 1], n, gn[:, None] * np.conj(gns))
+    expected = [1j * s * complex(mod.fourier_coeffs.get(s, 0.0)) for s in lags.tolist()]
+    return n_max, energy, moment, expected
+
+
 def general_modulation_rules(
     mod: GeneralModulation, s: int
 ) -> tuple[complex, complex, complex]:
@@ -377,31 +444,34 @@ def general_modulation_rules(
     Returns (sum_n G_n conj(G_{n-s}), sum_n n G_n conj(G_{n-s}), i s phi_s);
     the first should be delta(s, 0) and the second should equal the third.
     """
-    n_max = auto_sideband_order(mod) + abs(s)
-    spectrum = general_sidebands(mod, n_max)
-    g = spectrum.values
-    n = np.arange(-n_max, n_max + 1)
-    sel = (n - s >= -n_max) & (n - s <= n_max)
-    gn = g[n[sel] + n_max]
-    gns = np.conj(g[n[sel] - s + n_max])
-    energy = complex(np.sum(gn * gns))
-    moment = complex(np.sum(n[sel] * gn * gns))
-    expected = 1j * s * complex(mod.fourier_coeffs.get(s, 0.0))
-    return energy, moment, expected
+    _, energy, moment, expected = _modulation_moment_grid(mod, s)
+    return complex(energy[0]), complex(moment[0]), expected[0]
+
+
+def _recursion_grid(ks, qs, y: float):
+    """0, zeros, and |q^k J_q(y) - sum_n D[k, n](y) J_{q-n}(y)|: rows k,
+    columns q.  The sum is finite, so there is no cut to report."""
+    ks, qs, reach = _grid(ks, qs)
+    m_max = reach + int(ks.max())
+    j = _j_symmetric(y, m_max)
+    direct = qs.astype(float) ** ks[:, None] * j[qs + m_max]
+    residuals = np.abs(direct - [_table_sums(k, y, j, qs) for k in ks.tolist()])
+    return 0, np.zeros_like(residuals), residuals
 
 
 def recursion_residual(k: int, q: int, y: float) -> float:
     """|q^k J_q(y) - sum_n D[k, n](y) J_{q-n}(y)| over the finite support."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    m_max = abs(q) + k
-    j = _j_symmetric(y, m_max)
-    return abs(float(q) ** k * j[q + m_max] - _table_sum(k, q, y, j))
+    _check_k(k)
+    return float(_recursion_grid(k, q, y)[2][0, 0])
 
 
 @dataclass(frozen=True)
 class SumRuleReport:
-    """One verified rule instance: both sides plus residuals."""
+    """One verified rule instance: both sides plus residuals.
+
+    from_values stores Python complex, float and int, never a numpy scalar,
+    whose repr is not JSON.
+    """
 
     rule_id: str
     parameters: Mapping[str, float]
@@ -420,16 +490,16 @@ class SumRuleReport:
         brute_force: complex,
         truncation_order: int,
     ) -> "SumRuleReport":
-        abs_res = abs(closed_form - brute_force)
-        rel_res = abs_res / max(1e-300, abs(closed_form))
+        closed, brute = complex(closed_form), complex(brute_force)
+        abs_res = abs(closed - brute)
         return cls(
             rule_id=rule_id,
             parameters=dict(parameters),
-            closed_form=complex(closed_form),
-            brute_force=complex(brute_force),
-            truncation_order=truncation_order,
+            closed_form=closed,
+            brute_force=brute,
+            truncation_order=int(truncation_order),
             abs_residual=abs_res,
-            rel_residual=rel_res,
+            rel_residual=abs_res / max(1e-300, abs(closed)),
         )
 
     def passes(self, tolerance: float) -> bool:
@@ -449,8 +519,68 @@ class SumRuleReport:
         }
 
 
+# the fields of SumRuleReport.to_json_obj after "parameters", in order
+_REPORT_FIELDS = (
+    "closed_re",
+    "closed_im",
+    "brute_re",
+    "brute_im",
+    "abs_residual",
+    "rel_residual",
+    "truncation_order",
+)
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _template_text(text: str) -> str:
+    """text as the literal part of a %-template."""
+    return text.replace("%", "%%")
+
+
+def _template_rows(reports, extra_cells, template_for):
+    """(index, template, values) per report.
+
+    template_for(report, sorted parameter names, cells) builds one template
+    per rule_id, parameter names and types, and the report's cells of
+    extra_cells.  values are the parameters by name, the four parts of the
+    two sides, both residuals and the truncation order.
+    """
+    templates: dict[tuple, tuple] = {}
+    for i, r in enumerate(reports):
+        params = r.parameters
+        cells = tuple(column[i] for column in extra_cells)
+        key = (r.rule_id, tuple(params), tuple(map(type, params.values())), cells)
+        entry = templates.get(key)
+        if entry is None:
+            names = sorted(params)
+            entry = templates[key] = (template_for(r, names, cells), names)
+        template, names = entry
+        closed, brute = r.closed_form, r.brute_force
+        yield i, template, (
+            *[params[name] for name in names],
+            closed.real,
+            closed.imag,
+            brute.real,
+            brute.imag,
+            r.abs_residual,
+            r.rel_residual,
+            r.truncation_order,
+        )
+
+
+def _json_template(r: SumRuleReport, names: list[str], cells: tuple) -> str | None:
+    """The JSON line of r with %r for each number, or None when a parameter
+    is neither a float nor an int, whose %r may not be its JSON."""
+    if not all(type(r.parameters[name]) in (float, int) for name in names):
+        return None
+    params = ", ".join(_template_text(json.dumps(name)) + ": %r" for name in names)
+    fields = ", ".join('"%s": %%r' % name for name in _REPORT_FIELDS)
+    extras = "".join(", " + _template_text(cell) for cell in cells)
+    rule_id = _template_text(json.dumps(r.rule_id))
+    return '{"rule_id": %s, "parameters": {%s}, %s%s}\n' % (rule_id, params, fields, extras)
 
 
 def write_reports_jsonl(
@@ -458,14 +588,40 @@ def write_reports_jsonl(
     stream: io.TextIOBase,
     extra_fields: Mapping[str, list] | None = None,
 ) -> None:
-    """One JSON object per line; extra_fields[name][i] is appended to line i."""
-    for i, r in enumerate(reports):
-        obj = r.to_json_obj()
-        if extra_fields:
-            for name, values in extra_fields.items():
-                obj[name] = values[i]
-        stream.write(json.dumps(obj, sort_keys=False))
-        stream.write("\n")
+    """One JSON object per line; extra_fields[name][i] is appended to line i.
+
+    Each line equals json.dumps of the report's to_json_obj() with the
+    extra fields added, for reports made by from_values.  Lines are filled
+    from %r templates (_template_rows); %r writes a finite float or an int
+    as JSON does.  A line with a float that is not finite (%r writes nan,
+    JSON NaN) or a parameter of another type goes through json.dumps.
+    """
+    extras = dict(extra_fields or {})
+    clash = set(extras) & {"rule_id", "parameters", *_REPORT_FIELDS}
+    if clash:
+        raise ValueError(f"extra fields {sorted(clash)} would replace report fields")
+    # each extra field as the text it adds to a line; bools are spelled out,
+    # since json.dumps per line would add a fifth to the writer's time
+    cells = []
+    for name, column in extras.items():
+        head = json.dumps(name) + ": "
+        cells.append([
+            head + ("true" if v is True else "false" if v is False else json.dumps(v))
+            for v in column
+        ])
+    for i, template, values in _template_rows(reports, cells, _json_template):
+        if template is not None and all(map(math.isfinite, values)):
+            stream.write(template % values)
+        else:
+            obj = reports[i].to_json_obj()
+            obj.update((name, column[i]) for name, column in extras.items())
+            stream.write(json.dumps(obj) + "\n")
+
+
+def _csv_line(cells: list[str]) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()
 
 
 def write_reports_csv(
@@ -473,39 +629,26 @@ def write_reports_csv(
     stream: io.TextIOBase,
     extra_columns: Mapping[str, list[str]] | None = None,
 ) -> None:
-    """CSV with the union of parameter names expanded into columns."""
+    """CSV with the union of parameter names expanded into columns.
+
+    The bytes are those of csv.writer with each float as format(x, ".17g").
+    Lines are filled from "%.17g" templates (_template_rows): csv.writer
+    lays out each template once, and no number needs quoting.
+    """
     param_names = sorted({name for r in reports for name in r.parameters})
-    header = (
-        ["rule_id"]
-        + param_names
-        + [
-            "closed_re",
-            "closed_im",
-            "brute_re",
-            "brute_im",
-            "abs_residual",
-            "rel_residual",
-            "truncation_order",
-        ]
-        + (list(extra_columns) if extra_columns else [])
+    extras = dict(extra_columns or {})
+
+    def template_for(r: SumRuleReport, names: list[str], cells: tuple) -> str:
+        return _csv_line(
+            [_template_text(r.rule_id)]
+            + ["%.17g" if name in r.parameters else "" for name in param_names]
+            + ["%.17g"] * 6
+            + ["%d"]
+            + [_template_text(str(cell)) for cell in cells]
+        )
+
+    stream.write(_csv_line(["rule_id", *param_names, *_REPORT_FIELDS, *extras]))
+    stream.writelines(
+        template % values
+        for _, template, values in _template_rows(reports, extras.values(), template_for)
     )
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(header)
-    for i, r in enumerate(reports):
-        row = [r.rule_id]
-        row += [
-            _fmt(r.parameters[name]) if name in r.parameters else ""
-            for name in param_names
-        ]
-        row += [
-            _fmt(r.closed_form.real),
-            _fmt(r.closed_form.imag),
-            _fmt(r.brute_force.real),
-            _fmt(r.brute_force.imag),
-            _fmt(r.abs_residual),
-            _fmt(r.rel_residual),
-            str(r.truncation_order),
-        ]
-        if extra_columns:
-            row += [extra_columns[name][i] for name in extra_columns]
-        writer.writerow(row)

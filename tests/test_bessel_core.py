@@ -186,6 +186,38 @@ class TestTruncationBound:
                 for n in range(n0, n0 + 30):
                     assert abs(bessel_j_int(n, y)) < tol
 
+    @given(
+        y=st.floats(min_value=0.0, max_value=2e3),
+        digits=st.floats(min_value=14.0, max_value=18.0),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_bound_holds_against_mpmath(self, y, digits):
+        tol = 10.0 ** -digits
+        n0 = truncation_bound(y, tol)
+        # n0 > y + 10 lies past the turning point, where |J_n(y)| falls as n
+        # grows.  mpmath's series cancels there by about 0.23 y digits, so
+        # its working precision must be allowed to grow that far (maxprec is
+        # in bits); its cost grows like y^2: 0.02 s at y = 2e3, 73 s at 1e5.
+        with mp.workdps(20):
+            for n in (n0, n0 + 1):
+                assert abs(mp.besselj(n, y, maxprec=100_000)) < tol, (n, y, tol)
+
+    @given(
+        y=st.floats(min_value=0.0, max_value=1e5),
+        digits=st.floats(min_value=14.0, max_value=18.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bound_holds_by_kapteyn_inequality(self, y, digits):
+        # Kapteyn: |J_n(n x)| <= (x e^r / (1 + r))^n, r = sqrt(1 - x^2), for
+        # 0 <= x <= 1; the right side falls as n grows at fixed y, so the
+        # bound at n0 covers every order past it
+        tol = 10.0 ** -digits
+        n0 = truncation_bound(y, tol)
+        with mp.workdps(30):
+            x = mp.mpf(y) / n0
+            r = mp.sqrt(1 - x * x)
+            assert (x * mp.exp(r) / (1 + r)) ** n0 < tol, (n0, y, tol)
+
     def test_heuristic_floor_at_m_two(self):
         # coarse physics estimate: ~2M sidebands matter at loose tolerance
         assert truncation_bound(2.0, 1e-15) >= 4

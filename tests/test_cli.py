@@ -7,14 +7,28 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 
-from besselrules import cli, sum_rules
-from besselrules.bessel_core import bessel_j_int
+from besselrules import bessel_core, cli, sum_rules
+from besselrules.bessel_core import bessel_j_int, truncation_bound
 from besselrules.cli import main
 from besselrules.coefficients import DyadicPoly, build_coeff_table
 from besselrules.modulation_spectroscopy import a_s_direct
-from besselrules.sum_rules import jbar
+from besselrules.sum_rules import (
+    SumRuleReport,
+    addition_formula_sides,
+    alternating_sum_sides,
+    b_ks_brute,
+    b_ks_closed,
+    general_modulation_rules,
+    jbar,
+    jbar_sum_rule_sides,
+    jcs_sum_rule_sides,
+    recursion_residual,
+    write_reports_csv,
+    write_reports_jsonl,
+)
 
 
 def run(*argv) -> int:
@@ -190,6 +204,154 @@ class TestVerifyCommand:
         run("verify", "--suite", "core", "--output", str(a))
         run("verify", "--suite", "core", "--output", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+
+def suite_reports(suite: str) -> list[SumRuleReport]:
+    return [r for build in cli._SUITES[suite] for r in build()]
+
+
+def reports_csv_reference(reports, extra_columns) -> str:
+    """write_reports_csv's file as csv.writer writes it, floats as format(x, ".17g")."""
+
+    def fmt(x) -> str:
+        return format(float(x), ".17g")
+
+    names = sorted({name for r in reports for name in r.parameters})
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(
+        ["rule_id", *names, "closed_re", "closed_im", "brute_re", "brute_im",
+         "abs_residual", "rel_residual", "truncation_order", *extra_columns]
+    )
+    for i, r in enumerate(reports):
+        writer.writerow(
+            [r.rule_id]
+            + [fmt(r.parameters[name]) if name in r.parameters else "" for name in names]
+            + [fmt(v) for v in (r.closed_form.real, r.closed_form.imag,
+                                r.brute_force.real, r.brute_force.imag,
+                                r.abs_residual, r.rel_residual)]
+            + [str(r.truncation_order)]
+            + [column[i] for column in extra_columns.values()]
+        )
+    return fh.getvalue()
+
+
+def reports_jsonl_reference(reports, extra_fields) -> str:
+    """write_reports_jsonl's file as json.dumps writes each line."""
+    lines = []
+    for i, r in enumerate(reports):
+        obj = r.to_json_obj()
+        for name, column in extra_fields.items():
+            obj[name] = column[i]
+        lines.append(json.dumps(obj) + "\n")
+    return "".join(lines)
+
+
+def modulation_sides(p: dict) -> tuple:
+    return general_modulation_rules(cli._SUITE_MODULATIONS[p["mod"]], p["s"])
+
+
+# rule_id -> (closed, brute) of a suite row, from the public one-point functions
+ONE_POINT = {
+    "weighted_product_moment": lambda p: (
+        b_ks_closed(p["k"], p["s"], p["M"]), b_ks_brute(p["k"], p["s"], p["M"])
+    ),
+    "addition_formula": lambda p: addition_formula_sides(p["k"], p["q"], p["y1"], p["y2"]),
+    "alternating_sum": lambda p: alternating_sum_sides(p["k"], p["q"], p["y"])[::-1],
+    "recursion_relation": lambda p: (0.0, recursion_residual(p["k"], p["q"], p["y"])),
+    "mixed_modulation_moment": lambda p: jcs_sum_rule_sides(p["q"], p["x"], p["y"])[::-1],
+    "two_tone_moment": lambda p: jbar_sum_rule_sides(p["s"], p["y1"], p["y2"])[::-1],
+    "modulation_energy": lambda p: (float(p["s"] == 0), modulation_sides(p)[0]),
+    "modulation_first_moment": lambda p: (modulation_sides(p)[2], modulation_sides(p)[1]),
+}
+
+# rows whose brute side is not a truncated sum, so they carry no truncation order
+UNTRUNCATED = {
+    "recursion_relation",
+    "resonant_sum_newberger",
+    "resonant_sum_series",
+    "negative_order_symmetry",
+}
+
+
+class TestVerifyReports:
+    def test_suite_rows_match_the_one_point_functions(self):
+        # the suites share one Bessel row and one cut per argument; the public
+        # functions cut per point, so the two differ by rounding only
+        reports = suite_reports("core") + suite_reports("generalized")
+        assert {r.rule_id for r in reports} == set(ONE_POINT)
+        for r in reports:
+            closed, brute = ONE_POINT[r.rule_id](r.parameters)
+            for got, want in ((r.closed_form, closed), (r.brute_force, brute)):
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (
+                    r.rule_id, r.parameters, got, want,
+                )
+
+    def test_core_suite_runs_one_chain_per_argument(self, tmp_path, monkeypatch):
+        arguments = []
+        chain = bessel_core._downward_chain
+
+        def spy(y, order_max, nu=0):
+            arguments.append(y)
+            return chain(y, order_max, nu)
+
+        monkeypatch.setattr(bessel_core, "_downward_chain", spy)
+        assert run("verify", "--suite", "core", "--output", str(tmp_path / "c.csv")) == 0
+        # the arguments of each rule family: M (4); y1, y2 and y1 + y2 (3 pairs);
+        # y and 2y (3); y (4) for the recursion
+        assert 0 < len(arguments) <= 4 + 3 * 3 + 3 * 2 + 4
+
+    def test_reports_hold_python_numbers(self):
+        for r in suite_reports("all"):
+            assert type(r.closed_form) is complex and type(r.brute_force) is complex
+            assert type(r.abs_residual) is float and type(r.rel_residual) is float
+            assert type(r.truncation_order) is int
+
+    def test_truncation_order_is_the_cut_of_the_brute_side(self, tmp_path):
+        out = tmp_path / "all.csv"
+        assert run("verify", "--suite", "all", "--output", str(out)) == 0
+        for row in read_csv(out):
+            order = int(row["truncation_order"])
+            if row["rule_id"] in UNTRUNCATED:
+                assert order == 0, row
+            elif row["rule_id"] == "weighted_product_moment":
+                # max(8, 2k) + |s| past the 1e-14 envelope, at k = 6 and |s| = 8
+                assert order == truncation_bound(float(row["M"]), 1e-14) + 20
+            else:
+                assert order > 0, row
+
+    @pytest.fixture(scope="class")
+    def reports(self):
+        """Every row of the `all` suite, mixed with rows that %-templates get wrong."""
+        reports = suite_reports("all")
+        odd = [
+            SumRuleReport.from_values("not_a_number", {"k": 2, "y": 0.5}, math.nan, 1.0, 7),
+            SumRuleReport.from_values(
+                "infinite_residual", {"y": -1.5}, 1.0, complex(math.inf, 0.0), 9
+            ),
+            # %r writes True and np.float64(...), where JSON has true and 0.5
+            SumRuleReport.from_values(
+                "odd_parameters", {"flag": True, "M": np.float64(0.5)}, 0.5, 0.5, 1
+            ),
+            SumRuleReport.from_values('quoted, "50%" id', {"a%r": 1e-300}, 0.25, 0.25, 0),
+        ]
+        return reports[:3] + odd + reports[3:]
+
+    def test_csv_writer_matches_csv_module(self, reports):
+        for extra in ({}, {"status": ["ok" if i % 3 else "FAIL" for i in range(len(reports))]}):
+            buf = io.StringIO(newline="")
+            write_reports_csv(reports, buf, extra_columns=extra)
+            assert buf.getvalue() == reports_csv_reference(reports, extra)
+
+    def test_jsonl_writer_matches_json_dumps(self, reports):
+        for extra in ({}, {"pass": [r.passes(1e-9) for r in reports]}):
+            buf = io.StringIO()
+            write_reports_jsonl(reports, buf, extra_fields=extra)
+            assert buf.getvalue() == reports_jsonl_reference(reports, extra)
+
+    def test_jsonl_refuses_extra_field_named_like_a_report_field(self, reports):
+        with pytest.raises(ValueError, match="rule_id"):
+            write_reports_jsonl(reports, io.StringIO(), {"rule_id": [0] * len(reports)})
 
 
 class TestSidebandsCommand:
