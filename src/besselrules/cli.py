@@ -362,21 +362,15 @@ def _lineshape_point(
             dec.dc, dec.cos_amps[:harmonics] + pad, dec.sin_amps[:harmonics] + pad
         )
     mod = GeneralModulation.sinusoidal(p.M, p.Omega)
-    return time_domain_oracle(p, mod, samples_per_period=64, n_harmonics=harmonics)
+    return time_domain_oracle(p, mod, n_harmonics=harmonics)
 
 
 def cmd_lineshape(args) -> int:
     if args.harmonics < 0:
         raise ValueError(f"--harmonics must be >= 0, got {args.harmonics}")
-    if args.normalized:
-        gamma = 1.0
-        omega0 = args.omega0_over_gamma
-    else:
-        gamma = args.gamma
-        omega0 = args.omega0
     base = OscillatorParams(
-        omega0=omega0,
-        gamma=gamma,
+        omega0=args.omega0,
+        gamma=args.gamma,
         force=args.force,
         delta=0.0,
         Omega=args.Omega,
@@ -387,11 +381,11 @@ def cmd_lineshape(args) -> int:
             raise ValueError("--delta-min and --delta-max must be given together")
         deltas = _sweep_values(args.delta_min, args.delta_max, args.delta_steps)
     else:
-        deltas = [2.0 * args.delta / gamma]
+        deltas = [2.0 * args.delta / args.gamma]
 
     if args.method == "exact":
         decs = modulated_power_exact_sweep(
-            base, [0.5 * d * gamma for d in deltas], args.harmonics
+            base, [0.5 * d * args.gamma for d in deltas], args.harmonics
         )
     else:
         decs = [_lineshape_point(base, d, args.method, args.harmonics) for d in deltas]
@@ -593,8 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lineshape", help="emit absorbed-power harmonic sweeps")
     p.add_argument("--omega0", type=float, default=1e6)
     p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--normalized", action="store_true", help="work in units of gamma")
-    p.add_argument("--omega0-over-gamma", type=float, default=1e6)
     p.add_argument("--delta", type=float, default=0.0, help="detuning in rad/s")
     p.add_argument(
         "--delta-min",

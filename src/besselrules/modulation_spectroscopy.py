@@ -38,7 +38,7 @@ from besselrules.bessel_core import (
     truncation_bound,
 )
 from besselrules.coefficients import MAX_RECURSION_K, build_coeff_table
-from besselrules.sum_rules import GeneralModulation
+from besselrules.sum_rules import GeneralModulation, auto_sideband_order
 
 __all__ = [
     "OscillatorParams",
@@ -301,7 +301,7 @@ def a_s_series(s: int, M: float, gamma: float, Omega: float) -> complex:
 def a_s_geometric(
     s: int, M: float, gamma: float, Omega: float, order: int
 ) -> complex:
-    """Short expansion (1/gamma) sum_k (-i Omega/gamma)^k B[k, s](M).
+    """Short expansion (1/gamma) sum_k c_k (Omega/gamma)^k over a_s_eta_coefficients.
 
     Outside the convergence bound the value is still returned but a
     PerturbativeDomainWarning is issued.
@@ -315,15 +315,9 @@ def a_s_geometric(
             PerturbativeDomainWarning,
             stacklevel=2,
         )
-    table = build_coeff_table(order)
     eta = Omega / gamma
-    total = 0.0 + 0.0j
-    for k in range(order + 1):
-        if abs(s) <= k:
-            poly = table.entry(k, s)
-            if not poly.is_zero():
-                total += (-1j * eta) ** k * poly.evaluate(M)
-    return total / gamma
+    coeffs = a_s_eta_coefficients(s, M, order)
+    return sum(c * eta**k for k, c in enumerate(coeffs)) / gamma
 
 
 def a_s_eta_coefficients(s: int, M: float, order: int) -> list[complex]:
@@ -455,7 +449,6 @@ def _modal_constants(p: OscillatorParams) -> tuple[complex, complex, complex]:
 def time_domain_oracle(
     p: OscillatorParams,
     mod: GeneralModulation,
-    samples_per_period: int,
     n_harmonics: int = 4,
 ) -> HarmonicDecomposition:
     """Absorbed-power harmonics from the periodic steady state of the oscillator.
@@ -465,8 +458,8 @@ def time_domain_oracle(
     co-rotating mode leaves one slow complex amplitude obeying
     a' = kappa1 a + d(t), with d T-periodic (T = 2 pi / Omega).  Its steady
     state is the one T-periodic solution, found without a settling run by
-    exponential time differencing: each of the samples_per_period
-    intervals is split into m sub-steps of length hs, with m chosen so that
+    exponential time differencing: each of the n_samples intervals of
+    one period is split into m sub-steps of length hs, with m chosen so that
     (|kappa1| + max|phi'|) hs <= 2, and a_{j+1} = e^{kappa1 hs} a_j + I_j
     with I_j = int_0^hs e^{kappa1 (hs - tau)} d(t_j + tau) dtau, all I_j from
     one Gauss-Legendre evaluation; the m sub-steps of an interval are
@@ -484,10 +477,12 @@ def time_domain_oracle(
     drive times velocity with the optical 2 omega component dropped,
     exactly what a multi-cycle averaging window leaves.  The steady state
     repeats every period, so the harmonics are projected from one period
-    of samples.
+    of n_samples samples: the smallest power of two that is at least 8
+    and at least 2 (auto_sideband_order(mod) + n_harmonics).  The power's
+    harmonics end at twice the sideband reach, so none of them aliases
+    onto a projected one; the reach comes from the Bessel envelope of
+    truncation_bound, not from a Bessel value.
     """
-    if samples_per_period < 4:
-        raise ValueError("need samples_per_period >= 4")
     if mod.fundamental != p.Omega:
         raise ValueError("modulation fundamental must equal p.Omega")
     lam1, lam2, omega = _modal_constants(p)
@@ -511,7 +506,8 @@ def time_domain_oracle(
         return -(h / kappa2 + h1 / kappa2**2 + h2 / kappa2**3)
 
     period = 2.0 * math.pi / p.Omega
-    n_samples = samples_per_period
+    n_samples = max(8, 2 * (auto_sideband_order(mod) + n_harmonics))
+    n_samples = 1 << (n_samples - 1).bit_length()
     step = period / n_samples
     # |phi'| <= Omega sum_n |n c_n|
     rate = abs(kappa1) + p.Omega * sum(

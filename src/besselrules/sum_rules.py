@@ -465,12 +465,19 @@ def recursion_residual(k: int, q: int, y: float) -> float:
     return float(_recursion_grid(k, q, y)[2][0, 0])
 
 
+def _residual_scale(closed: complex) -> float:
+    """The scale of a rule's residuals: |closed|, but never below 1."""
+    return max(1.0, abs(closed))
+
+
 @dataclass(frozen=True)
 class SumRuleReport:
     """One verified rule instance: both sides plus residuals.
 
-    from_values stores Python complex, float and int, never a numpy scalar,
-    whose repr is not JSON.
+    rel_residual and passes share one scale, _residual_scale(closed), so a
+    closed side of 0 leaves rel_residual equal to abs_residual.
+    from_values stores Python complex, float and int, never a numpy
+    scalar, whose repr is not JSON.
     """
 
     rule_id: str
@@ -499,11 +506,11 @@ class SumRuleReport:
             brute_force=brute,
             truncation_order=int(truncation_order),
             abs_residual=abs_res,
-            rel_residual=abs_res / max(1e-300, abs(closed)),
+            rel_residual=abs_res / _residual_scale(closed),
         )
 
     def passes(self, tolerance: float) -> bool:
-        return bool(self.abs_residual <= tolerance * max(1.0, abs(self.closed_form)))
+        return bool(self.abs_residual <= tolerance * _residual_scale(self.closed_form))
 
     def to_json_obj(self) -> dict:
         return {

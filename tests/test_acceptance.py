@@ -297,7 +297,6 @@ def test_criterion_9_lineshape_consistency():
         oracle = time_domain_oracle(
             p,
             GeneralModulation.sinusoidal(p.M, p.Omega),
-            samples_per_period=64,
             n_harmonics=2,
         )
         if abs(oracle.dc - exact.dc) > 1e-6 * abs(exact.dc):

@@ -555,6 +555,18 @@ class TestLineshapeCommand:
             for name in ex:
                 assert abs(float(od[name]) - float(ex[name])) <= 1e-9 * scale
 
+    def test_ode_matches_exact_at_large_index(self, tmp_path):
+        # the sidebands reach |n| ~ 180 here, past what 64 samples resolve
+        flags = ("lineshape", "--Omega", "0.3", "--M", "100", "--delta-min", "0.6",
+                 "--delta-max", "0.6", "--delta-steps", "1", "--output")
+        ode_f, exact_f = tmp_path / "o.csv", tmp_path / "e.csv"
+        assert run(*flags, str(ode_f), "--method", "ode") == 0
+        assert run(*flags, str(exact_f), "--method", "exact") == 0
+        (od,), (ex,) = read_csv(ode_f), read_csv(exact_f)
+        scale = abs(float(ex["dc"]))
+        for name in ex:
+            assert abs(float(od[name]) - float(ex[name])) <= 1e-9 * scale
+
     def test_negative_value_with_exponent(self, tmp_path):
         out = tmp_path / "n.csv"
         assert run(
@@ -612,8 +624,9 @@ class TestLineshapeCommand:
         assert (
             run(
                 "lineshape",
-                "--normalized",
-                "--omega0-over-gamma",
+                "--gamma",
+                "1",
+                "--omega0",
                 "1e6",
                 "--Omega",
                 "0.03",

@@ -425,9 +425,7 @@ class TestHarmonicDecomposition:
 class TestTimeDomainOracle:
     def test_unmodulated_on_resonance(self):
         p = params(M=0.0, delta=0.0, Omega=0.05)
-        dec = time_domain_oracle(
-            p, GeneralModulation.sinusoidal(0.0, 0.05), samples_per_period=32
-        )
+        dec = time_domain_oracle(p, GeneralModulation.sinusoidal(0.0, 0.05))
         want = 0.5 * p.force**2 / p.gamma
         assert abs(dec.dc - want) <= 1e-6 * want
         assert all(abs(a) < 1e-8 for a in dec.cos_amps)
@@ -438,7 +436,6 @@ class TestTimeDomainOracle:
         od = time_domain_oracle(
             p,
             GeneralModulation.sinusoidal(p.M, p.Omega),
-            samples_per_period=64,
             n_harmonics=2,
         )
         assert abs(od.dc - ex.dc) <= 1e-6 * abs(ex.dc)
@@ -452,7 +449,6 @@ class TestTimeDomainOracle:
         od = time_domain_oracle(
             p,
             GeneralModulation.sinusoidal(p.M, p.Omega),
-            samples_per_period=48,
             n_harmonics=2,
         )
         scale = 0.5 * p.force**2 / p.gamma
@@ -463,21 +459,19 @@ class TestTimeDomainOracle:
     def test_fundamental_mismatch_rejected(self):
         p = params()
         with pytest.raises(ValueError, match="fundamental"):
-            time_domain_oracle(p, GeneralModulation.sinusoidal(0.5, 2.0 * p.Omega), 32)
+            time_domain_oracle(p, GeneralModulation.sinusoidal(0.5, 2.0 * p.Omega))
 
     def test_two_tone_modulation_supported(self):
         p = params(delta=0.5, M=0.0, Omega=0.02)
         mod = GeneralModulation.two_tone(0.4, 0.2, p.Omega)
-        dec = time_domain_oracle(p, mod, samples_per_period=48)
+        dec = time_domain_oracle(p, mod)
         # leading behavior: dc stays near the Lorentzian
         scale = 0.5 * p.force**2 / p.gamma
         assert abs(dec.dc - scale / (1.0 + p.Delta**2)) < 0.01 * scale
 
     @staticmethod
     def largest_error(p, mod, want):
-        got = time_domain_oracle(
-            p, mod, samples_per_period=64, n_harmonics=want.n_harmonics
-        )
+        got = time_domain_oracle(p, mod, n_harmonics=want.n_harmonics)
         pairs = zip((got.dc,) + got.cos_amps + got.sin_amps,
                     (want.dc,) + want.cos_amps + want.sin_amps)
         return max(abs(a - b) for a, b in pairs) / abs(want.dc)
@@ -494,6 +488,12 @@ class TestTimeDomainOracle:
         p = params(delta=0.5 * delta_norm)
         mod = GeneralModulation.sinusoidal(p.M, p.Omega)
         assert self.largest_error(p, mod, modulated_power_exact(p, 4)) <= 1e-6
+
+    def test_agrees_with_exact_at_many_harmonics(self):
+        # the power reaches harmonic ~ 2 * 73 + 40, past what 64 samples resolve
+        p = params(M=20.0, Omega=0.3, delta=0.3)
+        mod = GeneralModulation.sinusoidal(p.M, p.Omega)
+        assert self.largest_error(p, mod, modulated_power_exact(p, 40)) <= 1e-9
 
     def test_agrees_with_exact_when_omega_far_exceeds_gamma(self):
         # kappa1 T is about 1e-2 here, so 1 - e^{kappa1 T} needs expm1

@@ -329,10 +329,12 @@ class TestSumRuleReport:
     def test_residuals_recomputable(self):
         r = SumRuleReport.from_values("demo", {"k": 1.0}, 2.0 + 0.0j, 2.0 + 1e-12j, 7)
         assert r.abs_residual == pytest.approx(1e-12)
-        assert r.rel_residual == pytest.approx(
-            r.abs_residual / max(1e-300, abs(r.closed_form))
-        )
+        assert r.rel_residual == pytest.approx(r.abs_residual / abs(r.closed_form))
         assert r.passes(1e-9) and not r.passes(1e-15)
+        # a closed side of 0 scales by 1, the scale passes applies
+        zero = SumRuleReport.from_values("demo", {"k": 1.0}, 0.0, 3e-30, 7)
+        assert zero.rel_residual == zero.abs_residual == 3e-30
+        assert zero.passes(1e-29) and not zero.passes(1e-31)
 
     def test_jsonl_round_trip(self):
         reports = [
