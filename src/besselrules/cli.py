@@ -13,7 +13,6 @@ Exit codes: 0 all checks pass, 1 verification failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import datetime
 import itertools
@@ -22,14 +21,16 @@ import math
 import sys
 import warnings
 
+import numpy as np
+
 from besselrules.bessel_core import ConvergenceError, OracleError
 from besselrules.coefficients import (
     MAX_FAA_DI_BRUNO_K,
+    _json_list,
     build_coeff_table,
     coeff_faa_di_bruno,
 )
 from besselrules.modulation_spectroscopy import (
-    HarmonicDecomposition,
     OscillatorParams,
     PerturbativeDomainWarning,
     RegimeError,
@@ -40,7 +41,7 @@ from besselrules.modulation_spectroscopy import (
     a_s_series,
     exact_truncation_order,
     modulated_power_exact_sweep,
-    modulated_power_perturbative,
+    modulated_power_perturbative_sweep,
     time_domain_oracle,
 )
 from besselrules.sum_rules import (
@@ -50,7 +51,6 @@ from besselrules.sum_rules import (
     _addition_grid,
     _alternating_grid,
     _b_ks_grid,
-    _fmt,
     _jbar_moment_grid,
     _jcs_moment_grid,
     _modulation_moment_grid,
@@ -81,11 +81,33 @@ def _write_json(path: str, obj: dict, stamp: bool) -> None:
         fh.write(json.dumps(obj, indent=2) + "\n")
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _write_json_rows(path: str, head: dict, header: list[str], rows, stamp: bool) -> None:
+    """_write_json of head plus "rows": [dict(zip(header, row)), ...], to the byte.
+
+    CPython's indented encoder is pure Python, so each row is one item
+    template instead, filled with %r: that writes a finite float or an
+    int as JSON does, and rows hold nothing else.  head (not empty) comes
+    from json.dumps; "stamp" stays the last field.
+    """
+    item = "    {\n" + ",\n".join(f"      {json.dumps(name)}: %r" for name in header)
+    items = [(item + "\n    }") % tuple(row) for row in rows]
+    text = json.dumps(head, indent=2)[:-2] + ',\n  "rows": ' + _json_list(items, "  ")
+    if stamp:
+        text += ',\n  "stamp": ' + json.dumps(_utc_stamp())
+    with open(path, "w") as fh:
+        fh.write(text + "\n}\n")
+
+
+def _write_csv_rows(path: str, header: list[str], cells: str, rows, footer: str = "") -> None:
+    """The header line, one line per row and the footer, as csv.writer writes them.
+
+    cells is the %-template of one row: "%.17g" (which writes what
+    format(x, ".17g") does) for a float, "%d" or "%s" for a field that
+    needs no quoting, as no header name or cell does.
+    """
+    line = cells + "\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n" + "".join([line % tuple(row) for row in rows]) + footer)
 
 
 def _check_tolerance(tolerance: float) -> None:
@@ -311,27 +333,24 @@ def cmd_sidebands(args) -> int:
             break
 
     rows = [
-        [n, spectrum[n].real, spectrum[n].imag, abs(spectrum[n]) ** 2]
+        (n, spectrum[n].real, spectrum[n].imag, abs(spectrum[n]) ** 2)
         for n in range(-n_eff, n_eff + 1)
     ]
     header = ["n", "g_re", "g_im", "g_abs2"]
     if args.format == "json":
-        obj = {
+        head = {
             "n_max": n_eff,
             "fundamental": mod.fundamental,
             "sample_count": spectrum.sample_count,
             "tail_estimate": spectrum.tail_estimate,
             "energy_sum": energy,
-            "rows": [dict(zip(header, row)) for row in rows],
         }
-        _write_json(args.output, obj, args.stamp)
+        _write_json_rows(args.output, head, header, rows, args.stamp)
     else:
-        # the footer is a one-field row, which the csv writer leaves unquoted
-        _write_csv(
-            args.output,
-            header,
-            [[n, _fmt(re), _fmt(im), _fmt(a2)] for n, re, im, a2 in rows]
-            + [[f"# energy_sum={_fmt(energy)}"]],
+        # the footer is a one-field row, which csv.writer leaves unquoted
+        _write_csv_rows(
+            args.output, header, "%d,%.17g,%.17g,%.17g", rows,
+            footer="# energy_sum=%.17g\n" % energy,
         )
     return EXIT_OK
 
@@ -351,18 +370,35 @@ def _sweep_values(lo: float, hi: float, count: int) -> list[float]:
     return [lo + i * step for i in range(count)]
 
 
-def _lineshape_point(
-    base: OscillatorParams, delta_norm: float, method: str, harmonics: int
-) -> HarmonicDecomposition:
-    p = dataclasses.replace(base, delta=0.5 * delta_norm * base.gamma)
-    if method == "perturbative":
-        dec = modulated_power_perturbative(p)
-        pad = (0.0,) * (harmonics - dec.n_harmonics)
-        return HarmonicDecomposition(
-            dec.dc, dec.cos_amps[:harmonics] + pad, dec.sin_amps[:harmonics] + pad
-        )
-    mod = GeneralModulation.sinusoidal(p.M, p.Omega)
-    return time_domain_oracle(p, mod, n_harmonics=harmonics)
+def _lineshape_rows(
+    base: OscillatorParams, deltas: list[float], method: str, harmonics: int
+) -> list:
+    """Rows [delta, dc, h1_cos, h1_sin, ...] at the normalized detunings deltas.
+
+    The sweeps give columns, which fill one table; the harmonics past the
+    two of perturbative are zeros.  The oracle runs per detuning.
+    """
+    rad = [0.5 * d * base.gamma for d in deltas]
+    if method == "ode":
+        mod = GeneralModulation.sinusoidal(base.M, base.Omega)
+        rows = []
+        for d, delta in zip(deltas, rad):
+            dec = time_domain_oracle(
+                dataclasses.replace(base, delta=delta), mod, n_harmonics=harmonics
+            )
+            rows.append([d, dec.dc, *itertools.chain(*zip(dec.cos_amps, dec.sin_amps))])
+        return rows
+    if method == "exact":
+        dc, cos_amps, sin_amps = modulated_power_exact_sweep(base, rad, harmonics)
+    else:
+        dc, cos_amps, sin_amps = modulated_power_perturbative_sweep(base, rad)
+    shown = min(harmonics, cos_amps.shape[1])
+    table = np.zeros((len(deltas), 2 + 2 * harmonics))
+    table[:, 0] = deltas
+    table[:, 1] = dc
+    table[:, 2 : 2 + 2 * shown : 2] = cos_amps[:, :shown]
+    table[:, 3 : 3 + 2 * shown : 2] = sin_amps[:, :shown]
+    return table.tolist()
 
 
 def cmd_lineshape(args) -> int:
@@ -383,22 +419,20 @@ def cmd_lineshape(args) -> int:
     else:
         deltas = [2.0 * args.delta / args.gamma]
 
-    if args.method == "exact":
-        decs = modulated_power_exact_sweep(
-            base, [0.5 * d * args.gamma for d in deltas], args.harmonics
+    # the one check below refuses every value numpy would warn about
+    with np.errstate(all="ignore"):
+        rows = _lineshape_rows(base, deltas, args.method, args.harmonics)
+    if not all(map(math.isfinite, itertools.chain.from_iterable(rows))):
+        raise RegimeError(
+            f"the absorbed power leaves double range at force = {base.force!r}: "
+            f"every harmonic scales as force**2 / gamma, gamma = {base.gamma!r}"
         )
-    else:
-        decs = [_lineshape_point(base, d, args.method, args.harmonics) for d in deltas]
-    rows = [
-        [d, dec.dc] + [v for pair in zip(dec.cos_amps, dec.sin_amps) for v in pair]
-        for d, dec in zip(deltas, decs)
-    ]
 
     header = ["delta", "dc"]
     for h in range(1, args.harmonics + 1):
         header += [f"h{h}_cos", f"h{h}_sin"]
     if args.format == "json":
-        obj = {
+        head = {
             "method": args.method,
             "params": {
                 "omega0": base.omega0,
@@ -414,11 +448,10 @@ def cmd_lineshape(args) -> int:
                 else None
             ),
             "perturbative_valid": base.perturbative_valid,
-            "rows": [dict(zip(header, row)) for row in rows],
         }
-        _write_json(args.output, obj, args.stamp)
+        _write_json_rows(args.output, head, header, rows, args.stamp)
     else:
-        _write_csv(args.output, header, ([_fmt(v) for v in row] for row in rows))
+        _write_csv_rows(args.output, header, ",".join(["%.17g"] * len(header)), rows)
     return EXIT_OK
 
 
@@ -474,17 +507,10 @@ def cmd_a_sum(args) -> int:
             obj["eta_coefficients"] = expansion
         _write_json(args.output, obj, args.stamp)
     else:
-        rows = [["value", m, values[m].real, values[m].imag] for m in methods]
-        rows += [["residual", key, residuals[key], 0.0] for key in sorted(residuals)]
-        rows += [
-            ["eta_coefficient", str(c["order"]), c["re"], c["im"]]
-            for c in expansion or ()
-        ]
-        _write_csv(
-            args.output,
-            ["kind", "name", "re", "im"],
-            ([kind, name, _fmt(re), _fmt(im)] for kind, name, re, im in rows),
-        )
+        rows = [("value", m, values[m].real, values[m].imag) for m in methods]
+        rows += [("residual", key, residuals[key], 0.0) for key in sorted(residuals)]
+        rows += [("eta_coefficient", c["order"], c["re"], c["im"]) for c in expansion or ()]
+        _write_csv_rows(args.output, ["kind", "name", "re", "im"], "%s,%s,%.17g,%.17g", rows)
     # the geometric path is a truncated expansion, so its deviation is
     # informational; only the exact methods gate the exit code
     gated = {

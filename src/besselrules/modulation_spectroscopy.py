@@ -55,6 +55,7 @@ __all__ = [
     "modulated_power_exact",
     "modulated_power_exact_sweep",
     "modulated_power_perturbative",
+    "modulated_power_perturbative_sweep",
     "time_domain_oracle",
 ]
 
@@ -80,6 +81,11 @@ _ORACLE_MAX_NODES = 128
 # the doubling stops once the samples move by at most this fraction of
 # their largest magnitude
 _ORACLE_RTOL = 1e-10
+# cap on the points at which time_domain_oracle evaluates the drive
+# envelope at once (n_samples * m * nodes); a power of two, so that a
+# fractional sub-step count under it still fits once rounded up.  Peak
+# memory is about 70 bytes per point (0.34 GB at 5.0 million points)
+_ORACLE_MAX_POINTS = 1 << 23
 
 
 class RegimeError(ValueError):
@@ -341,6 +347,24 @@ def exact_truncation_order(M: float, s_max: int) -> int:
     return truncation_bound(M, 1e-18) + s_max + 8
 
 
+def _finite_deltas(deltas: Sequence[float]) -> np.ndarray:
+    """deltas as a float array; a non-finite one is refused as OscillatorParams does."""
+    deltas = np.asarray(deltas, dtype=float)
+    if not np.all(np.isfinite(deltas)):
+        raise ValueError("force and delta must be finite")
+    return deltas
+
+
+def _first_point(
+    columns: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> HarmonicDecomposition:
+    """The first detuning of a sweep's (dc, cos, sin) columns."""
+    dc, cos_amps, sin_amps = columns
+    return HarmonicDecomposition(
+        float(dc[0]), tuple(cos_amps[0].tolist()), tuple(sin_amps[0].tolist())
+    )
+
+
 def modulated_power_exact(p: OscillatorParams, s_max: int) -> HarmonicDecomposition:
     """Averaged absorbed power harmonics from the exact sideband sums.
 
@@ -350,24 +374,23 @@ def modulated_power_exact(p: OscillatorParams, s_max: int) -> HarmonicDecomposit
     which is what the measurement average does.  This is the one-detuning
     call of modulated_power_exact_sweep.
     """
-    return modulated_power_exact_sweep(p, [p.delta], s_max)[0]
+    return _first_point(modulated_power_exact_sweep(p, [p.delta], s_max))
 
 
 def modulated_power_exact_sweep(
     base: OscillatorParams, deltas: Sequence[float], s_max: int
-) -> list[HarmonicDecomposition]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """modulated_power_exact at each detuning in deltas (rad/s), base.delta unused.
 
-    M is fixed across the sweep, so the J row and the products
-    J_n J_{n-s} for every n and s are built once; each block of
-    _SWEEP_BLOCK detunings forms its response matrix and gets every X_s
-    from one matmul.
+    Returns the columns dc[N], cos[N, s_max] and sin[N, s_max]: row i
+    holds the harmonics at deltas[i].  M is fixed across the sweep, so
+    the J row and the products J_n J_{n-s} for every n and s are built
+    once; each block of _SWEEP_BLOCK detunings forms its response matrix
+    and gets every X_s from one matmul.
     """
     if s_max < 0:
         raise ValueError(f"s_max must be >= 0, got {s_max}")
-    deltas = np.asarray(deltas, dtype=float)
-    if not np.all(np.isfinite(deltas)):
-        raise ValueError("force and delta must be finite")
+    deltas = _finite_deltas(deltas)
     n_max = exact_truncation_order(base.M, s_max)
     carriers = base.omega0 + deltas
     lowest = carriers + (-n_max) * base.Omega
@@ -383,22 +406,21 @@ def modulated_power_exact_sweep(
     # products[n, s] = J_n J_{n-s}
     products = (jn[:, None] * jns).astype(complex)
     scale = -0.5 * base.force * base.force
-    out = []
+    dc = np.empty(len(deltas))
+    cos_amps = np.empty((len(deltas), s_max))
+    sin_amps = np.empty((len(deltas), s_max))
     for start in range(0, len(deltas), _SWEEP_BLOCK):
-        omega_n = carriers[start : start + _SWEEP_BLOCK, None] + n * base.Omega
+        block = slice(start, start + _SWEEP_BLOCK)
+        omega_n = carriers[block, None] + n * base.Omega
         response = omega_n / (
             base.omega0**2 - omega_n**2 + 1j * base.gamma * omega_n
         )
         x = response @ products  # x[:, s_max + s] = X_s
-        dc = scale * x[:, s_max].imag
+        dc[block] = scale * x[:, s_max].imag
         up, down = x[:, s_max + 1 :], x[:, :s_max][:, ::-1]  # X_h, X_{-h}
-        cos_amps = scale * (up.imag + down.imag)
-        sin_amps = scale * (up.real - down.real)
-        out.extend(
-            HarmonicDecomposition(d, tuple(c), tuple(si))
-            for d, c, si in zip(dc.tolist(), cos_amps.tolist(), sin_amps.tolist())
-        )
-    return out
+        cos_amps[block] = scale * (up.imag + down.imag)
+        sin_amps[block] = scale * (up.real - down.real)
+    return dc, cos_amps, sin_amps
 
 
 def modulated_power_perturbative(p: OscillatorParams) -> HarmonicDecomposition:
@@ -407,29 +429,48 @@ def modulated_power_perturbative(p: OscillatorParams) -> HarmonicDecomposition:
     dc carries the Lorentzian plus the dc half of the (1 + cos 2 Omega t)
     second-harmonic term; the first harmonic has a first-order cosine and
     a second-order sine; the second harmonic is pure cosine at this order.
-    All amplitudes scale with f^2/(2 gamma).
+    All amplitudes scale with f^2/(2 gamma).  This is the one-detuning
+    call of modulated_power_perturbative_sweep.
     """
-    if not p.perturbative_valid:
+    return _first_point(modulated_power_perturbative_sweep(p, [p.delta]))
+
+
+def modulated_power_perturbative_sweep(
+    base: OscillatorParams, deltas: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """modulated_power_perturbative at each detuning in deltas (rad/s), base.delta unused.
+
+    Returns the columns dc[N], cos[N, 2] and sin[N, 2], and warns once
+    when the sweep lies outside the validity bound.  The values are
+    Python floats until the columns are built: numpy's power differs from
+    libm's pow in the last bit.  A force whose square leaves double range
+    gives non-finite values, as in modulated_power_exact_sweep.
+    """
+    if not base.perturbative_valid:
         warnings.warn(
             "perturbative lineshape evaluated outside its validity bound",
             PerturbativeDomainWarning,
             stacklevel=2,
         )
-    scale = 0.5 * p.force**2 / p.gamma
-    d = p.Delta
-    lorentz = 1.0 / (1.0 + d * d)
-    kappa = 2.0 * p.M * p.Omega / p.gamma
-    second = 0.5 * kappa**2 * (3.0 * d * d - 1.0) / (1.0 + d * d) ** 3
-    h1_cos = kappa * (-2.0 * d) / (1.0 + d * d) ** 2
+    try:
+        scale = 0.5 * base.force**2 / base.gamma
+    except OverflowError:
+        scale = math.inf
+    kappa = 2.0 * base.M * base.Omega / base.gamma
+    second_scale = 0.5 * kappa**2
     # (1/M) kappa^2 written as 4 M (Omega/gamma)^2 so M -> 0 stays finite
-    h1_sin = (
-        4.0 * p.M * (p.Omega / p.gamma) ** 2 * d * (d * d - 3.0) / (1.0 + d * d) ** 3
-    )
-    return HarmonicDecomposition(
-        dc=scale * (lorentz + second),
-        cos_amps=(scale * h1_cos, scale * second),
-        sin_amps=(scale * h1_sin, 0.0),
-    )
+    sin_scale = 4.0 * base.M * (base.Omega / base.gamma) ** 2
+    rows = []
+    for delta in _finite_deltas(deltas).tolist():
+        d = 2.0 * delta / base.gamma
+        lorentz = 1.0 / (1.0 + d * d)
+        second = second_scale * (3.0 * d * d - 1.0) / (1.0 + d * d) ** 3
+        h1_cos = kappa * (-2.0 * d) / (1.0 + d * d) ** 2
+        h1_sin = sin_scale * d * (d * d - 3.0) / (1.0 + d * d) ** 3
+        rows.append((scale * (lorentz + second), scale * h1_cos, scale * second,
+                     scale * h1_sin, 0.0))
+    table = np.array(rows, dtype=float).reshape(-1, 5)
+    return table[:, 0], table[:, 1:3], table[:, 3:]
 
 
 def _modal_constants(p: OscillatorParams) -> tuple[complex, complex, complex]:
@@ -468,7 +509,10 @@ def time_domain_oracle(
     K sub-steps, with expm1 so that Omega >> gamma loses no digits.  The
     node count starts at _ORACLE_NODES and doubles until the samples move
     by at most _ORACLE_RTOL (1e-10) of their largest magnitude; past
-    _ORACLE_MAX_NODES OracleError is raised.  No Bessel value is used.
+    _ORACLE_MAX_NODES OracleError is raised.  So is it before the first
+    evaluation, and before each doubling, when the n_samples * m * nodes
+    evaluation points would pass _ORACLE_MAX_POINTS: m grows with the
+    detuning.  No Bessel value is used.
 
     The counter-rotating mode is forced at ~2 omega0 and stays
     asymptotically slaved to the drive envelope, so its particular
@@ -513,7 +557,21 @@ def time_domain_oracle(
     rate = abs(kappa1) + p.Omega * sum(
         abs(n * c) for n, c in mod.fourier_coeffs.items()
     )
-    m = max(1, math.ceil(rate * step / 2.0))
+    # a float until it is known to fit under the cap: at huge detunings
+    # it passes the integer range of numpy, or even that of float
+    m = max(1.0, rate * step / 2.0)
+
+    def refuse_past_cap(nodes: int) -> None:
+        if n_samples * m * nodes > _ORACLE_MAX_POINTS:
+            raise OracleError(
+                f"time-domain oracle at delta = {p.delta:g} rad/s: m = {m:.6g} "
+                f"sub-steps per sample with {nodes} Gauss-Legendre nodes each "
+                f"evaluate the drive at {n_samples * m * nodes:.3g} points, "
+                f"past the cap of {_ORACLE_MAX_POINTS}"
+            )
+
+    refuse_past_cap(_ORACLE_NODES)
+    m = math.ceil(m)
     hs = step / m
     t = np.arange(n_samples) * step
     # carries the forcing of interval k to the end of the period
@@ -544,6 +602,7 @@ def time_domain_oracle(
                 f"of {hs:.3e} s did not settle to rtol {_ORACLE_RTOL:g}, and doubling "
                 f"them passes the cap of {_ORACLE_MAX_NODES} nodes"
             )
+        refuse_past_cap(2 * nodes)
         nodes *= 2
         finer = steady_samples(nodes)
         settled = np.max(np.abs(finer - a1)) <= _ORACLE_RTOL * np.max(np.abs(finer))

@@ -538,10 +538,6 @@ _REPORT_FIELDS = (
 )
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _template_text(text: str) -> str:
     """text as the literal part of a %-template."""
     return text.replace("%", "%%")

@@ -19,6 +19,7 @@ from besselrules.sum_rules import (
     SumRuleReport,
     addition_formula_sides,
     alternating_sum_sides,
+    auto_sideband_order,
     b_ks_brute,
     b_ks_closed,
     general_modulation_rules,
@@ -598,6 +599,34 @@ class TestLineshapeCommand:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["exact", "perturbative", "ode"])
+    def test_non_finite_power_is_refused(self, tmp_path, capsys, method):
+        # force**2 overflows: exact and ode would write inf and nan, with
+        # numpy warnings, and perturbative would stop in Python's pow
+        out = tmp_path / "f.csv"
+        code = run(
+            "lineshape", "--M", "1", "--Omega", "0.1", "--force", "1e200",
+            "--method", method, "--output", str(out),
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "force = 1e+200" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("delta", ["1e12", "1e300"])
+    def test_oracle_past_its_point_cap_is_regime_error(self, tmp_path, capsys, delta):
+        out = tmp_path / "o.csv"
+        code = run(
+            "lineshape", "--M", "1", "--Omega", "0.1", "--delta", delta,
+            "--method", "ode", "--output", str(out),
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: time-domain oracle at delta = {float(delta):g}")
+        assert "past the cap of" in err
+        assert not out.exists()
+
     def test_regime_error_exit_code(self, tmp_path):
         out = tmp_path / "bad.csv"
         code = run(
@@ -884,6 +913,92 @@ class TestASumCommand:
             )
             == 2
         )
+
+
+STAMP = "2026-01-01T00:00:00+00:00"
+LINESHAPE = ("lineshape", "--Omega", "0.03", "--M", "0.5")
+SWEEP = ("--delta-min", "-5", "--delta-max", "5", "--delta-steps", "11")
+# the row-writing cases whose files must be those of csv.writer and json.dumps
+WRITER_CASES = {
+    "no_harmonics_csv": (*LINESHAPE, *SWEEP, "--harmonics", "0", "--format", "csv"),
+    "no_harmonics_json": (*LINESHAPE, *SWEEP, "--harmonics", "0", "--format", "json"),
+    "one_detuning_csv": (*LINESHAPE, "--delta", "-0.3", "--format", "csv"),
+    "one_detuning_json": (*LINESHAPE, "--delta", "0.3", "--format", "json"),
+    "perturbative_padded_csv": (
+        *LINESHAPE, *SWEEP, "--method", "perturbative", "--harmonics", "4", "--format", "csv",
+    ),
+    "perturbative_padded_json": (
+        *LINESHAPE, *SWEEP, "--method", "perturbative", "--harmonics", "4", "--format", "json",
+    ),
+    "ode_csv": (
+        *LINESHAPE, "--delta-min", "-2", "--delta-max", "2", "--delta-steps", "2",
+        "--method", "ode", "--harmonics", "3", "--format", "csv",
+    ),
+    "stamp_json": (*LINESHAPE, *SWEEP, "--format", "json", "--stamp"),
+    "sidebands_two_tone_json": (
+        "sidebands", "--y1", "1.1", "--y2", "0.4", "--format", "json", "--stamp",
+    ),
+    "sidebands_csv": ("sidebands", "--M", "1.7", "--format", "csv"),
+    "a_sum_expand_csv": (
+        "a-sum", "--s", "-1", "--M", "0.5", "--Omega", "0.05", "--method",
+        "direct,newberger,series,geometric", "--expand", "--format", "csv",
+    ),
+}
+
+
+class TestRowWriters:
+    """Every row-bearing file against the generic writers, on the rows the command wrote."""
+
+    @pytest.mark.parametrize("case", list(WRITER_CASES))
+    def test_file_is_what_the_generic_writer_writes(self, tmp_path, monkeypatch, case):
+        calls = []
+        for name in ("_write_csv_rows", "_write_json_rows"):
+            real = getattr(cli, name)
+
+            def spy(*args, real=real, name=name, **kwargs):
+                calls.append((name, args, kwargs))
+                real(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, spy)
+        monkeypatch.setattr(cli, "_utc_stamp", lambda: STAMP)
+        out = tmp_path / "out"
+        assert run(*WRITER_CASES[case], "--output", str(out)) == 0
+        ((name, args, kwargs),) = calls
+        if name == "_write_json_rows":
+            _, head, header, rows, stamp = args
+            obj = head | {"rows": [dict(zip(header, row)) for row in rows]}
+            if stamp:
+                obj["stamp"] = STAMP
+            want = json.dumps(obj, indent=2) + "\n"
+            assert list(json.loads(out.read_text()))[-1] == ("stamp" if stamp else "rows")
+        else:
+            _, header, _, rows = args
+            fh = io.StringIO(newline="")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(
+                [format(v, ".17g") if isinstance(v, float) else v for v in row]
+                for row in rows
+            )
+            footer = kwargs.get("footer")
+            if footer:
+                writer.writerow([footer.rstrip("\n")])
+            want = fh.getvalue()
+        assert out.read_text() == want
+        assert len(rows) >= 1
+
+    def test_perturbative_padding_is_positive_zero(self, tmp_path):
+        out = tmp_path / "p.csv"
+        assert run(*WRITER_CASES["perturbative_padded_csv"], "--output", str(out)) == 0
+        for row in read_csv(out):
+            assert row["h2_sin"] == row["h3_cos"] == row["h4_sin"] == "0", row
+
+    def test_sidebands_footer_is_the_energy_sum_to_17_digits(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert run(*WRITER_CASES["sidebands_csv"], "--output", str(out)) == 0
+        mod = sum_rules.GeneralModulation.sinusoidal(1.7, 1.0)
+        energy = sum_rules.general_sidebands(mod, auto_sideband_order(mod)).energy_sum()
+        assert out.read_text().endswith(f"\n# energy_sum={energy:.17g}\n")
 
 
 RERUN_COMMANDS = {

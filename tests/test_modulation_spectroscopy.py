@@ -25,6 +25,7 @@ from besselrules.modulation_spectroscopy import (
     modulated_power_exact,
     modulated_power_exact_sweep,
     modulated_power_perturbative,
+    modulated_power_perturbative_sweep,
     perturbative_validity,
     time_domain_oracle,
 )
@@ -341,18 +342,19 @@ class TestModulatedPowerExact:
     def test_sweep_matches_pointwise(self):
         base = params(M=37.5, Omega=0.3)
         deltas = 0.5 * np.linspace(-6.0, 6.0, 1001)
-        sweep = modulated_power_exact_sweep(base, deltas, 3)
+        dc, cos_amps, sin_amps = modulated_power_exact_sweep(base, deltas, 3)
         n_max = exact_truncation_order(base.M, 3)
         bessel_j = {
             k: bessel_j_int(k, base.M) for k in range(-n_max - 3, n_max + 4)
         }
-        assert len(sweep) == len(deltas)
-        for delta, dec in zip(deltas, sweep):
+        assert dc.shape == (len(deltas),)
+        assert cos_amps.shape == sin_amps.shape == (len(deltas), 3)
+        for i, delta in enumerate(deltas):
             p = dataclasses.replace(base, delta=delta)
             loop = sideband_harmonics(p, bessel_j, n_max, 3)
             for ref in (modulated_power_exact(p, 3), loop):
-                assert dec.n_harmonics == ref.n_harmonics == 3
-                got = (dec.dc,) + dec.cos_amps + dec.sin_amps
+                assert ref.n_harmonics == 3
+                got = (dc[i], *cos_amps[i], *sin_amps[i])
                 want = (ref.dc,) + ref.cos_amps + ref.sin_amps
                 largest = max(abs(a - b) for a, b in zip(got, want))
                 assert largest <= 1e-14 * abs(ref.dc)
@@ -361,7 +363,7 @@ class TestModulatedPowerExact:
         base = OscillatorParams(
             omega0=200.0, gamma=0.5, force=1.0, delta=0.0, Omega=2.0, M=5.0
         )
-        assert modulated_power_exact_sweep(base, [0.0], 2)[0].dc > 0.0
+        assert modulated_power_exact_sweep(base, [0.0], 2)[0][0] > 0.0
         with pytest.raises(RegimeError) as err:
             modulated_power_exact_sweep(base, [0.0, -100.0, -150.0], 2)
         n_max = exact_truncation_order(base.M, 2)
@@ -408,6 +410,28 @@ class TestModulatedPowerPerturbative:
     def test_warns_outside_validity(self):
         with pytest.warns(PerturbativeDomainWarning):
             modulated_power_perturbative(params(M=2.0, Omega=0.3))
+
+    def test_sweep_is_one_call_of_the_point_formula(self):
+        # outside the validity bound, so that the sweep's one warning shows
+        base = params(M=2.0, Omega=0.3, force=1.7, gamma=0.8)
+        deltas = [-2.5, -0.0, 0.4, 3.0]
+        with pytest.warns(PerturbativeDomainWarning) as caught:
+            dc, cos_amps, sin_amps = modulated_power_perturbative_sweep(base, deltas)
+        assert len(caught) == 1
+        assert dc.shape == (4,) and cos_amps.shape == sin_amps.shape == (4, 2)
+        for i, delta in enumerate(deltas):
+            with pytest.warns(PerturbativeDomainWarning):
+                dec = modulated_power_perturbative(dataclasses.replace(base, delta=delta))
+            assert (dc[i], *cos_amps[i], *sin_amps[i]) == (
+                dec.dc, *dec.cos_amps, *dec.sin_amps
+            )
+            # the second-harmonic sine is +0, whatever the sign of delta
+            assert math.copysign(1.0, sin_amps[i, 1]) == 1.0
+        empty = modulated_power_perturbative_sweep(params(), [])
+        assert [a.shape for a in empty] == [(0,), (0, 2), (0, 2)]
+        # a detuning that overflowed is refused, as by OscillatorParams
+        with pytest.raises(ValueError, match="delta must be finite"):
+            modulated_power_perturbative_sweep(params(), [0.0, -math.inf])
 
 
 class TestHarmonicDecomposition:
@@ -517,3 +541,43 @@ class TestTimeDomainOracle:
         p = params(delta=0.5)
         with pytest.raises(OracleError, match="cap of 8 nodes"):
             time_domain_oracle(p, GeneralModulation.sinusoidal(p.M, p.Omega), 64)
+
+    @pytest.mark.parametrize("delta", [1e12, 1e300])
+    def test_detuning_past_the_point_cap_is_refused_before_evaluation(
+        self, monkeypatch, delta
+    ):
+        # 1e12 would ask numpy for terabytes, 1e300 for more elements than
+        # it can count; no Gauss-Legendre rule is built for either
+        def no_nodes(n):
+            raise AssertionError("evaluated past the cap")
+
+        monkeypatch.setattr(modulation_spectroscopy, "leggauss", no_nodes)
+        p = params(M=1.0, Omega=0.1, delta=delta)
+        cap = modulation_spectroscopy._ORACLE_MAX_POINTS
+        with pytest.raises(OracleError) as err:
+            time_domain_oracle(p, GeneralModulation.sinusoidal(p.M, p.Omega))
+        message = str(err.value)
+        assert f"delta = {delta:g} rad/s" in message
+        assert "m = " in message and "8 Gauss-Legendre nodes" in message
+        assert f"cap of {cap}" in message
+
+    def test_node_doubling_past_the_point_cap_is_refused(self, monkeypatch):
+        # this detuning settles at 16 nodes; a cap between the points of
+        # 8 and of 16 nodes refuses the doubling before it is evaluated
+        p = params(M=1.0, Omega=0.1, delta=30.0)
+        mod = GeneralModulation.sinusoidal(p.M, p.Omega)
+        built = []
+        real = modulation_spectroscopy.leggauss
+        monkeypatch.setattr(
+            modulation_spectroscopy, "leggauss", lambda n: built.append(n) or real(n)
+        )
+        time_domain_oracle(p, mod)
+        assert built == [8, 16]
+        n_samples = 128  # 2 (auto_sideband_order + 4) rounded up to a power of two
+        rate = abs(complex(-0.5, math.sqrt(1e12 - 0.25) - (1e6 + 30.0))) + 0.1
+        m = math.ceil(rate * (2.0 * math.pi / 0.1 / n_samples) / 2.0)
+        monkeypatch.setattr(modulation_spectroscopy, "_ORACLE_MAX_POINTS", n_samples * m * 12)
+        built.clear()
+        with pytest.raises(OracleError, match=f"m = {m} sub-steps .* 16 Gauss-Legendre"):
+            time_domain_oracle(p, mod)
+        assert built == [8]
