@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Mapping
 
 __all__ = [
     "DyadicPoly",
@@ -109,16 +109,19 @@ class DyadicPoly:
         parts = [f"{self.coeffs[p]}*(y/2)^{p}" for p in sorted(self.coeffs)]
         return "DyadicPoly(" + " + ".join(parts) + ")"
 
-    def terms(self) -> Iterator[tuple[int, int, int]]:
+    def terms(self) -> list[tuple[int, int, int]]:
         """(power, num, exp2) per term (num / 2^exp2) y^power, by power.
 
         num is odd unless exp2 == 0: c (y/2)^m is reduced to the canonical
         dyadic pair here and nowhere else.
         """
-        for power in sorted(self.coeffs):
-            c = self.coeffs[power]
-            tz = min((c & -c).bit_length() - 1, power)
-            yield power, c >> tz, power - tz
+        out = []
+        for power, c in sorted(self.coeffs.items()):
+            tz = (c & -c).bit_length() - 1  # trailing zero bits of c
+            if tz > power:
+                tz = power
+            out.append((power, c >> tz, power - tz))
+        return out
 
     def to_json_obj(self) -> list[dict]:
         """Terms as (num / 2^exp2) y^power with num odd unless exp2 == 0."""
@@ -215,27 +218,51 @@ class CoeffTable:
         return cls(k_max=int(obj["k_max"]), entries=entries)
 
 
+def _frozen(coeffs: dict[int, int]) -> DyadicPoly:
+    """A read-only polynomial over coeffs, which hold no zero and no other reference."""
+    poly = DyadicPoly.__new__(DyadicPoly)
+    poly.coeffs = MappingProxyType(coeffs)
+    return poly
+
+
 @lru_cache(maxsize=None)
 def build_coeff_table(k_max: int) -> CoeffTable:
-    """Exact table of all coefficient polynomials with k <= k_max."""
+    """Exact table of all coefficient polynomials with k <= k_max.
+
+    theta -> pi - theta fixes sin(theta), maps e^{i n theta} to
+    (-1)^n e^{-i n theta} and d/dtheta to -d/dtheta, so
+    D[k, -n] = (-1)^(k+n) D[k, n] and the recursion runs on n >= 0 only.
+    Every term c (y/2)^m of D[k, n] has m = n (mod 2) and n <= m <= k, so
+    row[n] is the dense list of c over m = n, n + 2, ..., k: y/2 times
+    D[k, n-1] lands at the same index of D[k+1, n], and y/2 times
+    D[k, n+1] one index up.
+    """
     if not (0 <= k_max <= MAX_RECURSION_K):
         raise ValueError(f"k_max must lie in [0, {MAX_RECURSION_K}], got {k_max}")
-    entries: dict[tuple[int, int], DyadicPoly] = {(0, 0): DyadicPoly.one()}
-    for k in range(k_max):
-        for n in range(-(k + 1), k + 2):
-            # c' = n c[n] + shift(c[n+1] + c[n-1]): y/2 times u^m is u^(m+1)
-            acc: dict[int, int] = {}
-            for source, weight, shift in ((n, n, 0), (n + 1, 1, 1), (n - 1, 1, 1)):
-                prev = entries.get((k, source))
-                if prev is not None:
-                    for m, c in prev.coeffs.items():
-                        acc[m + shift] = acc.get(m + shift, 0) + weight * c
-            poly = DyadicPoly(acc)
-            if not poly.is_zero():
-                entries[(k + 1, n)] = poly
-    # no other reference to these dicts exists, so they need no copy
-    for poly in entries.values():
-        poly.coeffs = MappingProxyType(poly.coeffs)
+    entries: dict[tuple[int, int], DyadicPoly] = {(0, 0): _frozen({0: 1})}
+    row = [[1]]
+    for k in range(1, k_max + 1):
+        prev = row
+        # D[k, 0] = (y/2)(D[k-1, 1] + D[k-1, -1]), both one index up, and
+        # D[k-1, -1] = (-1)^k D[k-1, 1]: twice D[k-1, 1] for even k, else zero
+        row = [[0, *(2 * c for c in prev[1])] if k % 2 == 0 else [0] * (k // 2 + 1)]
+        for n in range(1, k + 1):
+            acc = prev[n - 1].copy()
+            for i, c in enumerate(prev[n] if n < k else ()):
+                acc[i] += n * c
+            for i, c in enumerate(prev[n + 1] if n + 1 < k else (), 1):
+                acc[i] += c
+            row.append(acc)
+        polys = [_frozen({n + 2 * i: c for i, c in enumerate(cs) if c})
+                 for n, cs in enumerate(row)]
+        mirrored = [
+            poly if (k + n) % 2 == 0 else _frozen({m: -c for m, c in poly.coeffs.items()})
+            for n, poly in enumerate(polys)
+        ]
+        for n in range(-k, k + 1):
+            poly = mirrored[-n] if n < 0 else polys[n]
+            if poly.coeffs:
+                entries[(k, n)] = poly
     return CoeffTable(k_max=k_max, entries=entries)
 
 
@@ -269,6 +296,26 @@ def enumerate_derivative_partitions(k: int) -> list[tuple[int, ...]]:
     return out
 
 
+_FACTORIALS = [math.factorial(j) for j in range(MAX_FAA_DI_BRUNO_K + 1)]
+
+
+@lru_cache(maxsize=None)
+def _expansion_counts(a: int, b: int) -> tuple[int, ...]:
+    """Per half = 0..a+b, the expansion count of a sin and b cos factors
+    towards n = a + b - 2 half: sum_r (-1)^r C(a, r) C(b, half - r).
+
+    It depends on a partition only through (a, b), so every row of the
+    closed form shares one computation per (a, b, half).
+    """
+    return tuple(
+        sum(
+            (-1) ** r * math.comb(a, r) * math.comb(b, half - r)
+            for r in range(max(0, half - b), min(a, half) + 1)
+        )
+        for half in range(a + b + 1)
+    )
+
+
 @lru_cache(maxsize=None)
 def _faa_di_bruno_row(k: int) -> dict[int, dict[int, int]]:
     """Every n of row k of the closed form: n -> {m: c of c (y/2)^m}.
@@ -278,7 +325,6 @@ def _faa_di_bruno_row(k: int) -> dict[int, dict[int, int]]:
     sum, which depends on the partition only through a and b.  The signed
     counts are therefore summed per (a, b) before n is looped over.
     """
-    k_fact = math.factorial(k)
     weights: dict[tuple[int, int], int] = {}
     for ms in enumerate_derivative_partitions(k):
         m = sum(ms)
@@ -296,19 +342,14 @@ def _faa_di_bruno_row(k: int) -> dict[int, dict[int, int]]:
         denom = 1
         for j, mj in enumerate(ms, start=1):
             if mj:
-                denom *= math.factorial(mj) * math.factorial(j) ** mj
+                denom *= _FACTORIALS[mj] * _FACTORIALS[j] ** mj
         phase = 1 if phase_mod4 == 0 else -1
-        weight = phase * (-1) ** phi * (k_fact // denom)
+        weight = phase * (-1) ** phi * (_FACTORIALS[k] // denom)
         weights[a, b] = weights.get((a, b), 0) + weight
     row: dict[int, dict[int, int]] = {}
     for (a, b), weight in weights.items():
         m = a + b
-        for half in range(m + 1):
-            # expansion count of a sin and b cos factors towards n = m - 2 half
-            inner = sum(
-                (-1) ** r * math.comb(a, r) * math.comb(b, half - r)
-                for r in range(max(0, half - b), min(a, half) + 1)
-            )
+        for half, inner in enumerate(_expansion_counts(a, b)):
             # the coefficient of (y/2)^m these partitions add to D[k, n]
             coeffs = row.setdefault(m - 2 * half, {})
             coeffs[m] = coeffs.get(m, 0) + weight * inner

@@ -355,6 +355,15 @@ def _finite_deltas(deltas: Sequence[float]) -> np.ndarray:
     return deltas
 
 
+def _refuse_non_finite(p: OscillatorParams, *harmonics) -> None:
+    """Raise RegimeError unless every harmonic value is finite."""
+    if not all(np.isfinite(values).all() for values in harmonics):
+        raise RegimeError(
+            f"the absorbed power leaves double range at force = {p.force!r}: "
+            f"every harmonic scales as force**2 / gamma, gamma = {p.gamma!r}"
+        )
+
+
 def _first_point(
     columns: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> HarmonicDecomposition:
@@ -386,7 +395,8 @@ def modulated_power_exact_sweep(
     holds the harmonics at deltas[i].  M is fixed across the sweep, so
     the J row and the products J_n J_{n-s} for every n and s are built
     once; each block of _SWEEP_BLOCK detunings forms its response matrix
-    and gets every X_s from one matmul.
+    and gets every X_s from one matmul.  A harmonic that leaves double
+    range (force**2 overflows, say) raises RegimeError naming the force.
     """
     if s_max < 0:
         raise ValueError(f"s_max must be >= 0, got {s_max}")
@@ -420,7 +430,16 @@ def modulated_power_exact_sweep(
         up, down = x[:, s_max + 1 :], x[:, :s_max][:, ::-1]  # X_h, X_{-h}
         cos_amps[block] = scale * (up.imag + down.imag)
         sin_amps[block] = scale * (up.real - down.real)
+    _refuse_non_finite(base, dc, cos_amps, sin_amps)
     return dc, cos_amps, sin_amps
+
+
+def _pow(x: float, exponent: int) -> float:
+    """x**exponent by libm's pow, or inf where that leaves double range."""
+    try:
+        return x**exponent
+    except OverflowError:
+        return math.inf
 
 
 def modulated_power_perturbative(p: OscillatorParams) -> HarmonicDecomposition:
@@ -443,8 +462,10 @@ def modulated_power_perturbative_sweep(
     Returns the columns dc[N], cos[N, 2] and sin[N, 2], and warns once
     when the sweep lies outside the validity bound.  The values are
     Python floats until the columns are built: numpy's power differs from
-    libm's pow in the last bit.  A force whose square leaves double range
-    gives non-finite values, as in modulated_power_exact_sweep.
+    libm's pow in the last bit.  RegimeError names the force when a
+    value leaves double range, as in modulated_power_exact_sweep; it names
+    M and Omega/gamma when kappa**2 does, and the detuning when
+    (1 + Delta**2)**3 does.
     """
     if not base.perturbative_valid:
         warnings.warn(
@@ -452,24 +473,35 @@ def modulated_power_perturbative_sweep(
             PerturbativeDomainWarning,
             stacklevel=2,
         )
-    try:
-        scale = 0.5 * base.force**2 / base.gamma
-    except OverflowError:
-        scale = math.inf
+    scale = 0.5 * _pow(base.force, 2) / base.gamma
     kappa = 2.0 * base.M * base.Omega / base.gamma
-    second_scale = 0.5 * kappa**2
+    second_scale = 0.5 * _pow(kappa, 2)
+    if math.isinf(second_scale):
+        raise RegimeError(
+            f"the second-order terms scale as kappa**2 = (2 M Omega/gamma)**2, "
+            f"which leaves double range at M = {base.M!r}, "
+            f"Omega/gamma = {base.eta!r}"
+        )
     # (1/M) kappa^2 written as 4 M (Omega/gamma)^2 so M -> 0 stays finite
     sin_scale = 4.0 * base.M * (base.Omega / base.gamma) ** 2
     rows = []
     for delta in _finite_deltas(deltas).tolist():
         d = 2.0 * delta / base.gamma
+        cube = _pow(1.0 + d * d, 3)
+        if math.isinf(cube):
+            raise RegimeError(
+                f"(1 + Delta**2)**3 leaves double range at delta = {delta!r} "
+                f"rad/s (Delta = 2 delta/gamma = {d!r}); the perturbative "
+                "formula needs |Delta| below about 2.4e51"
+            )
         lorentz = 1.0 / (1.0 + d * d)
-        second = second_scale * (3.0 * d * d - 1.0) / (1.0 + d * d) ** 3
+        second = second_scale * (3.0 * d * d - 1.0) / cube
         h1_cos = kappa * (-2.0 * d) / (1.0 + d * d) ** 2
-        h1_sin = sin_scale * d * (d * d - 3.0) / (1.0 + d * d) ** 3
+        h1_sin = sin_scale * d * (d * d - 3.0) / cube
         rows.append((scale * (lorentz + second), scale * h1_cos, scale * second,
                      scale * h1_sin, 0.0))
     table = np.array(rows, dtype=float).reshape(-1, 5)
+    _refuse_non_finite(base, table)
     return table[:, 0], table[:, 1:3], table[:, 3:]
 
 
@@ -525,7 +557,8 @@ def time_domain_oracle(
     and at least 2 (auto_sideband_order(mod) + n_harmonics).  The power's
     harmonics end at twice the sideband reach, so none of them aliases
     onto a projected one; the reach comes from the Bessel envelope of
-    truncation_bound, not from a Bessel value.
+    truncation_bound, not from a Bessel value.  A harmonic that leaves
+    double range raises RegimeError naming the force.
     """
     if mod.fundamental != p.Omega:
         raise ValueError("modulation fundamental must equal p.Omega")
@@ -621,4 +654,5 @@ def time_domain_oracle(
     for h in range(1, n_harmonics + 1):
         cos_amps.append(float(2.0 * np.mean(power * np.cos(h * wt))))
         sin_amps.append(float(2.0 * np.mean(power * np.sin(h * wt))))
+    _refuse_non_finite(p, [dc, *cos_amps, *sin_amps])
     return HarmonicDecomposition(dc, tuple(cos_amps), tuple(sin_amps))

@@ -614,6 +614,27 @@ class TestLineshapeCommand:
         assert "force = 1e+200" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (["--M", "1", "--Omega", "0.1", "--delta", "1e110"], ["delta = 1e+110"]),
+            (["--M", "1e200", "--Omega", "1"], ["M = 1e+200", "Omega/gamma = 1.0"]),
+        ],
+        ids=["huge-detuning", "huge-index"],
+    )
+    def test_perturbative_overflow_names_the_parameter(self, tmp_path, capsys, argv, names):
+        # (1 + Delta**2)**3 and kappa**2 overflow in Python's pow, whose
+        # message names no parameter
+        out = tmp_path / "p.csv"
+        code = run("lineshape", "--method", "perturbative", *argv, "--output", str(out))
+        assert code == 3
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1
+        assert all(name in errors[0] for name in names)
+        assert "out of range" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("delta", ["1e12", "1e300"])
     def test_oracle_past_its_point_cap_is_regime_error(self, tmp_path, capsys, delta):
         out = tmp_path / "o.csv"

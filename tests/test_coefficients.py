@@ -5,6 +5,7 @@ forms; everything is exact integer equality in u = y/2, zero tolerance.
 """
 
 import json
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from besselrules import coefficients
 from besselrules.bessel_core import bessel_j_row, truncation_bound
 from besselrules.coefficients import (
     CoeffTable,
@@ -25,6 +27,28 @@ from besselrules.coefficients import (
 def poly(*terms: tuple[int, int, int]) -> DyadicPoly:
     """Build a polynomial from (power, num, exp2) triples, num/2^exp2 y^power."""
     return DyadicPoly({p: num << (p - e) for p, num, e in terms})
+
+
+def two_sided_table(k_max: int) -> dict[tuple[int, int], DyadicPoly]:
+    """Every nonzero D[k, n], k <= k_max, by the recursion on both signs of n.
+
+    D[k+1, n] = n D[k, n] + (y/2) (D[k, n+1] + D[k, n-1]) over sparse
+    dicts, for every n in [-(k+1), k+1]: it uses no mirror symmetry, so it
+    checks the half-lattice build of build_coeff_table.
+    """
+    entries = {(0, 0): DyadicPoly.one()}
+    for k in range(k_max):
+        for n in range(-(k + 1), k + 2):
+            acc: dict[int, int] = {}
+            for source, weight, shift in ((n, n, 0), (n + 1, 1, 1), (n - 1, 1, 1)):
+                prev = entries.get((k, source))
+                if prev is not None:
+                    for m, c in prev.coeffs.items():
+                        acc[m + shift] = acc.get(m + shift, 0) + weight * c
+            entry = DyadicPoly(acc)
+            if not entry.is_zero():
+                entries[(k + 1, n)] = entry
+    return entries
 
 
 # The full low-order table, entered by hand and pinned exactly; omitted
@@ -108,6 +132,27 @@ class TestDyadicPoly:
         ]
         assert list(DyadicPoly().terms()) == []
 
+    @given(
+        coeffs=st.dictionaries(
+            st.integers(0, 80), st.integers(-(2**200), 2**200), max_size=12
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_terms_match_the_fraction_reduction(self, coeffs):
+        # c (y/2)^m = Fraction(c, 2^m) y^m, which Fraction reduces to
+        # num / 2^exp2 with num odd unless exp2 == 0
+        want = []
+        for power, c in sorted(coeffs.items()):
+            if c:
+                value = Fraction(c, 2**power)
+                exp2 = value.denominator.bit_length() - 1
+                assert value.denominator == 2**exp2
+                want.append((power, value.numerator, exp2))
+        got = DyadicPoly(coeffs).terms()
+        assert isinstance(got, list)
+        assert got == want
+        assert all(exp2 == 0 or num % 2 == 1 for _, num, exp2 in got)
+
     def test_json_round_trip_exact(self):
         p = poly((9, 12345678901234567890, 9), (1, -3, 1))
         assert DyadicPoly.from_json_obj(p.to_json_obj()) == p
@@ -166,6 +211,14 @@ class TestBuildCoeffTable:
                 sign = (-1) ** ((k + n) % 2)
                 mirrored = {p: sign * c for p, c in table.entry(k, n).coeffs.items()}
                 assert table.entry(k, -n).coeffs == mirrored
+
+    @pytest.mark.parametrize("k_max", [0, 1, 2, 7, 64])
+    def test_half_lattice_matches_two_sided_recursion(self, k_max):
+        want = two_sided_table(k_max)
+        got = build_coeff_table(k_max).entries
+        assert set(got) == set(want)
+        for key, entry in want.items():
+            assert got[key] == entry, key
 
     def test_json_round_trip(self):
         table = build_coeff_table(6)
@@ -315,6 +368,20 @@ class TestFaaDiBruno:
         with pytest.raises(ValueError):
             coeff_faa_di_bruno(2, 3)
 
+
+    def test_expansion_counts_match_the_binomial_sum(self):
+        # the count of a sin and b cos factors towards n = a + b - 2 half,
+        # shared by every row of the closed form
+        for a in range(31):
+            for b in range(31 - a):
+                want = tuple(
+                    sum(
+                        (-1) ** r * math.comb(a, r) * math.comb(b, half - r)
+                        for r in range(max(0, half - b), min(a, half) + 1)
+                    )
+                    for half in range(a + b + 1)
+                )
+                assert coefficients._expansion_counts(a, b) == want, (a, b)
 
     def test_row_entries_are_fresh_and_odd_k_centre_is_zero(self):
         first = coeff_faa_di_bruno(4, 2)

@@ -305,6 +305,46 @@ class TestGeometricExpansion:
         with pytest.warns(PerturbativeDomainWarning):
             a_s_geometric(1, 2.0, 1.0, 0.5, 3)
 
+    @given(
+        s=st.integers(-4, 4),
+        M=st.floats(0.0, 5.0),
+        gamma=st.floats(0.2, 5.0),
+        share=st.floats(0.0, 1.0),
+        order=st.integers(0, 20),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_error_within_its_truncation_bound(self, s, M, gamma, share, order):
+        # 1/(1 + i n eta) = sum_{k <= K} (-i n eta)^k + (-i n eta)^{K+1}/(1 + i n eta),
+        # so the error of order K is (1/gamma) sum_n J_n J_{n-s}
+        # (-i n eta)^{K+1} / (1 + i n eta), at most the absolute sum below
+        n_max = max(1, math.ceil(2.0 * M))
+        eta = 1e-4 + share * (min(0.5, 0.999 / (2 * n_max)) - 1e-4)
+        Omega = eta * gamma
+        assume(perturbative_validity(M, gamma, Omega))
+        got = a_s_geometric(s, M, gamma, Omega, order)
+        eta = Omega / gamma
+        with mp.workdps(40):
+            j = {n: mp.besselj(n, M) for n in range(-74, 75)}
+            ref = mp.mpc(0)
+            tail = mp.mpf(0)
+            for n in range(-70, 71):
+                product = j[n] * j[n - s]
+                # mpc(gamma, n Omega) in mpmath: a Python complex would round
+                # each term by 1e-16, far more than some of these bounds
+                n_omega = n * mp.mpf(Omega)
+                ref += product / mp.mpc(gamma, n_omega)
+                tail += abs(product) * abs(n_omega / gamma) ** (order + 1)
+            size = sum(
+                abs(c) * eta**k for k, c in enumerate(a_s_eta_coefficients(s, M, order))
+            )
+            # the float sum rounds relative to its size until its terms reach
+            # the subnormal range, where each rounding costs up to 2^-1075,
+            # and so does the division by gamma
+            tiny = mp.mpf(2) ** -1074
+            rounding = 8 * 2.0**-52 * size + (order + 1) ** 2 * tiny
+            bound = tail / gamma * (1 + mp.mpf("1e-9")) + rounding / gamma + tiny
+            assert abs(mp.mpc(got) - ref) <= bound
+
 
 class TestModulatedPowerExact:
     def test_unmodulated_reduces_to_lorentzian(self):
@@ -370,6 +410,12 @@ class TestModulatedPowerExact:
         assert f"reach {200.0 - 100.0 - n_max * 2.0:.3e} <= 0" in str(err.value)
 
 
+    def test_sweep_refuses_non_finite_power(self):
+        # force**2 leaves double range: dc = inf and the harmonics +-inf
+        with pytest.raises(RegimeError, match=r"force = 1e\+200: .* gamma = 1.0"):
+            modulated_power_exact_sweep(params(M=1.0, Omega=0.1, force=1e200), [0.0], 2)
+
+
 class TestModulatedPowerPerturbative:
     def test_on_resonance_structure(self):
         p = params(delta=0.0, Omega=0.03, M=0.5)
@@ -432,6 +478,13 @@ class TestModulatedPowerPerturbative:
         # a detuning that overflowed is refused, as by OscillatorParams
         with pytest.raises(ValueError, match="delta must be finite"):
             modulated_power_perturbative_sweep(params(), [0.0, -math.inf])
+
+
+    def test_sweep_refuses_non_finite_power(self):
+        with pytest.raises(RegimeError, match=r"force = 1e\+200: .* gamma = 1.0"):
+            modulated_power_perturbative_sweep(
+                params(M=0.1, Omega=0.1, force=1e200), [0.0, 1.0]
+            )
 
 
 class TestHarmonicDecomposition:
@@ -535,6 +588,13 @@ class TestTimeDomainOracle:
             mod = GeneralModulation.two_tone(y1, y2, p.Omega)
             want = sideband_harmonics(p, g, n_max, 3)
             assert self.largest_error(p, mod, want) <= 1e-9
+
+    def test_refuses_non_finite_power(self):
+        p = params(M=1.0, Omega=0.1, force=1e200)
+        with np.errstate(all="ignore"), pytest.raises(
+            RegimeError, match=r"force = 1e\+200: .* gamma = 1.0"
+        ):
+            time_domain_oracle(p, GeneralModulation.sinusoidal(p.M, p.Omega))
 
     def test_node_cap_raises_oracle_error(self, monkeypatch):
         monkeypatch.setattr(modulation_spectroscopy, "_ORACLE_MAX_NODES", 8)
