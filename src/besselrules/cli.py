@@ -142,16 +142,15 @@ def cmd_coeffs(args) -> int:
         if args.stamp:
             trailing["stamp"] = _utc_stamp()
         with open(args.output, "w") as fh:
-            fh.write(table.to_json_text(**trailing))
+            fh.writelines(table.json_chunks(**trailing))
     else:
         # no field needs quoting, so each row is the line csv.writer writes
-        lines = ["k,n,power,num,exp2,dual_path\n"]
-        for (k, n), poly in sorted(table.entries.items()):
-            flag = "mismatch" if (k, n) in mismatches else unflagged
-            row = "%d,%d,%%d,%%d,%%d,%s\n" % (k, n, flag)
-            lines += [row % term for term in poly.terms()]
         with open(args.output, "w", newline="") as fh:
-            fh.write("".join(lines))
+            fh.write("k,n,power,num,exp2,dual_path\n")
+            for (k, n), poly in sorted(table.entries.items()):
+                flag = "mismatch" if (k, n) in mismatches else unflagged
+                row = "%d,%d,%%d,%%d,%%d,%s\n" % (k, n, flag)
+                fh.write("".join([row % term for term in poly.terms()]))
     return EXIT_VERIFICATION if mismatches else EXIT_OK
 
 
@@ -419,9 +418,7 @@ def cmd_lineshape(args) -> int:
     else:
         deltas = [2.0 * args.delta / args.gamma]
 
-    # each method refuses every non-finite value numpy would warn about
-    with np.errstate(all="ignore"):
-        rows = _lineshape_rows(base, deltas, args.method, args.harmonics)
+    rows = _lineshape_rows(base, deltas, args.method, args.harmonics)
 
     header = ["delta", "dc"]
     for h in range(1, args.harmonics + 1):

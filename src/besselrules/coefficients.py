@@ -19,10 +19,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterator, Mapping
 
 __all__ = [
     "DyadicPoly",
@@ -63,15 +62,6 @@ class DyadicPoly:
     def one(cls) -> "DyadicPoly":
         return cls({0: 1})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self) -> int:
-        return max(self.coeffs) if self.coeffs else -1
-
-    def min_power(self) -> int:
-        return min(self.coeffs) if self.coeffs else -1
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, DyadicPoly):
             return NotImplemented
@@ -90,10 +80,6 @@ class DyadicPoly:
             acc += float(self.coeffs[power])
             prev_power = power
         return acc * u**prev_power if prev_power else acc
-
-    def evaluate_exact(self, y: Fraction) -> Fraction:
-        u = Fraction(y) / 2
-        return sum((c * u**power for power, c in self.coeffs.items()), Fraction(0))
 
     def _read_only(self) -> "DyadicPoly":
         """This polynomial if its coefficients are read-only, else such a copy."""
@@ -129,19 +115,6 @@ class DyadicPoly:
             {"power": power, "num": str(num), "exp2": exp2}
             for power, num, exp2 in self.terms()
         ]
-
-    @classmethod
-    def from_json_obj(cls, obj: list[dict]) -> "DyadicPoly":
-        coeffs = {}
-        for t in obj:
-            power, num, exp2 = int(t["power"]), int(t["num"]), int(t["exp2"])
-            if not 0 <= exp2 <= power:
-                raise ValueError(
-                    f"term {num}/2^{exp2} y^{power} is not an integer multiple "
-                    f"of (y/2)^{power}"
-                )
-            coeffs[power] = num << (power - exp2)
-        return cls(coeffs)
 
 
 # one term of a "poly" list and one item of "entries", as json.dumps(indent=2)
@@ -188,34 +161,34 @@ class CoeffTable:
         return {"k_max": self.k_max, "entries": items}
 
     def to_json_text(self, **trailing: object) -> str:
-        """json.dumps(self.to_json_obj() | trailing, indent=2) + newline, to the byte.
+        """json.dumps(self.to_json_obj() | trailing, indent=2) + newline, to the byte."""
+        return "".join(self.json_chunks(**trailing))
 
-        The schema is fixed, so each term and entry is one format template
-        and the document is one join; CPython's indented encoder is pure
-        Python and takes about four times as long.  The trailing top-level
-        fields follow "entries" in order, each encoded by json.dumps.
+    def json_chunks(self, **trailing: object) -> Iterator[str]:
+        """to_json_text in pieces: the head, one per entry, then the tail.
+
+        The schema is fixed, so each term and entry is one format template;
+        CPython's indented encoder is pure Python and takes about four times
+        as long.  A writer takes one entry at a time, so the document is
+        never held whole.  The trailing top-level fields follow "entries" in
+        order, each encoded by json.dumps.
         """
-        entries = []
-        for (k, n), poly in sorted(self.entries.items()):
-            terms = [_JSON_TERM % term for term in poly.terms()]
-            entries.append(_JSON_ENTRY % (k, n, _json_list(terms, "      ")))
         # a nested value lies one level deep, so its own lines indent by two more
-        fields = "".join(
+        tail = "".join(
             ",\n  %s: %s"
             % (json.dumps(key), json.dumps(value, indent=2).replace("\n", "\n  "))
             for key, value in trailing.items()
-        )
-        return '{\n  "k_max": %d,\n  "entries": %s%s\n}\n' % (
-            self.k_max, _json_list(entries, "  "), fields
-        )
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "CoeffTable":
-        entries = {
-            (int(e["k"]), int(e["n"])): DyadicPoly.from_json_obj(e["poly"])
-            for e in obj["entries"]
-        }
-        return cls(k_max=int(obj["k_max"]), entries=entries)
+        ) + "\n}\n"
+        head = '{\n  "k_max": %d,\n  "entries": ' % self.k_max
+        if not self.entries:
+            yield head + "[]" + tail
+            return
+        separator = head + "[\n"
+        for (k, n), poly in sorted(self.entries.items()):
+            terms = [_JSON_TERM % term for term in poly.terms()]
+            yield separator + _JSON_ENTRY % (k, n, _json_list(terms, "      "))
+            separator = ",\n"
+        yield "\n  ]" + tail
 
 
 def _frozen(coeffs: dict[int, int]) -> DyadicPoly:

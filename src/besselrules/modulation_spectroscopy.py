@@ -144,11 +144,6 @@ class OscillatorParams:
         return self.Omega / self.gamma
 
     @property
-    def epsilon(self) -> float:
-        """Magnitude of the geometric-expansion parameter |2 Omega/gamma / (1 + i Delta)|."""
-        return abs(2.0 * self.Omega / self.gamma / complex(1.0, self.Delta))
-
-    @property
     def perturbative_valid(self) -> bool:
         return perturbative_validity(self.M, self.gamma, self.Omega)
 
@@ -172,13 +167,6 @@ class HarmonicDecomposition:
     @property
     def n_harmonics(self) -> int:
         return len(self.cos_amps)
-
-    def reconstruct(self, Omega: float, t: float | np.ndarray) -> float | np.ndarray:
-        wt = Omega * np.asarray(t, dtype=float)
-        total = np.full_like(wt, self.dc)
-        for h, (c, s) in enumerate(zip(self.cos_amps, self.sin_amps), start=1):
-            total += c * np.cos(h * wt) + s * np.sin(h * wt)
-        return total if total.shape else float(total)
 
 
 def _check_M(M: float) -> None:
@@ -386,6 +374,9 @@ def modulated_power_exact(p: OscillatorParams, s_max: int) -> HarmonicDecomposit
     return _first_point(modulated_power_exact_sweep(p, [p.delta], s_max))
 
 
+# numpy's overflow and invalid-value warnings here come with non-finite
+# harmonics, which _refuse_non_finite refuses: a caller sees its RegimeError alone
+@np.errstate(all="ignore")
 def modulated_power_exact_sweep(
     base: OscillatorParams, deltas: Sequence[float], s_max: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -464,8 +455,8 @@ def modulated_power_perturbative_sweep(
     Python floats until the columns are built: numpy's power differs from
     libm's pow in the last bit.  RegimeError names the force when a
     value leaves double range, as in modulated_power_exact_sweep; it names
-    M and Omega/gamma when kappa**2 does, and the detuning when
-    (1 + Delta**2)**3 does.
+    M and Omega/gamma when kappa**2 does, the detuning when
+    (1 + Delta**2)**3 does, and all three when a second-order term does.
     """
     if not base.perturbative_valid:
         warnings.warn(
@@ -498,6 +489,13 @@ def modulated_power_perturbative_sweep(
         second = second_scale * (3.0 * d * d - 1.0) / cube
         h1_cos = kappa * (-2.0 * d) / (1.0 + d * d) ** 2
         h1_sin = sin_scale * d * (d * d - 3.0) / cube
+        if math.isinf(second) or math.isinf(h1_sin):
+            raise RegimeError(
+                f"the second-order terms leave double range at M = {base.M!r}, "
+                f"Omega/gamma = {base.eta!r} and delta = {delta!r} rad/s "
+                f"(Delta = 2 delta/gamma = {d!r}): their numerators scale as "
+                "M**2 (Omega/gamma)**2 Delta**2 and M (Omega/gamma)**2 Delta**3"
+            )
         rows.append((scale * (lorentz + second), scale * h1_cos, scale * second,
                      scale * h1_sin, 0.0))
     table = np.array(rows, dtype=float).reshape(-1, 5)
@@ -519,6 +517,7 @@ def _modal_constants(p: OscillatorParams) -> tuple[complex, complex, complex]:
     return lam1, lam2, p.carrier
 
 
+@np.errstate(all="ignore")  # as for modulated_power_exact_sweep
 def time_domain_oracle(
     p: OscillatorParams,
     mod: GeneralModulation,

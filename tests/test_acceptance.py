@@ -287,12 +287,13 @@ def test_criterion_9_lineshape_consistency():
             omega0=1e6, gamma=1.0, force=1.0,
             delta=0.5 * delta_norm, Omega=0.03, M=0.5,
         )
-        assert p.epsilon <= 0.05
+        epsilon = abs(2.0 * p.eta / complex(1.0, p.Delta))
+        assert epsilon <= 0.05
         exact = modulated_power_exact(p, 2)
         pert = modulated_power_perturbative(p)
         h1_exact = math.hypot(exact.cos_amps[0], exact.sin_amps[0])
         h1_pert = math.hypot(pert.cos_amps[0], pert.sin_amps[0])
-        if abs(h1_pert - h1_exact) > 5.0 * p.epsilon**3 * h1_exact:
+        if abs(h1_pert - h1_exact) > 5.0 * epsilon**3 * h1_exact:
             ok = False
         oracle = time_domain_oracle(
             p,

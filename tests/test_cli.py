@@ -6,6 +6,7 @@ import io
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +73,21 @@ class TestCoeffsCommand:
         ) == 0
         want = coeffs_csv_reference(k_max, lambda k, n: flag)
         assert out.read_bytes() == want.encode()
+
+    def test_writers_do_not_hold_the_file_in_memory(self, tmp_path):
+        # with the table cached, the peak is the writer's own: the whole
+        # k = 64 document would be 5.7 MB as JSON and 2.4 MB as CSV
+        build_coeff_table(64)
+        for fmt in ("json", "csv"):
+            out = tmp_path / f"coeffs.{fmt}"
+            tracemalloc.start()
+            try:
+                code = run("coeffs", "--k-max", "64", "--format", fmt, "--output", str(out))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            assert peak < 2 * 2**20, (fmt, peak)
 
     def test_stamp_is_the_last_field(self, tmp_path):
         out = tmp_path / "coeffs.json"
@@ -619,12 +635,17 @@ class TestLineshapeCommand:
         [
             (["--M", "1", "--Omega", "0.1", "--delta", "1e110"], ["delta = 1e+110"]),
             (["--M", "1e200", "--Omega", "1"], ["M = 1e+200", "Omega/gamma = 1.0"]),
+            (
+                ["--M", "1e150", "--Omega", "1", "--delta", "1e10"],
+                ["M = 1e+150", "Omega/gamma = 1.0", "delta = 10000000000.0"],
+            ),
         ],
-        ids=["huge-detuning", "huge-index"],
+        ids=["huge-detuning", "huge-index", "huge-second-order"],
     )
     def test_perturbative_overflow_names_the_parameter(self, tmp_path, capsys, argv, names):
         # (1 + Delta**2)**3 and kappa**2 overflow in Python's pow, whose
-        # message names no parameter
+        # message names no parameter; the second-order numerator overflows
+        # at a force of 1, which is not to blame
         out = tmp_path / "p.csv"
         code = run("lineshape", "--method", "perturbative", *argv, "--output", str(out))
         assert code == 3
@@ -633,6 +654,7 @@ class TestLineshapeCommand:
         assert len(errors) == 1
         assert all(name in errors[0] for name in names)
         assert "out of range" not in err
+        assert "force" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("delta", ["1e12", "1e300"])

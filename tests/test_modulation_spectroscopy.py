@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -58,6 +59,11 @@ def params(**overrides) -> OscillatorParams:
     return OscillatorParams(**base)
 
 
+def epsilon(p: OscillatorParams) -> float:
+    """The geometric-expansion parameter |2 (Omega/gamma) / (1 + i Delta)|."""
+    return abs(2.0 * p.eta / complex(1.0, p.Delta))
+
+
 def sideband_harmonics(
     p: OscillatorParams, g: dict[int, float], n_max: int, s_max: int
 ) -> HarmonicDecomposition:
@@ -87,7 +93,7 @@ class TestOscillatorParams:
         p = params(delta=0.5, Omega=0.03)
         assert p.Delta == 1.0
         assert p.eta == pytest.approx(0.03)
-        assert p.epsilon == pytest.approx(2.0 * 0.03 / math.sqrt(2.0))
+        assert epsilon(p) == pytest.approx(2.0 * 0.03 / math.sqrt(2.0))
         assert p.carrier == pytest.approx(1e6 + 0.5)
 
     def test_validity_flag(self):
@@ -362,7 +368,7 @@ class TestModulatedPowerExact:
             ex = modulated_power_exact(p, 2)
             pe = modulated_power_perturbative(p)
             scale = 0.5 * p.force**2 / p.gamma
-            band = 5.0 * p.epsilon**3 * scale
+            band = 5.0 * epsilon(p)**3 * scale
             assert abs(ex.cos_amps[0] - pe.cos_amps[0]) < band
             assert abs(ex.sin_amps[0] - pe.sin_amps[0]) < band
             assert abs(ex.dc - pe.dc) < band
@@ -486,14 +492,41 @@ class TestModulatedPowerPerturbative:
                 params(M=0.1, Omega=0.1, force=1e200), [0.0, 1.0]
             )
 
+    @pytest.mark.parametrize(
+        "M, Omega, delta",
+        [(1e150, 1.0, 1e10), (1e-100, 1e150, 5e39)],
+        ids=["second", "h1-sin"],
+    )
+    def test_second_order_overflow_names_M_and_the_detuning(self, M, Omega, delta):
+        # 3 Delta**2 times kappa**2 / 2, or Delta**3 times 4 M (Omega/gamma)**2,
+        # leaves double range while the force and (1 + Delta**2)**3 do not
+        names = rf"M = {M!r}, Omega/gamma = {Omega!r} and delta = {delta!r} rad/s"
+        with pytest.warns(PerturbativeDomainWarning), pytest.raises(
+            RegimeError, match=names.replace("+", r"\+")
+        ):
+            modulated_power_perturbative_sweep(params(M=M, Omega=Omega), [delta])
+
+
+# every path refuses a non-finite power; M = 0 makes the exact sweep's zero
+# harmonics inf * 0 = nan, and the oracle overflows in numpy
+REFUSING_PATHS = {
+    "exact": lambda p: modulated_power_exact_sweep(p, [0.0, 1.0], 2),
+    "perturbative": lambda p: modulated_power_perturbative_sweep(p, [0.0, 1.0]),
+    "oracle": lambda p: time_domain_oracle(p, GeneralModulation.sinusoidal(p.M, p.Omega), 2),
+}
+
+
+@pytest.mark.parametrize("M", [0.0, 1.0])
+@pytest.mark.parametrize("path", REFUSING_PATHS)
+def test_overflow_is_refused_without_numpy_warnings(path, M):
+    p = params(M=M, Omega=0.1, force=1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RegimeError, match=r"force = 1e\+200"):
+            REFUSING_PATHS[path](p)
+
 
 class TestHarmonicDecomposition:
-    def test_reconstruction(self):
-        dec = HarmonicDecomposition(1.0, (0.5, 0.0), (0.0, 0.25))
-        t = np.linspace(0.0, 10.0, 7)
-        want = 1.0 + 0.5 * np.cos(2.0 * t) + 0.25 * np.sin(4.0 * t)
-        assert np.allclose(dec.reconstruct(2.0, t), want)
-
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
             HarmonicDecomposition(0.0, (1.0,), ())
@@ -529,7 +562,7 @@ class TestTimeDomainOracle:
             n_harmonics=2,
         )
         scale = 0.5 * p.force**2 / p.gamma
-        band = 5.0 * p.epsilon**3 * scale
+        band = 5.0 * epsilon(p)**3 * scale
         assert abs(od.dc - pe.dc) < band
         assert abs(od.cos_amps[0] - pe.cos_amps[0]) < band
 
@@ -591,9 +624,7 @@ class TestTimeDomainOracle:
 
     def test_refuses_non_finite_power(self):
         p = params(M=1.0, Omega=0.1, force=1e200)
-        with np.errstate(all="ignore"), pytest.raises(
-            RegimeError, match=r"force = 1e\+200: .* gamma = 1.0"
-        ):
+        with pytest.raises(RegimeError, match=r"force = 1e\+200: .* gamma = 1.0"):
             time_domain_oracle(p, GeneralModulation.sinusoidal(p.M, p.Omega))
 
     def test_node_cap_raises_oracle_error(self, monkeypatch):
