@@ -28,7 +28,7 @@ from besselrules.coefficients import (
     MAX_FAA_DI_BRUNO_K,
     _json_list,
     build_coeff_table,
-    coeff_faa_di_bruno,
+    coeff_stirling_table,
 )
 from besselrules.modulation_spectroscopy import (
     OscillatorParams,
@@ -123,34 +123,25 @@ def _check_tolerance(tolerance: float) -> None:
 def cmd_coeffs(args) -> int:
     table = build_coeff_table(args.k_max)
     dual_checked = args.k_max <= MAX_FAA_DI_BRUNO_K
+    stirling = coeff_stirling_table(args.k_max) if dual_checked else {}
     mismatches = {
         (k, n)
         for k in range(1, args.k_max + 1)
         for n in range(-k, k + 1)
-        if dual_checked and coeff_faa_di_bruno(k, n) != table.entry(k, n)
+        if dual_checked and stirling.get((k, n)) != table.entries.get((k, n))
     }
     unflagged = "ok" if dual_checked else "skipped"
 
     if args.format == "json":
-        trailing = {
-            "dual_path": (
-                "mismatch:" + ";".join(f"({k},{n})" for k, n in sorted(mismatches))
-                if mismatches
-                else unflagged
-            )
-        }
+        flagged = ";".join(f"({k},{n})" for k, n in sorted(mismatches))
+        trailing = {"dual_path": "mismatch:" + flagged if mismatches else unflagged}
         if args.stamp:
             trailing["stamp"] = _utc_stamp()
-        with open(args.output, "w") as fh:
-            fh.writelines(table.json_chunks(**trailing))
+        chunks = table.json_chunks(**trailing)
     else:
-        # no field needs quoting, so each row is the line csv.writer writes
-        with open(args.output, "w", newline="") as fh:
-            fh.write("k,n,power,num,exp2,dual_path\n")
-            for (k, n), poly in sorted(table.entries.items()):
-                flag = "mismatch" if (k, n) in mismatches else unflagged
-                row = "%d,%d,%%d,%%d,%%d,%s\n" % (k, n, flag)
-                fh.write("".join([row % term for term in poly.terms()]))
+        chunks = table.csv_chunks(unflagged, mismatches)
+    with open(args.output, "w", newline="") as fh:
+        fh.writelines(chunks)
     return EXIT_VERIFICATION if mismatches else EXIT_OK
 
 

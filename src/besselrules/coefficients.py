@@ -3,12 +3,12 @@
 The k-th derivative of exp(i y sin(theta)) equals a trigonometric
 polynomial times the function itself; projecting that polynomial onto
 e^{i n theta} yields coefficients that, after dividing out i^k, are real
-polynomials.  This module computes them two independent ways: the
+polynomials.  This module computes them three independent ways: the
 two-term lattice recursion
 
-    D[k+1, n] = n D[k, n] + (y/2) (D[k, n+1] + D[k, n-1]),  D[0, n] = delta(n)
+    D[k+1, n] = n D[k, n] + (y/2) (D[k, n+1] + D[k, n-1]),  D[0, n] = delta(n),
 
-and a closed form built from higher-derivative chain-rule partitions.
+noncentral Stirling numbers, and a closed form over chain-rule partitions.
 The recursion shows D[k, n] = sum_m c[k, n, m] (y/2)^m with integer c,
 so the arithmetic is exact on plain big integers; nothing here ever
 rounds.  Only serialization reduces c / 2^m to the y-basis dyadic form.
@@ -21,12 +21,13 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Container, Iterator, Mapping
 
 __all__ = [
     "DyadicPoly",
     "CoeffTable",
     "build_coeff_table",
+    "coeff_stirling_table",
     "enumerate_derivative_partitions",
     "coeff_faa_di_bruno",
 ]
@@ -45,22 +46,10 @@ class DyadicPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
-        cleaned: dict[int, int] = {}
-        if coeffs:
-            for power, c in coeffs.items():
-                if power < 0:
-                    raise ValueError(f"power must be >= 0, got {power}")
-                if c:
-                    cleaned[power] = c
-        self.coeffs = cleaned
-
-    @classmethod
-    def zero(cls) -> "DyadicPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "DyadicPoly":
-        return cls({0: 1})
+        coeffs = coeffs or {}
+        if any(power < 0 for power in coeffs):
+            raise ValueError(f"power must be >= 0, got {min(coeffs)}")
+        self.coeffs = {power: c for power, c in coeffs.items() if c}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DyadicPoly):
@@ -81,54 +70,45 @@ class DyadicPoly:
             prev_power = power
         return acc * u**prev_power if prev_power else acc
 
-    def _read_only(self) -> "DyadicPoly":
-        """This polynomial if its coefficients are read-only, else such a copy."""
-        if isinstance(self.coeffs, MappingProxyType):
-            return self
-        poly = DyadicPoly.__new__(DyadicPoly)
-        poly.coeffs = MappingProxyType(dict(self.coeffs))
-        return poly
-
     def __repr__(self) -> str:
-        if not self.coeffs:
-            return "DyadicPoly(0)"
-        parts = [f"{self.coeffs[p]}*(y/2)^{p}" for p in sorted(self.coeffs)]
-        return "DyadicPoly(" + " + ".join(parts) + ")"
+        parts = [f"{c}*(y/2)^{p}" for p, c in sorted(self.coeffs.items())]
+        return "DyadicPoly(%s)" % (" + ".join(parts) or "0")
 
     def terms(self) -> list[tuple[int, int, int]]:
-        """(power, num, exp2) per term (num / 2^exp2) y^power, by power.
-
-        num is odd unless exp2 == 0: c (y/2)^m is reduced to the canonical
-        dyadic pair here and nowhere else.
-        """
-        out = []
-        for power, c in sorted(self.coeffs.items()):
-            tz = (c & -c).bit_length() - 1  # trailing zero bits of c
-            if tz > power:
-                tz = power
-            out.append((power, c >> tz, power - tz))
-        return out
+        """(power, num, exp2) per term (num / 2^exp2) y^power, by power."""
+        flat = _flat_terms(self.coeffs)
+        return list(zip(flat[::3], flat[1::3], flat[2::3]))
 
     def to_json_obj(self) -> list[dict]:
         """Terms as (num / 2^exp2) y^power with num odd unless exp2 == 0."""
-        return [
-            {"power": power, "num": str(num), "exp2": exp2}
-            for power, num, exp2 in self.terms()
-        ]
+        return [{"power": p, "num": str(num), "exp2": e} for p, num, e in self.terms()]
 
 
-# one term of a "poly" list and one item of "entries", as json.dumps(indent=2)
-# lays them out at their depth in the table document
-_JSON_TERM = (
-    '        {\n          "power": %d,\n          "num": "%d",\n'
-    '          "exp2": %d\n        }'
-)
-_JSON_ENTRY = '    {\n      "k": %d,\n      "n": %d,\n      "poly": %s\n    }'
+def _flat_terms(coeffs: Mapping[int, int]) -> tuple[int, ...]:
+    """(power, num, exp2, ...) per term c (y/2)^m = (num / 2^exp2) y^m, by power, with
+    num odd unless exp2 == 0: c / 2^m is reduced here and nowhere else."""
+    flat: list[int] = []
+    for power, c in sorted(coeffs.items()):
+        tz = (c & -c).bit_length() - 1  # trailing zero bits of c
+        if tz > power:
+            tz = power
+        flat += power, c >> tz, power - tz
+    return tuple(flat)
 
 
 def _json_list(items: list[str], indent: str) -> str:
     """A JSON list of laid-out items whose closing bracket sits at indent."""
     return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
+
+
+@lru_cache(maxsize=None)
+def _json_entry(terms: int) -> str:
+    """The template of an "entries" item, filled with k, n and the flat terms, as
+    json.dumps(indent=2) lays it out at its depth in the table document."""
+    term = ('        {\n          "power": %d,\n          "num": "%d",\n'
+            '          "exp2": %d\n        }')
+    poly = _json_list([term] * terms, "      ")
+    return '    {\n      "k": %%d,\n      "n": %%d,\n      "poly": %s\n    }' % poly
 
 
 @dataclass(frozen=True)
@@ -146,32 +126,43 @@ class CoeffTable:
     def __post_init__(self):
         # build_coeff_table hands one cached table to every caller, so
         # neither the entry map nor a polynomial may change in place
-        frozen = {key: poly._read_only() for key, poly in self.entries.items()}
+        frozen = {
+            key: poly if isinstance(poly.coeffs, MappingProxyType) else _frozen(dict(poly.coeffs))
+            for key, poly in self.entries.items()
+        }
         object.__setattr__(self, "entries", MappingProxyType(frozen))
 
     def entry(self, k: int, n: int) -> DyadicPoly:
         if not (0 <= k <= self.k_max):
             raise ValueError(f"k must lie in [0, {self.k_max}], got {k}")
-        return self.entries.get((k, n), DyadicPoly.zero())
+        return self.entries.get((k, n), DyadicPoly())
 
     def to_json_obj(self) -> dict:
-        items = []
-        for (k, n) in sorted(self.entries):
-            items.append({"k": k, "n": n, "poly": self.entries[(k, n)].to_json_obj()})
+        entries = sorted(self.entries.items())
+        items = [{"k": k, "n": n, "poly": poly.to_json_obj()} for (k, n), poly in entries]
         return {"k_max": self.k_max, "entries": items}
 
-    def to_json_text(self, **trailing: object) -> str:
-        """json.dumps(self.to_json_obj() | trailing, indent=2) + newline, to the byte."""
-        return "".join(self.json_chunks(**trailing))
+    def _flat_entries(self) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+        """(k, n, _flat_terms of the entry) by key.  build_coeff_table stores
+        D[k, -n] as the very object D[k, n] when k + n is even, so each row
+        reduces a polynomial object once."""
+        row, seen = None, {}
+        for (k, n), poly in sorted(self.entries.items()):
+            if k != row:
+                row, seen = k, {}
+            flat = seen.get(id(poly))
+            if flat is None:
+                flat = seen[id(poly)] = _flat_terms(poly.coeffs)
+            yield k, n, flat
 
     def json_chunks(self, **trailing: object) -> Iterator[str]:
-        """to_json_text in pieces: the head, one per entry, then the tail.
+        """json.dumps(self.to_json_obj() | trailing, indent=2) + newline, to the
+        byte, in pieces: the head, one per entry, then the tail.
 
-        The schema is fixed, so each term and entry is one format template;
-        CPython's indented encoder is pure Python and takes about four times
-        as long.  A writer takes one entry at a time, so the document is
-        never held whole.  The trailing top-level fields follow "entries" in
-        order, each encoded by json.dumps.
+        Each entry fills one template (CPython's indented encoder is pure
+        Python and takes about four times as long), and a writer takes one
+        at a time, so the document is never held whole.  The trailing fields
+        follow "entries" in order, each encoded by json.dumps.
         """
         # a nested value lies one level deep, so its own lines indent by two more
         tail = "".join(
@@ -184,11 +175,18 @@ class CoeffTable:
             yield head + "[]" + tail
             return
         separator = head + "[\n"
-        for (k, n), poly in sorted(self.entries.items()):
-            terms = [_JSON_TERM % term for term in poly.terms()]
-            yield separator + _JSON_ENTRY % (k, n, _json_list(terms, "      "))
+        for k, n, flat in self._flat_entries():
+            yield separator + _json_entry(len(flat) // 3) % (k, n, *flat)
             separator = ",\n"
         yield "\n  ]" + tail
+
+    def csv_chunks(self, dual_path: str, mismatches: Container = ()) -> Iterator[str]:
+        """The header, then one chunk per entry, as csv.writer writes them: a row
+        k,n,power,num,exp2,dual_path per term, "mismatch" for a key in mismatches."""
+        yield "k,n,power,num,exp2,dual_path\n"
+        for k, n, flat in self._flat_entries():
+            flag = "mismatch" if (k, n) in mismatches else dual_path
+            yield ("%d,%d,%%d,%%d,%%d,%s\n" % (k, n, flag) * (len(flat) // 3)) % flat
 
 
 def _frozen(coeffs: dict[int, int]) -> DyadicPoly:
@@ -237,6 +235,30 @@ def build_coeff_table(k_max: int) -> CoeffTable:
             if poly.coeffs:
                 entries[(k, n)] = poly
     return CoeffTable(k_max=k_max, entries=entries)
+
+
+def coeff_stirling_table(k_max: int) -> dict[tuple[int, int], DyadicPoly]:
+    """Every nonzero D[k, n] with 1 <= k <= k_max by noncentral Stirling numbers.
+
+    Row k holds the z^n coefficients of e^{-f} (z d/dz)^k e^f, z = e^{i theta} and
+    f = (y/2)(z - 1/z), so c[k, n, m] = C(m, Q) T_Q(k, m) at Q = (m - n)/2, with
+    T_Q(0, 0) = 1 and T_Q(k+1, m) = (m - Q) T_Q(k, m) + T_Q(k, m-1) (Koutras 1982,
+    Broder 1984).  This runs over (k, m) at fixed Q, sharing no step with the
+    lattice recursion; negative n come from Q > m/2, not from the mirror.
+    """
+    if not (0 <= k_max <= MAX_RECURSION_K):
+        raise ValueError(f"k_max must lie in [0, {MAX_RECURSION_K}], got {k_max}")
+    rows: dict[tuple[int, int], dict[int, int]] = {}
+    for q in range(k_max + 1):
+        t = [1] + [0] * k_max  # T_Q(k, m) over m, updated in place per k
+        for k in range(1, k_max + 1):
+            for m in range(k, 0, -1):
+                t[m] = (m - q) * t[m] + t[m - 1]
+            t[0] *= -q
+            for m in range(q, k + 1):  # C(m, Q) vanishes below m = Q
+                if t[m]:
+                    rows.setdefault((k, m - 2 * q), {})[m] = math.comb(m, q) * t[m]
+    return {key: _frozen(coeffs) for key, coeffs in rows.items()}
 
 
 def enumerate_derivative_partitions(k: int) -> list[tuple[int, ...]]:

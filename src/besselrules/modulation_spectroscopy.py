@@ -24,6 +24,7 @@ import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -86,6 +87,8 @@ _ORACLE_RTOL = 1e-10
 # fractional sub-step count under it still fits once rounded up.  Peak
 # memory is about 70 bytes per point (0.34 GB at 5.0 million points)
 _ORACLE_MAX_POINTS = 1 << 23
+# Gauss-Legendre nodes and weights on [-1, 1], computed once per node count
+_gauss_legendre = lru_cache(maxsize=None)(leggauss)
 
 
 class RegimeError(ValueError):
@@ -612,7 +615,7 @@ def time_domain_oracle(
     interval_decay = cmath.exp(kappa1 * step)
 
     def steady_samples(nodes: int) -> np.ndarray:
-        x, w = leggauss(nodes)
+        x, w = _gauss_legendre(nodes)
         # tau[i, l]: node l of sub-step i, measured from the interval start
         tau = (np.arange(m)[:, None] + 0.5 * (x + 1.0)) * hs
         # the sub-steps of one interval, each propagated to its end:

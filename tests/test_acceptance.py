@@ -94,7 +94,7 @@ def test_criterion_1_coefficient_table_fidelity():
     ok = True
     for k in range(5):
         for n in range(-k, k + 1):
-            expected = LISTING.get((k, n), DyadicPoly.zero())
+            expected = LISTING.get((k, n), DyadicPoly())
             if table.entry(k, n) != expected:
                 ok = False
     # the one documented deviation from the printed listing, stated openly:

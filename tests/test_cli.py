@@ -101,12 +101,12 @@ class TestCoeffsCommand:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_forced_mismatch_is_flagged(self, tmp_path, monkeypatch, fmt):
-        real = cli.coeff_faa_di_bruno
+        real = cli.coeff_stirling_table
 
-        def disagree_at_3_1(k, n):
-            return DyadicPoly({0: 7}) if (k, n) == (3, 1) else real(k, n)
+        def disagree_at_3_1(k_max):
+            return real(k_max) | {(3, 1): DyadicPoly({0: 7})}
 
-        monkeypatch.setattr(cli, "coeff_faa_di_bruno", disagree_at_3_1)
+        monkeypatch.setattr(cli, "coeff_stirling_table", disagree_at_3_1)
         out = tmp_path / f"coeffs.{fmt}"
         code = run("coeffs", "--k-max", "5", "--format", fmt, "--output", str(out))
         assert code == 1

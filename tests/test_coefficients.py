@@ -4,6 +4,8 @@ The k <= 4 table is pinned entry by entry against the hand-checked closed
 forms; everything is exact integer equality in u = y/2, zero tolerance.
 """
 
+import csv
+import io
 import json
 import math
 from fractions import Fraction
@@ -20,6 +22,7 @@ from besselrules.coefficients import (
     DyadicPoly,
     build_coeff_table,
     coeff_faa_di_bruno,
+    coeff_stirling_table,
     enumerate_derivative_partitions,
 )
 
@@ -40,6 +43,18 @@ def poly_from_json(obj: list[dict]) -> DyadicPoly:
     return poly(*((int(t["power"]), int(t["num"]), int(t["exp2"])) for t in obj))
 
 
+def csv_reference(table: CoeffTable, dual_path: str, mismatches=()) -> str:
+    """The table as csv.writer writes it, one row per term of each entry."""
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["k", "n", "power", "num", "exp2", "dual_path"])
+    for e in table.to_json_obj()["entries"]:
+        flag = "mismatch" if (e["k"], e["n"]) in mismatches else dual_path
+        for t in e["poly"]:
+            writer.writerow([e["k"], e["n"], t["power"], t["num"], t["exp2"], flag])
+    return fh.getvalue()
+
+
 def two_sided_table(k_max: int) -> dict[tuple[int, int], DyadicPoly]:
     """Every nonzero D[k, n], k <= k_max, by the recursion on both signs of n.
 
@@ -47,7 +62,7 @@ def two_sided_table(k_max: int) -> dict[tuple[int, int], DyadicPoly]:
     dicts, for every n in [-(k+1), k+1]: it uses no mirror symmetry, so it
     checks the half-lattice build of build_coeff_table.
     """
-    entries = {(0, 0): DyadicPoly.one()}
+    entries = {(0, 0): DyadicPoly({0: 1})}
     for k in range(k_max):
         for n in range(-(k + 1), k + 2):
             acc: dict[int, int] = {}
@@ -175,12 +190,12 @@ class TestBuildCoeffTable:
         for k in range(5):
             for n in range(-k, k + 1):
                 assert table.entry(k, n) == PINNED_TABLE.get(
-                    (k, n), DyadicPoly.zero()
+                    (k, n), DyadicPoly()
                 ), f"entry ({k}, {n}) disagrees with the pinned listing"
 
     def test_trivial_table(self):
         table = build_coeff_table(0)
-        assert table.entry(0, 0) == DyadicPoly.one()
+        assert table.entry(0, 0) == DyadicPoly({0: 1})
         assert len(table.entries) == 1
 
     def test_k_max_out_of_range(self):
@@ -239,7 +254,7 @@ class TestBuildCoeffTable:
     def test_json_text_is_the_indented_dump(self, k_max, trailing):
         table = build_coeff_table(k_max)
         want = json.dumps(table.to_json_obj() | trailing, indent=2) + "\n"
-        assert table.to_json_text(**trailing) == want
+        assert "".join(table.json_chunks(**trailing)) == want
 
     def test_json_text_of_empty_parts_and_nested_fields(self):
         # empty lists are written "[]", and a nested trailing value is
@@ -250,7 +265,37 @@ class TestBuildCoeffTable:
             CoeffTable(k_max=1, entries={(1, 1): DyadicPoly()}),
         ):
             want = json.dumps(table.to_json_obj() | trailing, indent=2) + "\n"
-            assert table.to_json_text(**trailing) == want
+            assert "".join(table.json_chunks(**trailing)) == want
+
+    def test_writers_reduce_each_object_by_value(self):
+        # the writers reuse the reduction of a polynomial object within a
+        # row; shared, equal-but-distinct and empty entries all read back
+        shared = build_coeff_table(3).entry(3, 1)  # read-only: kept as it is
+        tables = {
+            "one object under two keys of one row": CoeffTable(
+                k_max=3,
+                entries={(3, -3): poly((3, -1, 3)), (3, -1): shared, (3, 1): shared,
+                         (3, 3): poly((3, 1, 3))},
+            ),
+            "a mirror equal in value, distinct object": CoeffTable(
+                k_max=2, entries={(2, -1): poly((1, 1, 1)), (2, 1): poly((1, 1, 1))}
+            ),
+            "one object across two rows": CoeffTable(
+                k_max=4, entries={(3, 1): shared, (4, 0): shared, (4, 2): shared}
+            ),
+            "an empty polynomial": CoeffTable(k_max=1, entries={(1, 1): DyadicPoly()}),
+        }
+        entries = tables["one object under two keys of one row"].entries
+        assert entries[(3, -1)] is entries[(3, 1)]
+        entries = tables["a mirror equal in value, distinct object"].entries
+        assert entries[(2, -1)] == entries[(2, 1)] and entries[(2, -1)] is not entries[(2, 1)]
+        for name, table in tables.items():
+            want = json.dumps(table.to_json_obj() | {"dual_path": "ok"}, indent=2) + "\n"
+            assert "".join(table.json_chunks(dual_path="ok")) == want, name
+            for mismatches in ((), {(3, 1), (4, 0)}):
+                want = csv_reference(table, "ok", mismatches)
+                got = "".join(table.csv_chunks("ok", mismatches))
+                assert got == want, (name, mismatches)
 
     def test_cached_table_cannot_be_changed_in_place(self):
         table = build_coeff_table(4)
@@ -262,14 +307,14 @@ class TestBuildCoeffTable:
             table.entries[(4, 0)] = DyadicPoly()
         with pytest.raises(TypeError):
             del table.entries[(3, 1)]
-        source = {(0, 0): DyadicPoly.one()}
+        source = {(0, 0): DyadicPoly({0: 1})}
         copied = CoeffTable(k_max=0, entries=source)
         source[(0, 0)].coeffs.clear()
-        assert copied.entry(0, 0) == DyadicPoly.one()
+        assert copied.entry(0, 0) == DyadicPoly({0: 1})
         rebuilt = build_coeff_table(4)
         for k in range(5):
             for n in range(-k, k + 1):
-                want = PINNED_TABLE.get((k, n), DyadicPoly.zero())
+                want = PINNED_TABLE.get((k, n), DyadicPoly())
                 assert rebuilt.entry(k, n) == want
 
     def test_reported_discrepancy_at_4_0(self):
@@ -350,6 +395,35 @@ class TestPartitions:
             enumerate_derivative_partitions(0)
         with pytest.raises(ValueError):
             enumerate_derivative_partitions(65)
+
+
+class TestStirling:
+    def test_matches_the_table_at_every_n_through_k64(self):
+        # negative n come from the form itself, so this also checks the mirror
+        table = build_coeff_table(64)
+        got = coeff_stirling_table(64)
+        assert set(got) == {key for key in table.entries if key[0] >= 1}
+        for k in range(1, 65):
+            for n in range(-k, k + 1):
+                assert got.get((k, n), DyadicPoly()) == table.entry(k, n), (k, n)
+
+    def test_matches_the_partition_closed_form_through_k30(self):
+        got = coeff_stirling_table(30)
+        for k in range(1, 31):
+            for n in range(-k, k + 1):
+                assert got.get((k, n), DyadicPoly()) == coeff_faa_di_bruno(k, n), (k, n)
+
+    def test_small_tables(self):
+        assert coeff_stirling_table(0) == {}
+        assert coeff_stirling_table(4) == {
+            key: entry for key, entry in PINNED_TABLE.items() if key[0] >= 1
+        }
+
+    def test_rejects_out_of_range(self):
+        with pytest.raises(ValueError):
+            coeff_stirling_table(-1)
+        with pytest.raises(ValueError):
+            coeff_stirling_table(65)
 
 
 class TestFaaDiBruno:

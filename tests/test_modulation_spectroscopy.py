@@ -638,11 +638,11 @@ class TestTimeDomainOracle:
         self, monkeypatch, delta
     ):
         # 1e12 would ask numpy for terabytes, 1e300 for more elements than
-        # it can count; no Gauss-Legendre rule is built for either
+        # it can count; no Gauss-Legendre rule is asked for either
         def no_nodes(n):
             raise AssertionError("evaluated past the cap")
 
-        monkeypatch.setattr(modulation_spectroscopy, "leggauss", no_nodes)
+        monkeypatch.setattr(modulation_spectroscopy, "_gauss_legendre", no_nodes)
         p = params(M=1.0, Omega=0.1, delta=delta)
         cap = modulation_spectroscopy._ORACLE_MAX_POINTS
         with pytest.raises(OracleError) as err:
@@ -658,9 +658,9 @@ class TestTimeDomainOracle:
         p = params(M=1.0, Omega=0.1, delta=30.0)
         mod = GeneralModulation.sinusoidal(p.M, p.Omega)
         built = []
-        real = modulation_spectroscopy.leggauss
+        real = modulation_spectroscopy._gauss_legendre
         monkeypatch.setattr(
-            modulation_spectroscopy, "leggauss", lambda n: built.append(n) or real(n)
+            modulation_spectroscopy, "_gauss_legendre", lambda n: built.append(n) or real(n)
         )
         time_domain_oracle(p, mod)
         assert built == [8, 16]
