@@ -12,7 +12,7 @@ from the exact sideband decomposition and, independently, from the
 periodic steady state of the oscillator equation in an exactly
 transformed modal frame (the optical carrier is factored out
 analytically, so only the slow envelope is propagated, by exponential
-time differencing with a certified Gauss-Legendre quadrature).  No
+time differencing that integrates the decay factor exactly).  No
 integrator library is needed, so importing this module imports no scipy.
 """
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legvander
 
 from besselrules.bessel_core import (
     _MAX_CHAIN_ERROR,
@@ -75,17 +75,16 @@ SINH_GUARD = 700.0
 # detunings per response matrix in modulated_power_exact_sweep: bounds its
 # memory while keeping each matmul large
 _SWEEP_BLOCK = 64
-# Gauss-Legendre nodes per sub-step in time_domain_oracle: the first
+# Gauss-Legendre nodes per sample step in time_domain_oracle: the first
 # count, and the cap its doubling may not pass
 _ORACLE_NODES = 8
 _ORACLE_MAX_NODES = 128
 # the doubling stops once the samples move by at most this fraction of
 # their largest magnitude
 _ORACLE_RTOL = 1e-10
-# cap on the points at which time_domain_oracle evaluates the drive
-# envelope at once (n_samples * m * nodes); a power of two, so that a
-# fractional sub-step count under it still fits once rounded up.  Peak
-# memory is about 70 bytes per point (0.34 GB at 5.0 million points)
+# cap on the points at which time_domain_oracle evaluates the drive at once
+# (n_samples * nodes; n_samples grows with the sideband reach and the
+# harmonics).  Peak memory is about 70 bytes per point (0.34 GB at 5.0e6)
 _ORACLE_MAX_POINTS = 1 << 23
 # Gauss-Legendre nodes and weights on [-1, 1], computed once per node count
 _gauss_legendre = lru_cache(maxsize=None)(leggauss)
@@ -355,6 +354,18 @@ def _refuse_non_finite(p: OscillatorParams, *harmonics) -> None:
         )
 
 
+def _refuse_non_positive_sidebands(carriers: Sequence[float], n_max: int, Omega: float) -> None:
+    """Raise RegimeError when carrier + n Omega, |n| <= n_max, reaches a frequency <= 0."""
+    lowest = np.asarray(carriers) - n_max * Omega
+    bad = np.flatnonzero(lowest <= 0.0)
+    if bad.size:
+        raise RegimeError(
+            f"sideband frequencies reach {lowest[bad[0]]:.3e} <= 0 within the "
+            f"truncation range |n| <= {n_max}; the oscillator model needs "
+            "positive drive frequencies"
+        )
+
+
 def _first_point(
     columns: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> HarmonicDecomposition:
@@ -397,14 +408,7 @@ def modulated_power_exact_sweep(
     deltas = _finite_deltas(deltas)
     n_max = exact_truncation_order(base.M, s_max)
     carriers = base.omega0 + deltas
-    lowest = carriers + (-n_max) * base.Omega
-    bad = np.flatnonzero(lowest <= 0.0)
-    if bad.size:
-        raise RegimeError(
-            f"sideband frequencies reach {lowest[bad[0]]:.3e} <= 0 within the "
-            f"truncation range |n| <= {n_max}; the oscillator model needs "
-            "positive drive frequencies"
-        )
+    _refuse_non_positive_sidebands(carriers, n_max, base.Omega)
     s = np.arange(-s_max, s_max + 1)
     n, jn, jns = _lagged(_j_symmetric(base.M, n_max + s_max), s, n_max)
     # products[n, s] = J_n J_{n-s}
@@ -416,8 +420,11 @@ def modulated_power_exact_sweep(
     for start in range(0, len(deltas), _SWEEP_BLOCK):
         block = slice(start, start + _SWEEP_BLOCK)
         omega_n = carriers[block, None] + n * base.Omega
+        # omega0^2 - omega_n^2 as -d_n (omega0 + omega_n), d_n = delta + n Omega:
+        # the difference of squares would lose eps omega0 / |d_n|
+        detuned = deltas[block, None] + n * base.Omega
         response = omega_n / (
-            base.omega0**2 - omega_n**2 + 1j * base.gamma * omega_n
+            1j * base.gamma * omega_n - detuned * (base.omega0 + omega_n)
         )
         x = response @ products  # x[:, s_max + s] = X_s
         dc[block] = scale * x[:, s_max].imag
@@ -506,18 +513,67 @@ def modulated_power_perturbative_sweep(
     return table[:, 0], table[:, 1:3], table[:, 3:]
 
 
-def _modal_constants(p: OscillatorParams) -> tuple[complex, complex, complex]:
-    """Homogeneous rates (lambda1, lambda2) and the carrier frequency.
 
-    lambda1 co-rotates with the drive; lambda2 is the counter-rotating
-    root.  gamma < 2 omega0 always holds in the regimes this model serves.
+@lru_cache(maxsize=None)
+def _legendre_of_lagrange(nodes: int) -> np.ndarray:
+    """C[r, l]: the P_r coefficient of the Lagrange polynomial of Gauss-Legendre node l.
+
+    The inverse of the Legendre Vandermonde matrix P_r(x_l), whose condition
+    number is 22 at 128 nodes.  (r + 1/2) w_l P_r(x_l) is C only for exact
+    nodes: leggauss's rounded ones leave it 1.4e-11 off at 128.
     """
-    if p.gamma >= 2.0 * p.omega0:
-        raise RegimeError("overdamped oscillator: gamma >= 2 omega0")
-    omega_d = math.sqrt(p.omega0**2 - 0.25 * p.gamma**2)
-    lam1 = complex(-0.5 * p.gamma, omega_d)
-    lam2 = complex(-0.5 * p.gamma, -omega_d)
-    return lam1, lam2, p.carrier
+    return np.linalg.inv(legvander(leggauss(nodes)[0], nodes - 1))
+
+
+def _decay_weights(z: complex, nodes: int) -> np.ndarray:
+    """W_l = int_0^1 e^{z(1-s)} L_l(s) ds for the Lagrange polynomials L_l of
+    the Gauss-Legendre nodes on [0, 1], Re z <= 0.
+
+    The Legendre moments mu_r = int_0^1 e^{z(1-s)} P_r(2s - 1) ds =
+    (-1)^r e^a i_r(a), a = z/2, obey mu_{r+1} = mu_{r-1} + (2r+1) mu_r / a.
+    Upward from mu_0 = expm1(z)/z and mu_1 their error grows like
+    exp(r^2 |Re a| / |a|^2), so that way is taken only for |a| >= 2 nodes
+    and nodes^2 |Re a| <= |a|^2.  Elsewhere the ratios mu_r / mu_{r-1} come
+    downward from above nodes and |a|, as in bessel_core's Miller chain.
+    """
+    a = 0.5 * z
+    size = abs(a)
+    mu = np.empty(nodes, dtype=complex)
+    mu[0] = complex(np.expm1(z)) / z
+    if size >= 2 * nodes and nodes * nodes * abs(a.real) <= size * size:
+        mu[1] = 2.0 * (mu[0] - 1.0) / z - mu[0]
+        for r in range(1, nodes - 1):
+            mu[r + 1] = mu[r - 1] + (2 * r + 1) / a * mu[r]
+    else:
+        top = max(nodes, math.ceil(size))
+        top += math.ceil(math.sqrt(40.0 * (top + 1))) + 16
+        ratio = 0j
+        for r in range(top, 0, -1):
+            ratio = 1.0 / (ratio - (2 * r + 1) / a)
+            if r < nodes:
+                mu[r] = ratio
+        mu = np.cumprod(mu)
+    return mu @ _legendre_of_lagrange(nodes)
+
+
+def _periodic_samples(kappa: complex, drive: np.ndarray, step: float) -> np.ndarray:
+    """a(k step) for the T-periodic solution of a' = kappa a + d(t), T = len(drive) step.
+
+    drive[k, l] is d at Gauss-Legendre node l of [k step, (k+1) step].  Each
+    step is exact in e^{kappa t}: a_{k+1} = e^{z} a_k + F_k, z = kappa step,
+    F_k = step sum_l W_l(z) drive[k, l].  a(T) = a(0) gives a_0 =
+    sum_k e^{z (K-1-k)} F_k / -expm1(kappa T); expm1 keeps Omega >> gamma.
+    """
+    n_samples, nodes = drive.shape
+    z = kappa * step
+    forcing = step * (drive @ _decay_weights(z, nodes))
+    closure = np.exp(z * np.arange(n_samples - 1, -1, -1))
+    a = np.empty(n_samples, dtype=complex)
+    a[0] = np.dot(closure, forcing) / -complex(np.expm1(z * n_samples))
+    decay = cmath.exp(z)
+    for k in range(n_samples - 1):
+        a[k + 1] = decay * a[k] + forcing[k]
+    return a
 
 
 @np.errstate(all="ignore")  # as for modulated_power_exact_sweep
@@ -528,133 +584,80 @@ def time_domain_oracle(
 ) -> HarmonicDecomposition:
     """Absorbed-power harmonics from the periodic steady state of the oscillator.
 
-    The second-order equation is solved exactly by variation of parameters
-    over its two homogeneous modes; factoring the drive carrier out of the
-    co-rotating mode leaves one slow complex amplitude obeying
-    a' = kappa1 a + d(t), with d T-periodic (T = 2 pi / Omega).  Its steady
-    state is the one T-periodic solution, found without a settling run by
-    exponential time differencing: each of the n_samples intervals of
-    one period is split into m sub-steps of length hs, with m chosen so that
-    (|kappa1| + max|phi'|) hs <= 2, and a_{j+1} = e^{kappa1 hs} a_j + I_j
-    with I_j = int_0^hs e^{kappa1 (hs - tau)} d(t_j + tau) dtau, all I_j from
-    one Gauss-Legendre evaluation; the m sub-steps of an interval are
-    composed into one step between samples.  a(T) = a(0) closes the period:
-    a_0 = sum_j e^{kappa1 hs (K-1-j)} I_j / (-expm1(kappa1 T)) over the
-    K sub-steps, with expm1 so that Omega >> gamma loses no digits.  The
-    node count starts at _ORACLE_NODES and doubles until the samples move
-    by at most _ORACLE_RTOL (1e-10) of their largest magnitude; past
-    _ORACLE_MAX_NODES OracleError is raised.  So is it before the first
-    evaluation, and before each doubling, when the n_samples * m * nodes
-    evaluation points would pass _ORACLE_MAX_POINTS: m grows with the
-    detuning.  No Bessel value is used.
+    Variation of parameters over the homogeneous modes lambda_{1,2} =
+    -gamma/2 +- i omega_d, with the drive carrier factored out, leaves two
+    slow amplitudes a_j' = kappa_j a_j +- f e^{i phi(t)} / (lambda1 -
+    lambda2), kappa_j = lambda_j - i carrier.  _periodic_samples solves
+    both with one exact-exponential step per sample, so the cost does not
+    depend on the detuning; kappa1 takes omega_d - carrier as
+    -(gamma^2/4)/(omega_d + omega0) - delta, which does not cancel.  The
+    node count starts at _ORACLE_NODES and doubles until the velocity
+    samples move by at most _ORACLE_RTOL (1e-10) of their largest
+    magnitude.  OracleError is raised past _ORACLE_MAX_NODES, and before
+    any evaluation whose n_samples * nodes would pass _ORACLE_MAX_POINTS.
+    No J_n is used: the moments of _decay_weights are i_r(kappa step / 2).
 
-    The counter-rotating mode is forced at ~2 omega0 and stays
-    asymptotically slaved to the drive envelope, so its particular
-    solution is accumulated analytically (three derivative orders,
-    accurate to ~(rate/omega0)^3).  The absorbed power then comes from
-    drive times velocity with the optical 2 omega component dropped,
-    exactly what a multi-cycle averaging window leaves.  The steady state
-    repeats every period, so the harmonics are projected from one period
-    of n_samples samples: the smallest power of two that is at least 8
-    and at least 2 (auto_sideband_order(mod) + n_harmonics).  The power's
-    harmonics end at twice the sideband reach, so none of them aliases
-    onto a projected one; the reach comes from the Bessel envelope of
-    truncation_bound, not from a Bessel value.  A harmonic that leaves
-    double range raises RegimeError naming the force.
+    The power is drive times velocity without its optical 2 omega part,
+    as a multi-cycle average leaves it.  It repeats every period, so its
+    harmonics come from one period of n_samples samples: the smallest power
+    of two that is at least 8 and at least 2 (auto_sideband_order(mod) +
+    n_harmonics).  The power's harmonics end at twice the sideband reach,
+    so none aliases onto a projected one; the reach comes from
+    truncation_bound's Bessel envelope, not from a Bessel value.
+
+    Every harmonic lies within 1e-12 f^2/gamma of the exact sideband sum
+    at any detuning; far off resonance this bound is absolute, not
+    relative to the tiny power.  RegimeError is raised, as by
+    modulated_power_exact_sweep, when the sidebands |n| <=
+    auto_sideband_order(mod) reach a frequency <= 0, and when a harmonic
+    leaves double range (naming the force).
     """
     if mod.fundamental != p.Omega:
         raise ValueError("modulation fundamental must equal p.Omega")
-    lam1, lam2, omega = _modal_constants(p)
-    kappa1 = lam1 - 1j * omega
-    kappa2 = lam2 - 1j * omega
-    dlam = lam1 - lam2
-    f = p.force
-
-    def envelope(t: np.ndarray | float) -> np.ndarray | complex:
-        return np.exp(1j * mod.phase(t))
-
-    def counter_mode(t: np.ndarray | float) -> np.ndarray | complex:
-        # Slaved particular solution of the counter-rotating mode:
-        # -(h/k2 + h'/k2^2 + h''/k2^3) with h = -f g / dlam.
-        g = envelope(t)
-        phid = mod.phase(t, 1)
-        phidd = mod.phase(t, 2)
-        h = -f * g / dlam
-        h1 = h * 1j * phid
-        h2 = h * (1j * phidd + (1j * phid) ** 2)
-        return -(h / kappa2 + h1 / kappa2**2 + h2 / kappa2**3)
-
-    period = 2.0 * math.pi / p.Omega
-    n_samples = max(8, 2 * (auto_sideband_order(mod) + n_harmonics))
+    if p.gamma >= 2.0 * p.omega0:
+        raise RegimeError("overdamped oscillator: gamma >= 2 omega0")
+    reach = auto_sideband_order(mod)
+    _refuse_non_positive_sidebands([p.carrier], reach, p.Omega)
+    omega_d = math.sqrt(p.omega0**2 - 0.25 * p.gamma**2)
+    lam1 = complex(-0.5 * p.gamma, omega_d)
+    kappa1 = complex(-0.5 * p.gamma, -0.25 * p.gamma**2 / (omega_d + p.omega0) - p.delta)
+    kappa2 = complex(-0.5 * p.gamma, -(omega_d + p.carrier))
+    n_samples = max(8, 2 * (reach + n_harmonics))
     n_samples = 1 << (n_samples - 1).bit_length()
-    step = period / n_samples
-    # |phi'| <= Omega sum_n |n c_n|
-    rate = abs(kappa1) + p.Omega * sum(
-        abs(n * c) for n, c in mod.fourier_coeffs.items()
-    )
-    # a float until it is known to fit under the cap: at huge detunings
-    # it passes the integer range of numpy, or even that of float
-    m = max(1.0, rate * step / 2.0)
-
-    def refuse_past_cap(nodes: int) -> None:
-        if n_samples * m * nodes > _ORACLE_MAX_POINTS:
-            raise OracleError(
-                f"time-domain oracle at delta = {p.delta:g} rad/s: m = {m:.6g} "
-                f"sub-steps per sample with {nodes} Gauss-Legendre nodes each "
-                f"evaluate the drive at {n_samples * m * nodes:.3g} points, "
-                f"past the cap of {_ORACLE_MAX_POINTS}"
-            )
-
-    refuse_past_cap(_ORACLE_NODES)
-    m = math.ceil(m)
-    hs = step / m
+    step = 2.0 * math.pi / p.Omega / n_samples
     t = np.arange(n_samples) * step
-    # carries the forcing of interval k to the end of the period
-    closure = np.exp(kappa1 * step * np.arange(n_samples - 1, -1, -1))
-    denominator = -complex(np.expm1(kappa1 * period))
-    interval_decay = cmath.exp(kappa1 * step)
 
-    def steady_samples(nodes: int) -> np.ndarray:
-        x, w = _gauss_legendre(nodes)
-        # tau[i, l]: node l of sub-step i, measured from the interval start
-        tau = (np.arange(m)[:, None] + 0.5 * (x + 1.0)) * hs
-        # the sub-steps of one interval, each propagated to its end:
-        # sum_i e^{kappa1 hs (m-1-i)} I_{km+i}, one weight per node
-        weights = (0.5 * hs * w * np.exp(kappa1 * (step - tau))).ravel()
-        forcing = (f / dlam) * (envelope(t[:, None] + tau.ravel()) @ weights)
-        a = np.empty(n_samples, dtype=complex)
-        a[0] = np.dot(closure, forcing) / denominator
-        for k in range(n_samples - 1):
-            a[k + 1] = interval_decay * a[k] + forcing[k]
-        return a
+    def velocity(nodes: int) -> np.ndarray:
+        # lambda1 a_1 + lambda2 a_2, over f / (lambda1 - lambda2)
+        if n_samples * nodes > _ORACLE_MAX_POINTS:
+            raise OracleError(
+                f"time-domain oracle: {n_samples} samples with {nodes} Gauss-Legendre "
+                f"nodes each evaluate the drive at {n_samples * nodes} points, past "
+                f"the cap of {_ORACLE_MAX_POINTS}"
+            )
+        x, _ = _gauss_legendre(nodes)
+        drive = np.exp(1j * mod.phase(t[:, None] + 0.5 * (x + 1.0) * step))
+        return (lam1 * _periodic_samples(kappa1, drive, step)
+                - lam1.conjugate() * _periodic_samples(kappa2, drive, step))
 
     nodes = _ORACLE_NODES
-    a1 = steady_samples(nodes)
-    while True:
+    coarse, v = None, velocity(nodes)
+    while coarse is None or np.max(np.abs(v - coarse)) > _ORACLE_RTOL * np.max(np.abs(v)):
         if 2 * nodes > _ORACLE_MAX_NODES:
             raise OracleError(
-                f"time-domain oracle: {nodes} Gauss-Legendre nodes per sub-step "
-                f"of {hs:.3e} s did not settle to rtol {_ORACLE_RTOL:g}, and doubling "
-                f"them passes the cap of {_ORACLE_MAX_NODES} nodes"
+                f"time-domain oracle: {nodes} Gauss-Legendre nodes per sample step "
+                f"of {step:.3e} s did not settle to rtol {_ORACLE_RTOL:g}, and "
+                f"doubling them passes the cap of {_ORACLE_MAX_NODES} nodes"
             )
-        refuse_past_cap(2 * nodes)
         nodes *= 2
-        finer = steady_samples(nodes)
-        settled = np.max(np.abs(finer - a1)) <= _ORACLE_RTOL * np.max(np.abs(finer))
-        a1 = finer
-        if settled:
-            break
+        coarse, v = v, velocity(nodes)
 
-    a2 = counter_mode(t)
-    velocity_env = lam1 * a1 + lam2 * a2
-    power = 0.5 * np.real(f * envelope(t) * np.conj(velocity_env))
-
-    wt = p.Omega * t
+    velocity_env = p.force / (2j * omega_d) * v
+    power = 0.5 * np.real(p.force * np.exp(1j * mod.phase(t)) * np.conj(velocity_env))
+    # harmonic h of samples at Omega t = 2 pi k / n_samples: rfft bin h
+    spectrum = (2.0 / n_samples) * np.fft.rfft(power)[1 : n_harmonics + 1]
     dc = float(np.mean(power))
-    cos_amps = []
-    sin_amps = []
-    for h in range(1, n_harmonics + 1):
-        cos_amps.append(float(2.0 * np.mean(power * np.cos(h * wt))))
-        sin_amps.append(float(2.0 * np.mean(power * np.sin(h * wt))))
-    _refuse_non_finite(p, [dc, *cos_amps, *sin_amps])
-    return HarmonicDecomposition(dc, tuple(cos_amps), tuple(sin_amps))
+    _refuse_non_finite(p, [dc], spectrum)
+    return HarmonicDecomposition(
+        dc, tuple(spectrum.real.tolist()), tuple((-spectrum.imag).tolist())
+    )

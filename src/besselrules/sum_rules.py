@@ -330,17 +330,12 @@ class GeneralModulation:
     def support(self) -> int:
         return max((abs(n) for n in self.fourier_coeffs), default=0)
 
-    def phase(self, t: float | np.ndarray, order: int = 0) -> float | np.ndarray:
-        """d^order phi/dt^order, from the term-by-term differentiated series.
-
-        Real by construction: the real part of the coefficient sum.
-        """
-        if order < 0:
-            raise ValueError(f"order must be >= 0, got {order}")
+    def phase(self, t: float | np.ndarray) -> float | np.ndarray:
+        """phi(t), real by construction: the real part of the coefficient sum."""
         wt = self.fundamental * np.asarray(t, dtype=float)
         total = np.zeros_like(wt, dtype=complex)
         for n, c in self.fourier_coeffs.items():
-            total += (1j * n * self.fundamental) ** order * c * np.exp(1j * n * wt)
+            total += c * np.exp(1j * n * wt)
         return total.real if total.shape else float(total.real)
 
 

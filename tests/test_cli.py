@@ -658,17 +658,17 @@ class TestLineshapeCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("delta", ["1e12", "1e300"])
-    def test_oracle_past_its_point_cap_is_regime_error(self, tmp_path, capsys, delta):
-        out = tmp_path / "o.csv"
-        code = run(
-            "lineshape", "--M", "1", "--Omega", "0.1", "--delta", delta,
-            "--method", "ode", "--output", str(out),
-        )
-        assert code == 3
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: time-domain oracle at delta = {float(delta):g}")
-        assert "past the cap of" in err
-        assert not out.exists()
+    def test_oracle_far_off_resonance_matches_exact(self, tmp_path, delta):
+        # far off resonance the oracle's 1e-12 f^2/gamma bound is absolute,
+        # not relative to the tiny power
+        flags = ("lineshape", "--M", "1", "--Omega", "0.1", "--delta", delta, "--output")
+        ode_f, exact_f = tmp_path / "o.csv", tmp_path / "e.csv"
+        assert run(*flags, str(ode_f), "--method", "ode") == 0
+        assert run(*flags, str(exact_f), "--method", "exact") == 0
+        (od,), (ex,) = read_csv(ode_f), read_csv(exact_f)
+        assert od.keys() == ex.keys()
+        for name in ex:  # f = gamma = 1
+            assert abs(float(od[name]) - float(ex[name])) <= 1e-12
 
     def test_regime_error_exit_code(self, tmp_path):
         out = tmp_path / "bad.csv"

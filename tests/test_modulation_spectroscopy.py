@@ -74,7 +74,9 @@ def sideband_harmonics(
     """
     n = np.arange(-n_max, n_max + 1)
     omega_n = p.carrier + n * p.Omega
-    response = omega_n / (p.omega0**2 - omega_n**2 + 1j * p.gamma * omega_n)
+    # omega0^2 - omega_n^2 = -d_n (omega0 + omega_n), d_n = delta + n Omega
+    detuned = p.delta + n * p.Omega
+    response = omega_n / (1j * p.gamma * omega_n - detuned * (p.omega0 + omega_n))
     g_n = np.array([g[k] for k in n])
     x = {
         s: complex(np.sum(g_n * np.array([g[k - s] for k in n]) * response))
@@ -110,26 +112,29 @@ class TestOscillatorParams:
             params(Omega=-0.1)
 
 
-def average_power_unmodulated(p: OscillatorParams, omega: float) -> float:
-    """Cycle-averaged absorbed power of an unmodulated drive at omega.
+def average_power_unmodulated(p: OscillatorParams, detuning: float) -> float:
+    """Cycle-averaged absorbed power of an unmodulated drive at omega0 + detuning.
 
     f^2 omega^2 gamma / (2 ((omega^2 - omega0^2)^2 + (omega gamma)^2)): the
     reference that the exact sideband lineshape must reduce to at M = 0.
+    omega^2 - omega0^2 is taken as detuning (omega + omega0), which does
+    not cancel.
     """
+    omega = p.omega0 + detuning
     num = 0.5 * p.force**2 * omega**2 * p.gamma
-    den = (omega**2 - p.omega0**2) ** 2 + (omega * p.gamma) ** 2
+    den = (detuning * (omega + p.omega0)) ** 2 + (omega * p.gamma) ** 2
     return num / den if den else 0.0
 
 
 class TestUnmodulatedPower:
     def test_resonance_value(self):
         p = params()
-        assert average_power_unmodulated(p, p.omega0) == pytest.approx(
+        assert average_power_unmodulated(p, 0.0) == pytest.approx(
             0.5 * p.force**2 / p.gamma
         )
 
     def test_zero_frequency(self):
-        assert average_power_unmodulated(params(), 0.0) == 0.0
+        assert average_power_unmodulated(params(), -1e6) == 0.0
 
     def test_lorentzian_limit(self):
         # near resonance the power approaches the Lorentzian plus an
@@ -137,7 +142,7 @@ class TestUnmodulatedPower:
         p = params(omega0=1e6)
         for delta in (-2.0, -0.5, 0.7, 3.0):
             d = 2.0 * delta / p.gamma
-            got = average_power_unmodulated(p, p.omega0 + delta)
+            got = average_power_unmodulated(p, delta)
             lorentz = 0.5 * p.force**2 / p.gamma / (1.0 + d * d)
             correction = (
                 0.25 * p.force**2 * d**3 / (1.0 + d * d) ** 2 / p.omega0
@@ -356,7 +361,7 @@ class TestModulatedPowerExact:
     def test_unmodulated_reduces_to_lorentzian(self):
         p = params(M=0.0, delta=0.9)
         dec = modulated_power_exact(p, 3)
-        want = average_power_unmodulated(p, p.carrier)
+        want = average_power_unmodulated(p, p.delta)
         assert dec.dc == pytest.approx(want, rel=1e-12)
         assert all(abs(a) < 1e-15 for a in dec.cos_amps + dec.sin_amps)
 
@@ -414,6 +419,32 @@ class TestModulatedPowerExact:
             modulated_power_exact_sweep(base, [0.0, -100.0, -150.0], 2)
         n_max = exact_truncation_order(base.M, 2)
         assert f"reach {200.0 - 100.0 - n_max * 2.0:.3e} <= 0" in str(err.value)
+
+    @pytest.mark.parametrize("omega0", [1e6, 1e9, 1e12])
+    def test_matches_mpmath_far_above_the_linewidth(self, omega0):
+        # omega0^2 - omega_n^2 as a difference of squares would lose
+        # eps omega0 / |delta + n Omega|: 1.3e-9 of dc at 1e9, 3.5e-5 at 1e12
+        p = params(omega0=omega0, M=1.0, Omega=0.1, delta=0.5)
+        s_max = 2
+        got = modulated_power_exact(p, s_max)
+        n_max = exact_truncation_order(p.M, s_max)
+        with mp.workdps(50):
+            j = {n: mp.besselj(n, p.M) for n in range(-n_max - s_max, n_max + s_max + 1)}
+            response = {}
+            for n in range(-n_max, n_max + 1):
+                omega_n = mp.mpf(p.omega0) + mp.mpf(p.delta) + n * mp.mpf(p.Omega)
+                response[n] = omega_n / (
+                    mp.mpf(p.omega0) ** 2 - omega_n**2 + 1j * p.gamma * omega_n
+                )
+            x = {s: mp.fsum(j[n] * j[n - s] * response[n] for n in response)
+                 for s in range(-s_max, s_max + 1)}
+            scale = -0.5 * p.force**2
+            want = [scale * x[0].imag]
+            want += [scale * (x[h].imag + x[-h].imag) for h in range(1, s_max + 1)]
+            want += [scale * (x[h].real - x[-h].real) for h in range(1, s_max + 1)]
+            want = [float(v) for v in want]
+        for a, b in zip((got.dc,) + got.cos_amps + got.sin_amps, want, strict=True):
+            assert abs(a - b) <= 1e-14 * abs(want[0])
 
 
     def test_sweep_refuses_non_finite_power(self):
@@ -633,24 +664,20 @@ class TestTimeDomainOracle:
         with pytest.raises(OracleError, match="cap of 8 nodes"):
             time_domain_oracle(p, GeneralModulation.sinusoidal(p.M, p.Omega), 64)
 
-    @pytest.mark.parametrize("delta", [1e12, 1e300])
-    def test_detuning_past_the_point_cap_is_refused_before_evaluation(
-        self, monkeypatch, delta
-    ):
-        # 1e12 would ask numpy for terabytes, 1e300 for more elements than
-        # it can count; no Gauss-Legendre rule is asked for either
-        def no_nodes(n):
-            raise AssertionError("evaluated past the cap")
-
-        monkeypatch.setattr(modulation_spectroscopy, "_gauss_legendre", no_nodes)
-        p = params(M=1.0, Omega=0.1, delta=delta)
-        cap = modulation_spectroscopy._ORACLE_MAX_POINTS
-        with pytest.raises(OracleError) as err:
+    def test_drive_points_ignore_detuning(self, monkeypatch):
+        # one exact-exponential step per sample at any kappa1 ~ -i delta
+        points = []
+        phase = GeneralModulation.phase
+        monkeypatch.setattr(
+            GeneralModulation, "phase", lambda mod, t: points.append(np.size(t)) or phase(mod, t)
+        )
+        counts = []
+        for delta in (1.0, 1e12):
+            points.clear()
+            p = params(M=1.0, Omega=0.1, delta=delta)
             time_domain_oracle(p, GeneralModulation.sinusoidal(p.M, p.Omega))
-        message = str(err.value)
-        assert f"delta = {delta:g} rad/s" in message
-        assert "m = " in message and "8 Gauss-Legendre nodes" in message
-        assert f"cap of {cap}" in message
+            counts.append(sum(points))
+        assert counts[0] == counts[1] == 128 * (8 + 16 + 1)
 
     def test_node_doubling_past_the_point_cap_is_refused(self, monkeypatch):
         # this detuning settles at 16 nodes; a cap between the points of
@@ -665,10 +692,122 @@ class TestTimeDomainOracle:
         time_domain_oracle(p, mod)
         assert built == [8, 16]
         n_samples = 128  # 2 (auto_sideband_order + 4) rounded up to a power of two
-        rate = abs(complex(-0.5, math.sqrt(1e12 - 0.25) - (1e6 + 30.0))) + 0.1
-        m = math.ceil(rate * (2.0 * math.pi / 0.1 / n_samples) / 2.0)
-        monkeypatch.setattr(modulation_spectroscopy, "_ORACLE_MAX_POINTS", n_samples * m * 12)
+        cap = n_samples * 12
+        monkeypatch.setattr(modulation_spectroscopy, "_ORACLE_MAX_POINTS", cap)
         built.clear()
-        with pytest.raises(OracleError, match=f"m = {m} sub-steps .* 16 Gauss-Legendre"):
+        with pytest.raises(
+            OracleError,
+            match=f"{n_samples} samples with 16 Gauss-Legendre nodes each evaluate "
+            f"the drive at {n_samples * 16} points, past the cap of {cap}",
+        ):
             time_domain_oracle(p, mod)
         assert built == [8]
+
+    def test_sample_count_past_the_point_cap_is_refused_before_evaluation(
+        self, monkeypatch
+    ):
+        # 2 (auto_sideband_order + 2e6) harmonics round up to 2^22 samples,
+        # so 8 nodes each would evaluate the drive at 3.4e7 points
+        def evaluated(*args):
+            raise AssertionError("evaluated past the cap")
+
+        monkeypatch.setattr(modulation_spectroscopy, "_gauss_legendre", evaluated)
+        monkeypatch.setattr(GeneralModulation, "phase", evaluated)
+        p = params(M=1.0, Omega=0.1)
+        cap = modulation_spectroscopy._ORACLE_MAX_POINTS
+        with pytest.raises(
+            OracleError,
+            match=f"{1 << 22} samples with 8 Gauss-Legendre nodes each evaluate "
+            f"the drive at {8 << 22} points, past the cap of {cap}",
+        ):
+            time_domain_oracle(
+                p, GeneralModulation.sinusoidal(p.M, p.Omega), n_harmonics=2_000_000
+            )
+
+    @given(
+        exponent=st.floats(-3.0, 4.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+        M=st.floats(0.0, 20.0),
+        log_Omega=st.floats(-2.0, 0.0),
+        log_gamma=st.floats(-1.0, 1.0),
+        omega0=st.sampled_from([1e6, 1e7, 1e9]),
+    )
+    @settings(max_examples=60, deadline=None)
+    @example(exponent=4.0, sign=1.0, M=1.0, log_Omega=-1.0, log_gamma=0.0, omega0=1e6)
+    def test_agrees_with_exact_at_any_detuning(
+        self, exponent, sign, M, log_Omega, log_gamma, omega0
+    ):
+        # every harmonic within 1e-12 f^2/gamma, and within 1e-9 |dc| for
+        # |delta| <= 100 gamma; the explicit example is the CI's point
+        p = params(omega0=omega0, gamma=10.0**log_gamma, M=M, Omega=10.0**log_Omega,
+                   delta=sign * 10.0**exponent)
+        want = modulated_power_exact(p, 4)
+        got = time_domain_oracle(p, GeneralModulation.sinusoidal(p.M, p.Omega))
+        error = max(abs(a - b) for a, b in zip(
+            (got.dc,) + got.cos_amps + got.sin_amps,
+            (want.dc,) + want.cos_amps + want.sin_amps,
+            strict=True,
+        ))
+        assert error <= 1e-12 * p.force**2 / p.gamma
+        if abs(p.delta) <= 100.0 * p.gamma:
+            assert error <= 1e-9 * abs(want.dc)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        lambda p: modulated_power_exact(p, 4),
+        lambda p: time_domain_oracle(p, GeneralModulation.sinusoidal(p.M, p.Omega)),
+    ],
+    ids=["exact", "oracle"],
+)
+def test_non_positive_sideband_frequency_is_refused(path):
+    # the carrier sits at -1e6 rad/s, outside the oscillator model
+    p = params(M=1.0, Omega=0.1, delta=-2e6)
+    with pytest.raises(RegimeError, match=r"sideband frequencies reach -1\.000e\+06 <= 0"):
+        path(p)
+
+
+def decay_moments_mpmath(z: complex, count: int) -> list:
+    """mu_r = int_0^1 e^{z (1-s)} P_r(2s - 1) ds, r < count, at 40 digits, Re z <= 0.
+
+    mu_r = e^{z/2} i_r(-z/2) with i_r(w) = sqrt(pi / (2w)) I_{r+1/2}(w);
+    -z/2 lies in the right half-plane, off the branch cut.  The two top
+    orders come from besseli and the rest by the downward recurrence
+    mu_{r-1} = mu_{r+1} - (2r+1)(2/z) mu_r, stable for this minimal solution.
+    """
+    with mp.workdps(40):
+        zz = mp.mpc(z.real, z.imag)
+        w = -zz / 2
+        factor = mp.exp(zz / 2) * mp.sqrt(mp.pi / (2 * w))
+        mu = [mp.mpc(0)] * count
+        for r in (count - 1, count - 2):
+            mu[r] = factor * mp.besseli(r + mp.mpf(0.5), w)
+        for r in range(count - 2, 0, -1):
+            mu[r - 1] = mu[r + 1] - (2 * r + 1) * (2 / zz) * mu[r]
+        return [complex(m) for m in mu]
+
+
+@pytest.mark.parametrize("nodes", [8, 16, 32, 64, 128])
+def test_lagrange_coefficients_interpolate_at_the_nodes(nodes):
+    x, _ = np.polynomial.legendre.leggauss(nodes)
+    lagrange = np.polynomial.legendre.legvander(x, nodes - 1) @ (
+        modulation_spectroscopy._legendre_of_lagrange(nodes)
+    )
+    assert np.max(np.abs(lagrange - np.eye(nodes))) <= 1e-14
+
+
+def test_decay_weights_match_mpmath():
+    # arg z in [pi/2, pi] covers Re z <= 0, since W(conj z) = conj W(z);
+    # switching upward at |z/2| >= nodes lost every digit at 128 nodes
+    # and z = -316
+    magnitudes = 10.0 ** np.arange(-8.0, 7.5, 0.5)
+    angles = np.linspace(0.5, 1.0, 5) * np.pi
+    worst = 0.0
+    for z in (m * complex(math.cos(a), math.sin(a)) for m in magnitudes for a in angles):
+        mu = np.array(decay_moments_mpmath(z, 128))
+        for nodes in (8, 16, 32, 64, 128):
+            want = mu[:nodes] @ modulation_spectroscopy._legendre_of_lagrange(nodes)
+            got = modulation_spectroscopy._decay_weights(z, nodes)
+            worst = max(worst, np.max(np.abs(got - want)) / np.sum(np.abs(want)))
+    assert worst <= 1e-13
