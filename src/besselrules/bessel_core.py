@@ -2,7 +2,8 @@
 
 One Miller chain (downward recursion in the order) gives integer rows,
 normalized by the even-order sum, and complex orders, normalized by Neumann's
-sum and refused with ConvergenceError when that sum cancels too far.
+sum and refused with ConvergenceError when that sum, or the recursion below
+order 0, cancels too far.
 """
 
 from __future__ import annotations
@@ -93,6 +94,14 @@ def _neumann_ratios(nu: complex, count: int) -> list[complex]:
             for i in range(1, count + 1)]
 
 
+def _miller_start(order: int, size: float) -> int:
+    """The order a Miller chain starts from to reach order: far enough above
+    both order and the turning point |n| ~ size that seed contamination has
+    decayed below 1e-16."""
+    top = max(order, math.ceil(size))
+    return top + math.ceil(math.sqrt(40.0 * (top + 1))) + 16
+
+
 def _downward_chain(y: float, order_max: int, nu: complex = 0) -> np.ndarray:
     """J_{nu+m}(y) Gamma(nu+1) / (y/2)^nu, m = 0..order_max, y > 0, by Miller.
 
@@ -100,10 +109,7 @@ def _downward_chain(y: float, order_max: int, nu: complex = 0) -> np.ndarray:
     Neumann's sum (y/2)^nu / Gamma(nu+1) = sum_i r_i J_{nu+2i}(y), r_0 = 1,
     r_1 = nu + 2, then _neumann_ratios; at nu = 0 the r_i are 1, 2, 2, ....
     """
-    # Start far enough above both the target order and the turning point
-    # |n| ~ y that seed contamination has decayed below 1e-16.
-    n_top = max(order_max, math.ceil(y))
-    n_top += math.ceil(math.sqrt(40.0 * (n_top + 1))) + 16
+    n_top = _miller_start(order_max, y)
     top = n_top + n_top % 2
     # i = top/2 .. 1; every ratio is exactly 1 at nu = 0, so none is computed
     ratios = [1.0] * (top // 2) if nu == 0 else _neumann_ratios(nu, top // 2)[::-1]
@@ -243,14 +249,13 @@ def bessel_j_complex_order(nu: complex, z: float) -> complex:
 
     The chain runs from base nu - k, k = floor(Re nu), so 0 <= Re(nu - k) < 1;
     entry k (for k < 0, the recursion carried on down) times (z/2)^(nu-k) /
-    Gamma(nu-k+1) is J_nu.  Below _TINY_ARGUMENT the two-term series is used.
-    Raises ConvergenceError past _MAX_CHAIN_ERROR, OverflowError past doubles.
+    Gamma(nu-k+1) is J_nu.  Below _TINY_ARGUMENT two series terms give the
+    entries.  Raises ConvergenceError past _MAX_CHAIN_ERROR, the steps below
+    order 0 included, and OverflowError past doubles.
     """
     nu = complex(nu)
     if not (z >= 0.0) or not math.isfinite(z):
         raise ValueError(f"argument must be finite and >= 0, got {z!r}")
-    if abs(nu.imag) > 50.0:
-        raise ValueError(f"|Im nu| must be <= 50, got {nu.imag!r}")
     if nu.imag == 0.0 and nu.real == int(nu.real):
         return complex(bessel_j_int(int(nu.real), z))
     if z == 0.0:
@@ -259,21 +264,32 @@ def bessel_j_complex_order(nu: complex, z: float) -> complex:
         raise ValueError(f"J_nu(0) is singular for Re nu <= 0, nu = {nu}")
     k = math.floor(nu.real)
     if z < _TINY_ARGUMENT:
-        k, value = 0, 1.0 - 0.25 * z * z / (nu + 1.0)
+        # two terms of the ascending series, from nu itself when Re nu >= 0
+        k = min(k, 0)
+        b = nu - k
+        values = [1.0 - 0.25 * z * z / (b + 1.0),
+                  0.5 * z / (b + 1.0) * (1.0 - 0.25 * z * z / (b + 2.0))]
+        error = 2.0 ** -52
     else:
         # the Neumann terms, whose sum is 1, die off past the turning point z
         n = max(k, 1) + math.ceil(z) + 8
         values = _downward_chain(z, n, nu - k)
         weights = np.cumprod([1.0, nu - k + 2.0, *_neumann_ratios(nu - k, n // 2 - 1)])
         error = 2.0 ** -52 * float(np.sum(np.abs(weights * values[::2])))
-        if error > _MAX_CHAIN_ERROR:
-            raise ConvergenceError(
-                f"J_nu({z}), nu = {nu}: the Miller chain's normalization sum cancels "
-                f"to an estimated relative error {error:.1e} > {_MAX_CHAIN_ERROR:g}"
-            )
-        value, jp = complex(values[max(k, 0)]), complex(values[1])
-        for m in range(0, k, -1):
-            jp, value = value, (2.0 * (nu - k + m) / z) * value - jp
+    # bound, the error of value, grows with each step below order 0: next to a
+    # negative integer nu they cancel
+    value, jp = complex(values[max(k, 0)]), complex(values[1])
+    bound, bound_p = error * abs(value), error * abs(jp)
+    for m in range(0, k, -1):
+        step = 2.0 * (nu - k + m) / z
+        jp, value, bound_p, bound = value, step * value - jp, bound, (
+            abs(step) * bound + bound_p + 2.0 ** -52 * (abs(step * value) + abs(jp)))
+    relative = bound / abs(value) if value else math.inf
+    if relative > _MAX_CHAIN_ERROR:
+        raise ConvergenceError(
+            f"J_nu({z}), nu = {nu}: the Miller chain leaves an estimated relative "
+            f"error {relative:.1e} > {_MAX_CHAIN_ERROR:g}"
+        )
     log_scale = (nu - k) * (math.log(z) - math.log(2.0))
     result = cmath.exp(log_scale - ln_gamma_complex(nu - k + 1.0)) * value
     if not cmath.isfinite(result):

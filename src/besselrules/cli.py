@@ -148,12 +148,6 @@ def cmd_coeffs(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _report(
-    rule_id: str, closed: complex, brute: complex, order: int, **params: float
-) -> SumRuleReport:
-    return SumRuleReport.from_values(rule_id, params, closed, brute, truncation_order=order)
-
-
 def _family(rule_id: str, kernel, axes: dict, arguments: list[dict]) -> list[SumRuleReport]:
     """The rows of one rule family, in the order of the axes, then the arguments.
 
@@ -165,9 +159,9 @@ def _family(rule_id: str, kernel, axes: dict, arguments: list[dict]) -> list[Sum
     for index in itertools.product(*(range(len(values)) for values in axes.values())):
         point = {name: values[i] for (name, values), i in zip(axes.items(), index)}
         for argument, (n_max, closed, brute) in sides:
-            reports.append(
-                _report(rule_id, closed[index], brute[index], n_max, **point, **argument)
-            )
+            reports.append(SumRuleReport(
+                rule_id, {**point, **argument}, closed[index], brute[index], n_max
+            ))
     return reports
 
 
@@ -205,9 +199,9 @@ def _suite_generalized() -> list[SumRuleReport]:
         n_max, energy, moment, expected = _modulation_moment_grid(mod, lags)
         for j, s in enumerate(lags):
             delta = complex(1.0 if s == 0 else 0.0)
-            reports.append(_report("modulation_energy", delta, energy[j], n_max, mod=idx, s=s))
-            reports.append(_report("modulation_first_moment", expected[j], moment[j], n_max,
-                                   mod=idx, s=s))
+            for rule_id, closed, brute in (("modulation_energy", delta, energy[j]),
+                                           ("modulation_first_moment", expected[j], moment[j])):
+                reports.append(SumRuleReport(rule_id, {"mod": idx, "s": s}, closed, brute, n_max))
     return reports
 
 
@@ -220,15 +214,16 @@ def _suite_spectroscopy() -> list[SumRuleReport]:
             for s in (0, 1, 2, 3):
                 direct = a_s_direct(s, M, gamma, Omega)
                 params = {"M": M, "gamma_over_Omega": g_over_o, "s": s}
-                newberger = a_s_newberger(s, M, gamma, Omega)
-                series = a_s_series(s, M, gamma, Omega)
-                reports.append(_report("resonant_sum_newberger", direct, newberger, 0, **params))
-                reports.append(_report("resonant_sum_series", direct, series, 0, **params))
+                for rule_id, a_s in (("resonant_sum_newberger", a_s_newberger),
+                                     ("resonant_sum_series", a_s_series)):
+                    value = a_s(s, M, gamma, Omega)
+                    reports.append(SumRuleReport(rule_id, params, direct, value, 0))
     for s in (1, 2, 3):
         for M, Omega in ((0.8, 0.4), (1.5, 1.0), (2.0, 0.2)):
             lhs = a_s_direct(-s, M, gamma, Omega)
             rhs = _reflected(-s, a_s_direct(s, M, gamma, Omega))
-            reports.append(_report("negative_order_symmetry", lhs, rhs, 0, s=s, M=M, Omega=Omega))
+            params = {"s": s, "M": M, "Omega": Omega}
+            reports.append(SumRuleReport("negative_order_symmetry", params, lhs, rhs, 0))
     return reports
 
 

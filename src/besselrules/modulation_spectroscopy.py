@@ -35,6 +35,7 @@ from besselrules.bessel_core import (
     OracleError,
     _j_symmetric,
     _lagged,
+    _miller_start,
     bessel_j_complex_order,
     truncation_bound,
 )
@@ -545,10 +546,8 @@ def _decay_weights(z: complex, nodes: int) -> np.ndarray:
         for r in range(1, nodes - 1):
             mu[r + 1] = mu[r - 1] + (2 * r + 1) / a * mu[r]
     else:
-        top = max(nodes, math.ceil(size))
-        top += math.ceil(math.sqrt(40.0 * (top + 1))) + 16
         ratio = 0j
-        for r in range(top, 0, -1):
+        for r in range(_miller_start(nodes, size), 0, -1):
             ratio = 1.0 / (ratio - (2 * r + 1) / a)
             if r < nodes:
                 mu[r] = ratio

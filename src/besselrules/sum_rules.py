@@ -311,21 +311,12 @@ class GeneralModulation:
     @classmethod
     def sinusoidal(cls, M: float, Omega: float) -> "GeneralModulation":
         """phi(t) = M sin(Omega t)."""
-        if M == 0.0:
-            return cls({}, Omega)
         return cls({1: -0.5j * M, -1: 0.5j * M}, Omega)
 
     @classmethod
     def two_tone(cls, y1: float, y2: float, Omega: float) -> "GeneralModulation":
         """phi(t) = y1 sin(Omega t) + y2 sin(2 Omega t)."""
-        coeffs: dict[int, complex] = {}
-        if y1 != 0.0:
-            coeffs[1] = -0.5j * y1
-            coeffs[-1] = 0.5j * y1
-        if y2 != 0.0:
-            coeffs[2] = -0.5j * y2
-            coeffs[-2] = 0.5j * y2
-        return cls(coeffs, Omega)
+        return cls({1: -0.5j * y1, -1: 0.5j * y1, 2: -0.5j * y2, -2: 0.5j * y2}, Omega)
 
     def support(self) -> int:
         return max((abs(n) for n in self.fourier_coeffs), default=0)
@@ -465,14 +456,20 @@ def _residual_scale(closed: complex) -> float:
     return max(1.0, abs(closed))
 
 
+# the names of SumRuleReport._row_values, the numbers of a row after its parameters
+_REPORT_FIELDS = ("closed_re", "closed_im", "brute_re", "brute_im", "abs_residual",
+                  "rel_residual", "truncation_order")
+
+
 @dataclass(frozen=True)
 class SumRuleReport:
     """One verified rule instance: both sides plus residuals.
 
-    rel_residual and passes share one scale, _residual_scale(closed), so a
-    closed side of 0 leaves rel_residual equal to abs_residual.
-    from_values stores Python complex, float and int, never a numpy
-    scalar, whose repr is not JSON.
+    The constructor stores the sides as Python complex, the order as int and
+    the parameters as a dict, a numpy scalar as its Python value, whose repr
+    is JSON.  It computes both residuals from the sides: rel_residual and
+    passes share one scale, _residual_scale(closed), so a closed side of 0
+    leaves rel_residual equal to abs_residual.
     """
 
     rule_id: str
@@ -480,57 +477,38 @@ class SumRuleReport:
     closed_form: complex
     brute_force: complex
     truncation_order: int
-    abs_residual: float = field(default=0.0)
-    rel_residual: float = field(default=0.0)
+    abs_residual: float = field(init=False)
+    rel_residual: float = field(init=False)
 
-    @classmethod
-    def from_values(
-        cls,
-        rule_id: str,
-        parameters: Mapping[str, float],
-        closed_form: complex,
-        brute_force: complex,
-        truncation_order: int,
-    ) -> "SumRuleReport":
-        closed, brute = complex(closed_form), complex(brute_force)
+    def __post_init__(self):
+        closed, brute = complex(self.closed_form), complex(self.brute_force)
         abs_res = abs(closed - brute)
-        return cls(
-            rule_id=rule_id,
-            parameters=dict(parameters),
-            closed_form=closed,
-            brute_force=brute,
-            truncation_order=int(truncation_order),
-            abs_residual=abs_res,
-            rel_residual=abs_res / _residual_scale(closed),
-        )
+        for name, value in (
+            ("parameters", {key: v.item() if isinstance(v, np.generic) else v
+                            for key, v in self.parameters.items()}),
+            ("closed_form", closed),
+            ("brute_force", brute),
+            ("truncation_order", int(self.truncation_order)),
+            ("abs_residual", abs_res),
+            ("rel_residual", abs_res / _residual_scale(closed)),
+        ):
+            object.__setattr__(self, name, value)
 
     def passes(self, tolerance: float) -> bool:
         return bool(self.abs_residual <= tolerance * _residual_scale(self.closed_form))
+
+    def _row_values(self) -> tuple:
+        """The numbers named by _REPORT_FIELDS, in that order."""
+        closed, brute = self.closed_form, self.brute_force
+        return (closed.real, closed.imag, brute.real, brute.imag,
+                self.abs_residual, self.rel_residual, self.truncation_order)
 
     def to_json_obj(self) -> dict:
         return {
             "rule_id": self.rule_id,
             "parameters": {k: self.parameters[k] for k in sorted(self.parameters)},
-            "closed_re": self.closed_form.real,
-            "closed_im": self.closed_form.imag,
-            "brute_re": self.brute_force.real,
-            "brute_im": self.brute_force.imag,
-            "abs_residual": self.abs_residual,
-            "rel_residual": self.rel_residual,
-            "truncation_order": self.truncation_order,
+            **dict(zip(_REPORT_FIELDS, self._row_values())),
         }
-
-
-# the fields of SumRuleReport.to_json_obj after "parameters", in order
-_REPORT_FIELDS = (
-    "closed_re",
-    "closed_im",
-    "brute_re",
-    "brute_im",
-    "abs_residual",
-    "rel_residual",
-    "truncation_order",
-)
 
 
 def _template_text(text: str) -> str:
@@ -543,8 +521,7 @@ def _template_rows(reports, extra_cells, template_for):
 
     template_for(report, sorted parameter names, cells) builds one template
     per rule_id, parameter names and types, and the report's cells of
-    extra_cells.  values are the parameters by name, the four parts of the
-    two sides, both residuals and the truncation order.
+    extra_cells.  values are the parameters by name, then r._row_values().
     """
     templates: dict[tuple, tuple] = {}
     for i, r in enumerate(reports):
@@ -556,17 +533,7 @@ def _template_rows(reports, extra_cells, template_for):
             names = sorted(params)
             entry = templates[key] = (template_for(r, names, cells), names)
         template, names = entry
-        closed, brute = r.closed_form, r.brute_force
-        yield i, template, (
-            *[params[name] for name in names],
-            closed.real,
-            closed.imag,
-            brute.real,
-            brute.imag,
-            r.abs_residual,
-            r.rel_residual,
-            r.truncation_order,
-        )
+        yield i, template, (*[params[name] for name in names], *r._row_values())
 
 
 def _json_template(r: SumRuleReport, names: list[str], cells: tuple) -> str | None:
@@ -589,10 +556,10 @@ def write_reports_jsonl(
     """One JSON object per line; extra_fields[name][i] is appended to line i.
 
     Each line equals json.dumps of the report's to_json_obj() with the
-    extra fields added, for reports made by from_values.  Lines are filled
-    from %r templates (_template_rows); %r writes a finite float or an int
-    as JSON does.  A line with a float that is not finite (%r writes nan,
-    JSON NaN) or a parameter of another type goes through json.dumps.
+    extra fields added.  Lines are filled from %r templates (_template_rows);
+    %r writes a finite float or an int as JSON does.  A line with a float
+    that is not finite (%r writes nan, JSON NaN) or a parameter of another
+    type goes through json.dumps.
     """
     extras = dict(extra_fields or {})
     clash = set(extras) & {"rule_id", "parameters", *_REPORT_FIELDS}

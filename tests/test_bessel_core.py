@@ -301,9 +301,36 @@ class TestBesselJComplexOrder:
 
     def test_domain_limits(self):
         with pytest.raises(ValueError):
-            bessel_j_complex_order(1.0 + 60.0j, 1.0)
-        with pytest.raises(ValueError):
             bessel_j_complex_order(1.0 + 0.5j, -1.0)
+        # no bound on |Im nu|: 60 was once refused
+        want = complex(mp.besselj(mp.mpc(1.0, 60.0), 1.0))
+        assert abs(bessel_j_complex_order(1.0 + 60.0j, 1.0) - want) <= 1e-12 * abs(want)
+
+    @given(
+        re=st.floats(min_value=-3.0, max_value=10.0),
+        im=st.floats(min_value=-400.0, max_value=400.0),
+        z=st.floats(min_value=0.0, max_value=1000.0, exclude_min=True),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_mpmath_or_refuses(self, re, im, z):
+        # a value is within the chain's 1e-8 bound or refused: the Neumann sum
+        # cancels at large z and |Im nu|, and the recursion below the base order
+        # next to a negative integer nu
+        nu = complex(re, im)
+        try:
+            got = bessel_j_complex_order(nu, z)
+        except (ConvergenceError, OverflowError):
+            return
+        want = complex(mp.besselj(mp.mpc(nu), z))
+        # below 1e-300 doubles lose relative precision to gradual underflow
+        assert abs(got - want) <= 1e-8 * abs(want) + 1e-300, (nu, z, got, want)
+
+    @pytest.mark.parametrize("z", [1e-9, 1e-6])
+    def test_recursion_next_to_a_negative_integer_is_refused(self, z):
+        # J_{-2+i 1e-30}(z) ~ z^2/8 comes from 2 J_1 / z - J_0 ~ 1 - 1, which
+        # once returned -156 at z = 1e-9 and was 9e-5 off at z = 1e-6
+        with pytest.raises(ConvergenceError, match=r"nu = \(-2\+1e-30j\).* > 1e-08"):
+            bessel_j_complex_order(-2 + 1e-30j, z)
 
     @pytest.mark.parametrize(
         "nu",

@@ -318,11 +318,13 @@ class TestVerifyReports:
         # y and 2y (3); y (4) for the recursion
         assert 0 < len(arguments) <= 4 + 3 * 3 + 3 * 2 + 4
 
-    def test_reports_hold_python_numbers(self):
-        for r in suite_reports("all"):
+    def test_reports_hold_python_numbers(self, reports):
+        for r in reports:
             assert type(r.closed_form) is complex and type(r.brute_force) is complex
             assert type(r.abs_residual) is float and type(r.rel_residual) is float
             assert type(r.truncation_order) is int
+            assert type(r.parameters) is dict
+            assert not any(isinstance(v, np.generic) for v in r.parameters.values())
 
     def test_truncation_order_is_the_cut_of_the_brute_side(self, tmp_path):
         out = tmp_path / "all.csv"
@@ -342,15 +344,16 @@ class TestVerifyReports:
         """Every row of the `all` suite, mixed with rows that %-templates get wrong."""
         reports = suite_reports("all")
         odd = [
-            SumRuleReport.from_values("not_a_number", {"k": 2, "y": 0.5}, math.nan, 1.0, 7),
-            SumRuleReport.from_values(
-                "infinite_residual", {"y": -1.5}, 1.0, complex(math.inf, 0.0), 9
+            SumRuleReport("not_a_number", {"k": 2, "y": 0.5}, math.nan, 1.0, 7),
+            SumRuleReport("infinite_residual", {"y": -1.5}, 1.0, complex(math.inf, 0.0), 9),
+            # %r writes True, where JSON has true
+            SumRuleReport("odd_parameters", {"flag": True, "M": 0.5}, 0.5, 0.5, 1),
+            # numpy numbers, whose %r is np.float64(...) and which json.dumps refuses
+            SumRuleReport(
+                "numpy_numbers", {"k": np.int64(3), "M": np.float64(0.5)},
+                np.complex128(1 + 2j), np.complex128(1 + 2.5j), np.int64(4),
             ),
-            # %r writes True and np.float64(...), where JSON has true and 0.5
-            SumRuleReport.from_values(
-                "odd_parameters", {"flag": True, "M": np.float64(0.5)}, 0.5, 0.5, 1
-            ),
-            SumRuleReport.from_values('quoted, "50%" id', {"a%r": 1e-300}, 0.25, 0.25, 0),
+            SumRuleReport('quoted, "50%" id', {"a%r": 1e-300}, 0.25, 0.25, 0),
         ]
         return reports[:3] + odd + reports[3:]
 
@@ -824,6 +827,15 @@ class TestASumCommand:
         out = tmp_path / "a30.json"
         assert run(
             "a-sum", "--s", "1", "--M", "30", "--gamma", "1", "--Omega", "2",
+            "--method", "direct,newberger", "--output", str(out),
+        ) == 0
+        assert json.loads(out.read_text())["residuals"]["direct/newberger"] < 1e-8
+
+    def test_closed_form_past_gamma_over_omega_50(self, tmp_path):
+        # gamma/Omega = 100 is |Im nu| = 100, once refused as a usage error
+        out = tmp_path / "a100.json"
+        assert run(
+            "a-sum", "--s", "1", "--M", "1", "--gamma", "1", "--Omega", "0.01",
             "--method", "direct,newberger", "--output", str(out),
         ) == 0
         assert json.loads(out.read_text())["residuals"]["direct/newberger"] < 1e-8

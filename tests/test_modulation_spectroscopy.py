@@ -235,6 +235,23 @@ class TestClosedForms:
         want = newberger_mpmath(s, M, 1.0, 1.0 / ratio)
         assert abs(got - want) <= 1e-8 * abs(want) + 1e-300
 
+    @given(
+        s=st.integers(min_value=-3, max_value=3),
+        M=st.floats(min_value=-50.0, max_value=50.0),
+        ratio=st.floats(min_value=50.0, max_value=222.0, exclude_min=True),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_newberger_past_ratio_50_matches_mpmath_or_refuses(self, s, M, ratio):
+        # |Im nu| = gamma/Omega was once capped at 50; up to the sinh guard
+        # at pi gamma/Omega = 700 a value is within 1e-8 or refused
+        assume(M != 0.0)
+        try:
+            got = a_s_newberger(s, M, 1.0, 1.0 / ratio)
+        except (ConvergenceError, OverflowError):
+            return
+        want = newberger_mpmath(s, M, 1.0, 1.0 / ratio)
+        assert abs(got - want) <= 1e-8 * abs(want) + 1e-300
+
     def test_newberger_overflow_guard(self):
         with pytest.raises(OverflowError):
             a_s_newberger(0, 1.0, 300.0, 1.0)

@@ -1,5 +1,6 @@
 """Sum-rule residual tests: every closed form against its brute-force twin."""
 
+import csv
 import io
 import json
 import math
@@ -244,15 +245,24 @@ class TestGeneralModulation:
             assert abs(spectrum[n] - bessel_j_int(n, 2.0)) < 1e-12
 
     def test_trivial_modulation(self):
-        spectrum = general_sidebands(GeneralModulation({}, 1.0), 4)
-        assert spectrum[0] == pytest.approx(1.0, abs=1e-15)
-        for n in (-4, -1, 1, 3):
-            assert abs(spectrum[n]) < 1e-15
+        # the factories at zero amplitude keep no coefficient
+        for mod in (GeneralModulation({}, 1.0), GeneralModulation.sinusoidal(0.0, 1.0),
+                    GeneralModulation.two_tone(0.0, -0.0, 1.0)):
+            assert mod.fourier_coeffs == {}
+            spectrum = general_sidebands(mod, 4)
+            assert spectrum[0] == pytest.approx(1.0, abs=1e-15)
+            for n in (-4, -1, 1, 3):
+                assert abs(spectrum[n]) < 1e-15
 
     def test_two_tone_sidebands_match_convolution(self):
-        spectrum = general_sidebands(GeneralModulation.two_tone(1.0, 0.5, 1.0), 10)
-        for n in range(-10, 11):
-            assert abs(spectrum[n] - jbar(n, 1.0, 0.5)) < 1e-10
+        # a zero amplitude drops its pair of coefficients, the rest keep their order
+        for y1, y2, keys in ((1.0, 0.5, [1, -1, 2, -2]), (1.0, 0.0, [1, -1]),
+                             (0.0, 0.5, [2, -2])):
+            mod = GeneralModulation.two_tone(y1, y2, 1.0)
+            assert list(mod.fourier_coeffs) == keys
+            spectrum = general_sidebands(mod, 10)
+            for n in range(-10, 11):
+                assert abs(spectrum[n] - jbar(n, y1, y2)) < 1e-10
 
     def test_spectrum_below_support_rejected(self):
         with pytest.raises(ValueError):
@@ -281,6 +291,9 @@ class TestGeneralModulation:
             GeneralModulation(
                 {1: -0.4j, -1: 0.4j, 2: -0.2j, -2: 0.2j, 3: -0.1j, -3: 0.1j}, 1.0
             ),
+            GeneralModulation.sinusoidal(0.0, 1.0),
+            GeneralModulation.two_tone(0.0, 0.5, 1.0),
+            GeneralModulation.two_tone(1.0, 0.0, 1.0),
         ]
         for mod in mods:
             for s in range(-2, 3):
@@ -316,35 +329,57 @@ class TestRecursionResiduals:
 
 class TestSumRuleReport:
     def test_residuals_recomputable(self):
-        r = SumRuleReport.from_values("demo", {"k": 1.0}, 2.0 + 0.0j, 2.0 + 1e-12j, 7)
+        r = SumRuleReport("demo", {"k": 1.0}, 2.0 + 0.0j, 2.0 + 1e-12j, 7)
         assert r.abs_residual == pytest.approx(1e-12)
         assert r.rel_residual == pytest.approx(r.abs_residual / abs(r.closed_form))
         assert r.passes(1e-9) and not r.passes(1e-15)
         # a closed side of 0 scales by 1, the scale passes applies
-        zero = SumRuleReport.from_values("demo", {"k": 1.0}, 0.0, 3e-30, 7)
+        zero = SumRuleReport("demo", {"k": 1.0}, 0.0, 3e-30, 7)
         assert zero.rel_residual == zero.abs_residual == 3e-30
         assert zero.passes(1e-29) and not zero.passes(1e-31)
 
+    def test_residuals_come_from_the_sides(self):
+        r = SumRuleReport("x", {"k": 1}, 1.0, 5.0, 0)
+        assert r.abs_residual == 4.0 and r.rel_residual == 4.0
+        assert not r.passes(1e-9)
+        for name in ("abs_residual", "rel_residual"):
+            with pytest.raises(TypeError, match=name):
+                SumRuleReport("x", {"k": 1}, 1.0, 5.0, 0, **{name: 0.0})
+
     def test_jsonl_round_trip(self):
         reports = [
-            SumRuleReport.from_values("a", {"x": 1.0}, 1.0 + 2.0j, 1.0 + 2.0j, 3),
-            SumRuleReport.from_values("b", {"y": -1.5}, 0.5, 0.25, 4),
+            SumRuleReport("a", {"x": 1.0}, 1.0 + 2.0j, 1.0 + 2.0j, 3),
+            SumRuleReport("b", {"y": -1.5}, 0.5, 0.25, 4),
+            SumRuleReport("c", {"k": np.int64(2)}, np.complex128(1.5j), np.complex128(1j),
+                          np.int64(5)),
         ]
         buf = io.StringIO()
         write_reports_jsonl(reports, buf)
         lines = buf.getvalue().strip().split("\n")
-        assert len(lines) == 2
+        assert len(lines) == 3
         first = json.loads(lines[0])
         assert first["rule_id"] == "a"
         assert first["closed_im"] == 2.0
+        assert json.loads(lines[2]) == {
+            "rule_id": "c", "parameters": {"k": 2}, "closed_re": 0.0, "closed_im": 1.5,
+            "brute_re": 0.0, "brute_im": 1.0, "abs_residual": 0.5, "rel_residual": 1 / 3,
+            "truncation_order": 5,
+        }
 
     def test_csv_unions_parameter_columns(self):
         reports = [
-            SumRuleReport.from_values("a", {"x": 1.0}, 1.0, 1.0, 3),
-            SumRuleReport.from_values("b", {"y": -1.5}, 0.5, 0.25, 4),
+            SumRuleReport("a", {"x": 1.0}, 1.0, 1.0, 3),
+            SumRuleReport("b", {"y": -1.5}, 0.5, 0.25, 4),
+            SumRuleReport("c", {"x": np.int64(2)}, np.complex128(1.5j), np.complex128(1j),
+                          np.int64(5)),
         ]
-        buf = io.StringIO()
+        buf = io.StringIO(newline="")
         write_reports_csv(reports, buf)
-        rows = buf.getvalue().strip().split("\n")
+        rows = buf.getvalue().split("\n")
         assert rows[0].startswith("rule_id,x,y,closed_re")
         assert rows[1].split(",")[2] == ""  # rule a has no y
+        want = io.StringIO(newline="")
+        csv.writer(want, lineterminator="").writerow(
+            ["c", "2", "", "0", "1.5", "0", "1", "0.5", format(1 / 3, ".17g"), "5"]
+        )
+        assert rows[3] == want.getvalue()
