@@ -227,12 +227,15 @@ def ln_gamma_complex(z: complex) -> complex:
     if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
         raise ValueError(f"Gamma pole at z = {z}")
     if z.real < 0.5:
-        # Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        return (
-            math.log(math.pi)
-            - cmath.log(cmath.sin(math.pi * z))
-            - ln_gamma_complex(1.0 - z)
-        )
+        # Gamma(z) Gamma(1-z) = pi / sin(pi z).  sin(pi z) overflows past
+        # |Im z| ~ 226; past 20 it is e^(-s i pi z) / (-2i s), s = sign(Im z),
+        # but for a factor 1 - e^(2 s i pi z) within e^(-125) of 1
+        if abs(z.imag) > 20.0:
+            s = math.copysign(1.0, z.imag)
+            log_sin = -s * 1j * math.pi * z - cmath.log(-2j * s)
+        else:
+            log_sin = cmath.log(cmath.sin(math.pi * z))
+        return math.log(math.pi) - log_sin - ln_gamma_complex(1.0 - z)
     zm1 = z - 1.0
     acc = _LANCZOS_COEFFS[0]
     for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):

@@ -15,18 +15,19 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import functools
 import itertools
 import json
 import math
 import sys
 import warnings
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from besselrules.bessel_core import ConvergenceError, OracleError
 from besselrules.coefficients import (
     MAX_FAA_DI_BRUNO_K,
-    _json_list,
     build_coeff_table,
     coeff_stirling_table,
 )
@@ -74,41 +75,58 @@ def _utc_stamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _write_json(path: str, obj: dict, stamp: bool) -> None:
-    """Indented JSON with a trailing newline; --stamp appends the UTC time."""
-    if stamp:
-        obj["stamp"] = _utc_stamp()
-    with open(path, "w") as fh:
-        fh.write(json.dumps(obj, indent=2) + "\n")
+def _write_json(path: str, head: dict, stamp: bool, key: str | None = None,
+                items: Iterable[str] = (), /, **tail: str) -> None:
+    """json.dumps(head | {key: [items]} | tail, indent=2) plus a newline, to the
+    byte; --stamp appends "stamp", the UTC time, as the last field.
 
-
-def _write_json_rows(path: str, head: dict, header: list[str], rows, stamp: bool) -> None:
-    """_write_json of head plus "rows": [dict(zip(header, row)), ...], to the byte.
-
-    CPython's indented encoder is pure Python, so each row is one item
-    template instead, filled with %r: that writes a finite float or an
-    int as JSON does, and rows hold nothing else.  head (not empty) comes
-    from json.dumps; "stamp" stays the last field.
+    CPython's indented encoder is pure Python, so the caller lays out each
+    item of the list at its depth (four spaces in) from a %-template, and
+    the items are written as they come: the document is never held whole.
+    json.dumps lays out head (not empty) and tail, whose fields sit at the
+    depth they have in the document; without key there is no list, and
+    with it at least one item.
     """
-    item = "    {\n" + ",\n".join(f"      {json.dumps(name)}: %r" for name in header)
-    items = [(item + "\n    }") % tuple(row) for row in rows]
-    text = json.dumps(head, indent=2)[:-2] + ',\n  "rows": ' + _json_list(items, "  ")
     if stamp:
-        text += ',\n  "stamp": ' + json.dumps(_utc_stamp())
-    with open(path, "w") as fh:
-        fh.write(text + "\n}\n")
-
-
-def _write_csv_rows(path: str, header: list[str], cells: str, rows, footer: str = "") -> None:
-    """The header line, one line per row and the footer, as csv.writer writes them.
-
-    cells is the %-template of one row: "%.17g" (which writes what
-    format(x, ".17g") does) for a float, "%d" or "%s" for a field that
-    needs no quoting, as no header name or cell does.
-    """
-    line = cells + "\n"
+        tail["stamp"] = _utc_stamp()
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n" + "".join([line % tuple(row) for row in rows]) + footer)
+        fh.write(json.dumps(head, indent=2)[:-2])
+        if key is not None:
+            separator = ",\n  %s: [\n" % json.dumps(key)
+            for item in items:
+                fh.write(separator + item)
+                separator = ",\n"
+            fh.write("\n  ]")
+        fh.write("," + json.dumps(tail, indent=2)[1:] + "\n" if tail else "\n}\n")
+
+
+def _json_rows(header: list[str], rows) -> Iterator[str]:
+    """The items dict(zip(header, row)) of "rows", laid out for _write_json.
+
+    Each is filled with %r, which writes a finite float or an int as JSON
+    does; rows hold nothing else.
+    """
+    fields = ",\n".join(f"      {json.dumps(name)}: %r" for name in header)
+    item = "    {\n" + fields + "\n    }"
+    return (item % tuple(row) for row in rows)
+
+
+def _csv_rows(cells: list[str], rows) -> Iterator[str]:
+    """The lines of rows for _write_csv, each cell filled from its %-template.
+
+    "%.17g" writes a float as format(x, ".17g") does, and "%d" or "%s" a
+    field that needs no quoting, as no cell does.
+    """
+    line = ",".join(cells) + "\n"
+    return (line % tuple(row) for row in rows)
+
+
+def _write_csv(path: str, header: list[str], lines: Iterable[str]) -> None:
+    """The header line, then the lines as they come, as csv.writer writes them;
+    no header name needs quoting."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(lines)
 
 
 def _check_tolerance(tolerance: float) -> None:
@@ -121,6 +139,16 @@ def _check_tolerance(tolerance: float) -> None:
 # coeffs
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _coeff_entry(terms: int) -> str:
+    """The template of an "entries" item with that many terms, filled with k,
+    n and the flat terms (power, num, exp2, ...) of CoeffTable._flat_entries."""
+    term = ('        {\n          "power": %d,\n          "num": "%d",\n'
+            '          "exp2": %d\n        }')
+    return ('    {\n      "k": %d,\n      "n": %d,\n      "poly": [\n'
+            + ",\n".join([term] * terms) + "\n      ]\n    }")
+
+
 def cmd_coeffs(args) -> int:
     table = build_coeff_table(args.k_max)
     dual_checked = args.k_max <= MAX_FAA_DI_BRUNO_K
@@ -131,16 +159,21 @@ def cmd_coeffs(args) -> int:
                       if key[0] >= 1 and stirling.get(key) != table.entries.get(key)}
     unflagged = "ok" if dual_checked else "skipped"
 
+    # every stored entry has at least one term, and (0, 0) is always stored
+    entries = table._flat_entries()
     if args.format == "json":
         flagged = ";".join(f"({k},{n})" for k, n in sorted(mismatches))
-        trailing = {"dual_path": "mismatch:" + flagged if mismatches else unflagged}
-        if args.stamp:
-            trailing["stamp"] = _utc_stamp()
-        chunks = table.json_chunks(**trailing)
+        items = (_coeff_entry(len(flat) // 3) % (k, n, *flat) for k, n, flat in entries)
+        _write_json(args.output, {"k_max": table.k_max}, args.stamp, "entries", items,
+                    dual_path="mismatch:" + flagged if mismatches else unflagged)
     else:
-        chunks = table.csv_chunks(unflagged, mismatches)
-    with open(args.output, "w", newline="") as fh:
-        fh.writelines(chunks)
+        # one chunk of rows k,n,power,num,exp2,dual_path per entry
+        lines = (
+            ("%d,%d,%%d,%%d,%%d,%s\n" % (k, n, "mismatch" if (k, n) in mismatches else unflagged)
+             * (len(flat) // 3)) % flat
+            for k, n, flat in entries
+        )
+        _write_csv(args.output, ["k", "n", "power", "num", "exp2", "dual_path"], lines)
     return EXIT_VERIFICATION if mismatches else EXIT_OK
 
 
@@ -242,12 +275,11 @@ def cmd_verify(args) -> int:
     for build in _SUITES[args.suite]:
         reports.extend(build())
     passed = [r.passes(args.tolerance) for r in reports]
-    if args.format == "json":
-        with open(args.output, "w") as fh:
+    with open(args.output, "w", newline="") as fh:
+        if args.format == "json":
             write_reports_jsonl(reports, fh, extra_fields={"pass": passed})
-    else:
-        status = ["ok" if ok else "FAIL" for ok in passed]
-        with open(args.output, "w", newline="") as fh:
+        else:
+            status = ["ok" if ok else "FAIL" for ok in passed]
             write_reports_csv(reports, fh, extra_columns={"status": status})
     n_fail = passed.count(False)
     if n_fail:
@@ -329,13 +361,11 @@ def cmd_sidebands(args) -> int:
             "tail_estimate": spectrum.tail_estimate,
             "energy_sum": energy,
         }
-        _write_json_rows(args.output, head, header, rows, args.stamp)
+        _write_json(args.output, head, args.stamp, "rows", _json_rows(header, rows))
     else:
         # the footer is a one-field row, which csv.writer leaves unquoted
-        _write_csv_rows(
-            args.output, header, "%d,%.17g,%.17g,%.17g", rows,
-            footer="# energy_sum=%.17g\n" % energy,
-        )
+        lines = _csv_rows(["%d", "%.17g", "%.17g", "%.17g"], rows)
+        _write_csv(args.output, header, [*lines, "# energy_sum=%.17g\n" % energy])
     return EXIT_OK
 
 
@@ -426,9 +456,9 @@ def cmd_lineshape(args) -> int:
             ),
             "perturbative_valid": base.perturbative_valid,
         }
-        _write_json_rows(args.output, head, header, rows, args.stamp)
+        _write_json(args.output, head, args.stamp, "rows", _json_rows(header, rows))
     else:
-        _write_csv_rows(args.output, header, ",".join(["%.17g"] * len(header)), rows)
+        _write_csv(args.output, header, _csv_rows(["%.17g"] * len(header), rows))
     return EXIT_OK
 
 
@@ -487,7 +517,8 @@ def cmd_a_sum(args) -> int:
         rows = [("value", m, values[m].real, values[m].imag) for m in methods]
         rows += [("residual", key, residuals[key], 0.0) for key in sorted(residuals)]
         rows += [("eta_coefficient", c["order"], c["re"], c["im"]) for c in expansion or ()]
-        _write_csv_rows(args.output, ["kind", "name", "re", "im"], "%s,%s,%.17g,%.17g", rows)
+        _write_csv(args.output, ["kind", "name", "re", "im"],
+                   _csv_rows(["%s", "%s", "%.17g", "%.17g"], rows))
     # the geometric path is a truncated expansion, so its deviation is
     # informational; only the exact methods gate the exit code
     gated = {

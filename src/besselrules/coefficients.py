@@ -11,17 +11,18 @@ two-term lattice recursion
 noncentral Stirling numbers, and a closed form over chain-rule partitions.
 The recursion shows D[k, n] = sum_m c[k, n, m] (y/2)^m with integer c,
 so the arithmetic is exact on plain big integers; nothing here ever
-rounds.  Only serialization reduces c / 2^m to the y-basis dyadic form.
+rounds.  Only _flat_terms reduces c / 2^m to the y-basis dyadic form, the
+terms that the writers of besselrules.cli lay out as JSON and CSV; this
+module holds no file layout.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Container, Iterator, Mapping
+from typing import Iterator, Mapping
 
 __all__ = [
     "DyadicPoly",
@@ -96,21 +97,6 @@ def _flat_terms(coeffs: Mapping[int, int]) -> tuple[int, ...]:
     return tuple(flat)
 
 
-def _json_list(items: list[str], indent: str) -> str:
-    """A JSON list of laid-out items whose closing bracket sits at indent."""
-    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
-
-
-@lru_cache(maxsize=None)
-def _json_entry(terms: int) -> str:
-    """The template of an "entries" item, filled with k, n and the flat terms, as
-    json.dumps(indent=2) lays it out at its depth in the table document."""
-    term = ('        {\n          "power": %d,\n          "num": "%d",\n'
-            '          "exp2": %d\n        }')
-    poly = _json_list([term] * terms, "      ")
-    return '    {\n      "k": %%d,\n      "n": %%d,\n      "poly": %s\n    }' % poly
-
-
 @dataclass(frozen=True)
 class CoeffTable:
     """Read-only map (k, n) -> polynomial for all |n| <= k <= k_max.
@@ -154,39 +140,6 @@ class CoeffTable:
             if flat is None:
                 flat = seen[id(poly)] = _flat_terms(poly.coeffs)
             yield k, n, flat
-
-    def json_chunks(self, **trailing: object) -> Iterator[str]:
-        """json.dumps(self.to_json_obj() | trailing, indent=2) + newline, to the
-        byte, in pieces: the head, one per entry, then the tail.
-
-        Each entry fills one template (CPython's indented encoder is pure
-        Python and takes about four times as long), and a writer takes one
-        at a time, so the document is never held whole.  The trailing fields
-        follow "entries" in order, each encoded by json.dumps.
-        """
-        # a nested value lies one level deep, so its own lines indent by two more
-        tail = "".join(
-            ",\n  %s: %s"
-            % (json.dumps(key), json.dumps(value, indent=2).replace("\n", "\n  "))
-            for key, value in trailing.items()
-        ) + "\n}\n"
-        head = '{\n  "k_max": %d,\n  "entries": ' % self.k_max
-        if not self.entries:
-            yield head + "[]" + tail
-            return
-        separator = head + "[\n"
-        for k, n, flat in self._flat_entries():
-            yield separator + _json_entry(len(flat) // 3) % (k, n, *flat)
-            separator = ",\n"
-        yield "\n  ]" + tail
-
-    def csv_chunks(self, dual_path: str, mismatches: Container = ()) -> Iterator[str]:
-        """The header, then one chunk per entry, as csv.writer writes them: a row
-        k,n,power,num,exp2,dual_path per term, "mismatch" for a key in mismatches."""
-        yield "k,n,power,num,exp2,dual_path\n"
-        for k, n, flat in self._flat_entries():
-            flag = "mismatch" if (k, n) in mismatches else dual_path
-            yield ("%d,%d,%%d,%%d,%%d,%s\n" % (k, n, flag) * (len(flat) // 3)) % flat
 
 
 def _frozen(coeffs: dict[int, int]) -> DyadicPoly:

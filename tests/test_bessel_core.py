@@ -262,6 +262,20 @@ class TestLnGammaComplex:
                 ref = complex(mp.gamma(mp.mpc(re, im)))
                 assert abs(cmath.exp(ln_gamma_complex(z)) - ref) <= 1e-12 * abs(ref)
 
+    @given(
+        re=st.floats(-60.0, 0.5),
+        im=st.floats(20.0, 3000.0),
+        sign=st.sampled_from((-1.0, 1.0)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_left_half_plane_far_from_the_real_axis(self, re, im, sign):
+        # the reflection branch, where sin(pi z) overflows past |Im z| ~ 226
+        z = complex(re, sign * im)
+        ref = complex(mp.loggamma(mp.mpc(z.real, z.imag)))
+        diff = ln_gamma_complex(z) - ref
+        turns = round(diff.imag / (2 * math.pi))
+        assert abs(diff - 2j * math.pi * turns) <= 1e-14 * abs(ref)
+
     def test_pole_raises(self):
         for z in (0.0, -1.0, -5.0):
             with pytest.raises(ValueError):

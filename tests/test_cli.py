@@ -3,18 +3,22 @@
 import csv
 import datetime
 import io
+import itertools
 import json
 import math
 import time
 import tracemalloc
+import unittest.mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from besselrules import bessel_core, cli, sum_rules
 from besselrules.bessel_core import bessel_j_int, truncation_bound
 from besselrules.cli import main
-from besselrules.coefficients import DyadicPoly, build_coeff_table
+from besselrules.coefficients import CoeffTable, DyadicPoly, build_coeff_table
 from besselrules.modulation_spectroscopy import a_s_direct
 from besselrules.sum_rules import (
     SumRuleReport,
@@ -33,6 +37,10 @@ from besselrules.sum_rules import (
 )
 
 
+# the value that --stamp writes, wherever _utc_stamp is patched
+STAMP = "2026-01-01T00:00:00+00:00"
+
+
 def run(*argv) -> int:
     return main(list(argv))
 
@@ -42,18 +50,17 @@ def read_csv(path):
         return list(csv.DictReader(row for row in fh if not row.startswith("#")))
 
 
-def coeffs_json_reference(k_max: int, **trailing) -> str:
+def coeffs_json_reference(table: CoeffTable, **trailing) -> str:
     """The coefficient table as the indented JSON encoder writes it."""
-    obj = build_coeff_table(k_max).to_json_obj() | trailing
-    return json.dumps(obj, indent=2) + "\n"
+    return json.dumps(table.to_json_obj() | trailing, indent=2) + "\n"
 
 
-def coeffs_csv_reference(k_max: int, flag_of) -> str:
+def coeffs_csv_reference(table: CoeffTable, flag_of) -> str:
     """The coefficient table as csv.writer writes it; flag_of(k, n) is dual_path."""
     fh = io.StringIO(newline="")
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["k", "n", "power", "num", "exp2", "dual_path"])
-    for entry in build_coeff_table(k_max).to_json_obj()["entries"]:
+    for entry in table.to_json_obj()["entries"]:
         k, n = entry["k"], entry["n"]
         for t in entry["poly"]:
             writer.writerow([k, n, t["power"], t["num"], t["exp2"], flag_of(k, n)])
@@ -61,18 +68,23 @@ def coeffs_csv_reference(k_max: int, flag_of) -> str:
 
 
 class TestCoeffsCommand:
-    @pytest.mark.parametrize("k_max", [0, 1, 20, 64])
-    def test_files_match_the_generic_writers(self, tmp_path, k_max):
+    @pytest.mark.parametrize("k_max", [0, 1, 5, 20, 64])
+    def test_files_match_the_generic_writers(self, tmp_path, monkeypatch, k_max):
+        monkeypatch.setattr(cli, "_utc_stamp", lambda: STAMP)
         flag = "ok" if k_max <= 30 else "skipped"
-        out = tmp_path / "coeffs.json"
-        assert run("coeffs", "--k-max", str(k_max), "--output", str(out)) == 0
-        assert out.read_bytes() == coeffs_json_reference(k_max, dual_path=flag).encode()
-        out = tmp_path / "coeffs.csv"
-        assert run(
-            "coeffs", "--k-max", str(k_max), "--format", "csv", "--output", str(out)
-        ) == 0
-        want = coeffs_csv_reference(k_max, lambda k, n: flag)
-        assert out.read_bytes() == want.encode()
+        table = build_coeff_table(k_max)
+        for stamp in ((), ("--stamp",)):
+            out = tmp_path / "coeffs.json"
+            assert run("coeffs", "--k-max", str(k_max), *stamp, "--output", str(out)) == 0
+            trailing = {"dual_path": flag} | ({"stamp": STAMP} if stamp else {})
+            assert out.read_bytes() == coeffs_json_reference(table, **trailing).encode()
+            # a CSV file has no stamp
+            out = tmp_path / "coeffs.csv"
+            assert run(
+                "coeffs", "--k-max", str(k_max), "--format", "csv", *stamp, "--output", str(out)
+            ) == 0
+            want = coeffs_csv_reference(table, lambda k, n: flag)
+            assert out.read_bytes() == want.encode()
 
     def test_writers_do_not_hold_the_file_in_memory(self, tmp_path):
         # with the table cached, the peak is the writer's own: the whole
@@ -96,7 +108,7 @@ class TestCoeffsCommand:
         assert list(obj) == ["k_max", "entries", "dual_path", "stamp"]
         stamp = datetime.datetime.fromisoformat(obj["stamp"])
         assert stamp.utcoffset() == datetime.timedelta(0)
-        want = coeffs_json_reference(3, dual_path="ok", stamp=obj["stamp"])
+        want = coeffs_json_reference(build_coeff_table(3), dual_path="ok", stamp=obj["stamp"])
         assert out.read_text() == want
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -111,15 +123,54 @@ class TestCoeffsCommand:
         code = run("coeffs", "--k-max", "5", "--format", fmt, "--output", str(out))
         assert code == 1
         if fmt == "json":
-            want = coeffs_json_reference(5, dual_path="mismatch:(3,1)")
+            want = coeffs_json_reference(build_coeff_table(5), dual_path="mismatch:(3,1)")
         else:
             want = coeffs_csv_reference(
-                5, lambda k, n: "mismatch" if (k, n) == (3, 1) else "ok"
+                build_coeff_table(5), lambda k, n: "mismatch" if (k, n) == (3, 1) else "ok"
             )
             # D[3, 1] = y/2 + 3 y^3/8, the only flagged rows
             assert want.count("mismatch") == 2
             assert "\n3,1,1,1,1,mismatch\n3,1,3,3,3,mismatch\n" in want
         assert out.read_text() == want
+
+    def test_writers_reduce_each_object_by_value(self, tmp_path, monkeypatch):
+        # the writers reuse the reduction of a polynomial object within a
+        # row; shared and equal-but-distinct entries all read back
+        shared = build_coeff_table(3).entry(3, 1)  # read-only: kept as it is
+        tables = {
+            "one object under two keys of one row": CoeffTable(
+                k_max=3,
+                entries={(3, -3): DyadicPoly({3: -1}), (3, -1): shared, (3, 1): shared,
+                         (3, 3): DyadicPoly({3: 1})},
+            ),
+            "a mirror equal in value, distinct object": CoeffTable(
+                k_max=2, entries={(2, -1): DyadicPoly({1: 1}), (2, 1): DyadicPoly({1: 1})}
+            ),
+            "one object across two rows": CoeffTable(
+                k_max=4, entries={(3, 1): shared, (4, 0): shared, (4, 2): shared}
+            ),
+        }
+        entries = tables["one object under two keys of one row"].entries
+        assert entries[(3, -1)] is entries[(3, 1)]
+        entries = tables["a mirror equal in value, distinct object"].entries
+        assert entries[(2, -1)] == entries[(2, 1)] and entries[(2, -1)] is not entries[(2, 1)]
+        for (name, table), flagged in itertools.product(tables.items(), ((), ((3, 1), (4, 0)))):
+            # the dual path disagrees at the flagged keys and nowhere else
+            stirling = dict(table.entries) | {key: DyadicPoly({0: 7}) for key in flagged}
+            monkeypatch.setattr(cli, "build_coeff_table", lambda k_max: table)
+            monkeypatch.setattr(cli, "coeff_stirling_table", lambda k_max: stirling)
+            dual_path = "mismatch:(3,1);(4,0)" if flagged else "ok"
+            wants = {
+                "json": coeffs_json_reference(table, dual_path=dual_path),
+                "csv": coeffs_csv_reference(
+                    table, lambda k, n: "mismatch" if (k, n) in flagged else "ok"
+                ),
+            }
+            for fmt, want in wants.items():
+                out = tmp_path / f"coeffs.{fmt}"
+                argv = ("coeffs", "--k-max", str(table.k_max), "--format", fmt)
+                assert run(*argv, "--output", str(out)) == (1 if flagged else 0)
+                assert out.read_text() == want, (name, flagged, fmt)
 
     def test_json_pins_quartic_entry(self, tmp_path):
         out = tmp_path / "coeffs.json"
@@ -970,7 +1021,6 @@ class TestASumCommand:
         )
 
 
-STAMP = "2026-01-01T00:00:00+00:00"
 LINESHAPE = ("lineshape", "--Omega", "0.03", "--M", "0.5")
 SWEEP = ("--delta-min", "-5", "--delta-max", "5", "--delta-steps", "11")
 # the row-writing cases whose files must be those of csv.writer and json.dumps
@@ -1002,32 +1052,41 @@ WRITER_CASES = {
 
 
 class TestRowWriters:
-    """Every row-bearing file against the generic writers, on the rows the command wrote."""
+    """Every row-bearing file against the generic writers, on the rows the command computed."""
 
     @pytest.mark.parametrize("case", list(WRITER_CASES))
     def test_file_is_what_the_generic_writer_writes(self, tmp_path, monkeypatch, case):
-        calls = []
-        for name in ("_write_csv_rows", "_write_json_rows"):
-            real = getattr(cli, name)
+        rows_of, calls = {}, []
+        for name in ("_json_rows", "_csv_rows"):
+            def rows_spy(layout, rows, real=getattr(cli, name), name=name):
+                rows_of[name] = layout, rows
+                return real(layout, rows)
 
-            def spy(*args, real=real, name=name, **kwargs):
+            monkeypatch.setattr(cli, name, rows_spy)
+        for name in ("_write_json", "_write_csv"):
+            def writer_spy(*args, real=getattr(cli, name), name=name, **kwargs):
+                if name == "_write_csv":
+                    args = (*args[:2], list(args[2]))
                 calls.append((name, args, kwargs))
                 real(*args, **kwargs)
 
-            monkeypatch.setattr(cli, name, spy)
+            monkeypatch.setattr(cli, name, writer_spy)
         monkeypatch.setattr(cli, "_utc_stamp", lambda: STAMP)
         out = tmp_path / "out"
         assert run(*WRITER_CASES[case], "--output", str(out)) == 0
         ((name, args, kwargs),) = calls
-        if name == "_write_json_rows":
-            _, head, header, rows, stamp = args
+        if name == "_write_json":
+            _, head, stamp, key, _ = args
+            header, rows = rows_of["_json_rows"]
+            assert key == "rows" and not kwargs
             obj = head | {"rows": [dict(zip(header, row)) for row in rows]}
             if stamp:
                 obj["stamp"] = STAMP
             want = json.dumps(obj, indent=2) + "\n"
             assert list(json.loads(out.read_text()))[-1] == ("stamp" if stamp else "rows")
         else:
-            _, header, _, rows = args
+            _, header, lines = args
+            _, rows = rows_of["_csv_rows"]
             fh = io.StringIO(newline="")
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
@@ -1035,12 +1094,38 @@ class TestRowWriters:
                 [format(v, ".17g") if isinstance(v, float) else v for v in row]
                 for row in rows
             )
-            footer = kwargs.get("footer")
-            if footer:
+            # a footer is a one-field row after the rows
+            for footer in lines[len(rows):]:
                 writer.writerow([footer.rstrip("\n")])
             want = fh.getvalue()
         assert out.read_text() == want
         assert len(rows) >= 1
+
+    @given(
+        rows=st.lists(
+            st.lists(
+                st.one_of(
+                    st.sampled_from([-0.0, 5e-324, 1e16, 1e22, 1.0000000000000002]),
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    st.integers(),
+                ),
+                min_size=3, max_size=3,
+            ),
+            min_size=1, max_size=5,
+        ),
+        stamp=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rows_document_is_the_indented_dump(self, tmp_path_factory, rows, stamp):
+        header = ["n", "re", "im"]
+        head = {"count": len(rows), "params": {"M": 0.5}}
+        out = tmp_path_factory.mktemp("rows") / "rows.json"
+        with unittest.mock.patch.object(cli, "_utc_stamp", lambda: STAMP):
+            cli._write_json(str(out), head, stamp, "rows", cli._json_rows(header, rows))
+        obj = head | {"rows": [dict(zip(header, row)) for row in rows]}
+        if stamp:
+            obj["stamp"] = STAMP
+        assert out.read_text() == json.dumps(obj, indent=2) + "\n"
 
     def test_perturbative_padding_is_positive_zero(self, tmp_path):
         out = tmp_path / "p.csv"

@@ -4,8 +4,6 @@ The k <= 4 table is pinned entry by entry against the hand-checked closed
 forms; everything is exact integer equality in u = y/2, zero tolerance.
 """
 
-import csv
-import io
 import json
 import math
 from fractions import Fraction
@@ -15,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from besselrules import coefficients
+from besselrules import cli, coefficients
 from besselrules.bessel_core import bessel_j_row, truncation_bound
 from besselrules.coefficients import (
     CoeffTable,
@@ -41,18 +39,6 @@ def evaluate_exact(p: DyadicPoly, y: Fraction) -> Fraction:
 def poly_from_json(obj: list[dict]) -> DyadicPoly:
     """The polynomial a DyadicPoly.to_json_obj list describes."""
     return poly(*((int(t["power"]), int(t["num"]), int(t["exp2"])) for t in obj))
-
-
-def csv_reference(table: CoeffTable, dual_path: str, mismatches=()) -> str:
-    """The table as csv.writer writes it, one row per term of each entry."""
-    fh = io.StringIO(newline="")
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["k", "n", "power", "num", "exp2", "dual_path"])
-    for e in table.to_json_obj()["entries"]:
-        flag = "mismatch" if (e["k"], e["n"]) in mismatches else dual_path
-        for t in e["poly"]:
-            writer.writerow([e["k"], e["n"], t["power"], t["num"], t["exp2"], flag])
-    return fh.getvalue()
 
 
 def two_sided_table(k_max: int) -> dict[tuple[int, int], DyadicPoly]:
@@ -251,51 +237,15 @@ class TestBuildCoeffTable:
         "trailing",
         [{}, {"dual_path": "ok"}, {"dual_path": "skipped", "stamp": "t"}],
     )
-    def test_json_text_is_the_indented_dump(self, k_max, trailing):
+    def test_json_text_is_the_indented_dump(self, tmp_path, k_max, trailing):
+        # the entries as the coeffs command lays them out, one template each
         table = build_coeff_table(k_max)
+        items = (cli._coeff_entry(len(flat) // 3) % (k, n, *flat)
+                 for k, n, flat in table._flat_entries())
+        out = tmp_path / "coeffs.json"
+        cli._write_json(str(out), {"k_max": k_max}, False, "entries", items, **trailing)
         want = json.dumps(table.to_json_obj() | trailing, indent=2) + "\n"
-        assert "".join(table.json_chunks(**trailing)) == want
-
-    def test_json_text_of_empty_parts_and_nested_fields(self):
-        # empty lists are written "[]", and a nested trailing value is
-        # indented one level deeper, as the indented encoder lays them out
-        trailing = {"nested": [1, {"a": [], "b": ["x"]}], "empty": {}}
-        for table in (
-            CoeffTable(k_max=0, entries={}),
-            CoeffTable(k_max=1, entries={(1, 1): DyadicPoly()}),
-        ):
-            want = json.dumps(table.to_json_obj() | trailing, indent=2) + "\n"
-            assert "".join(table.json_chunks(**trailing)) == want
-
-    def test_writers_reduce_each_object_by_value(self):
-        # the writers reuse the reduction of a polynomial object within a
-        # row; shared, equal-but-distinct and empty entries all read back
-        shared = build_coeff_table(3).entry(3, 1)  # read-only: kept as it is
-        tables = {
-            "one object under two keys of one row": CoeffTable(
-                k_max=3,
-                entries={(3, -3): poly((3, -1, 3)), (3, -1): shared, (3, 1): shared,
-                         (3, 3): poly((3, 1, 3))},
-            ),
-            "a mirror equal in value, distinct object": CoeffTable(
-                k_max=2, entries={(2, -1): poly((1, 1, 1)), (2, 1): poly((1, 1, 1))}
-            ),
-            "one object across two rows": CoeffTable(
-                k_max=4, entries={(3, 1): shared, (4, 0): shared, (4, 2): shared}
-            ),
-            "an empty polynomial": CoeffTable(k_max=1, entries={(1, 1): DyadicPoly()}),
-        }
-        entries = tables["one object under two keys of one row"].entries
-        assert entries[(3, -1)] is entries[(3, 1)]
-        entries = tables["a mirror equal in value, distinct object"].entries
-        assert entries[(2, -1)] == entries[(2, 1)] and entries[(2, -1)] is not entries[(2, 1)]
-        for name, table in tables.items():
-            want = json.dumps(table.to_json_obj() | {"dual_path": "ok"}, indent=2) + "\n"
-            assert "".join(table.json_chunks(dual_path="ok")) == want, name
-            for mismatches in ((), {(3, 1), (4, 0)}):
-                want = csv_reference(table, "ok", mismatches)
-                got = "".join(table.csv_chunks("ok", mismatches))
-                assert got == want, (name, mismatches)
+        assert out.read_text() == want
 
     def test_cached_table_cannot_be_changed_in_place(self):
         table = build_coeff_table(4)
