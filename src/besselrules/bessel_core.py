@@ -160,10 +160,6 @@ def bessel_j_row(order_max: int, y: float) -> BesselRow:
         raise ValueError(f"argument must be finite, got {y!r}")
     if abs(y) > 1e6:
         raise ValueError(f"|argument| must be <= 1e6, got {y!r}")
-    if y == 0.0:
-        values = np.zeros(order_max + 1)
-        values[0] = 1.0
-        return BesselRow(order_max, y, values)
     ya = abs(y)
     if ya < _TINY_ARGUMENT:
         values = np.array([_tiny_argument_series(m, ya) for m in range(order_max + 1)])

@@ -342,11 +342,8 @@ def cmd_sidebands(args) -> int:
     energy = spectrum.energy_sum()
 
     # trim the emitted range to the significant support
-    n_eff = 0
-    for n in range(n_max, -1, -1):
-        if abs(spectrum[n]) > 1e-14 or abs(spectrum[-n]) > 1e-14:
-            n_eff = n
-            break
+    reach = np.flatnonzero(np.abs(spectrum.values) > 1e-14) - n_max
+    n_eff = int(np.abs(reach).max(initial=0))
 
     rows = [
         (n, spectrum[n].real, spectrum[n].imag, abs(spectrum[n]) ** 2)
@@ -442,11 +439,8 @@ def cmd_lineshape(args) -> int:
         head = {
             "method": args.method,
             "params": {
-                "omega0": base.omega0,
-                "gamma": base.gamma,
-                "force": base.force,
-                "Omega": base.Omega,
-                "M": base.M,
+                name: value for name, value in dataclasses.asdict(base).items()
+                if name != "delta"
             },
             "harmonics": args.harmonics,
             "truncation_order": (
@@ -487,10 +481,10 @@ def cmd_a_sum(args) -> int:
         raise ValueError("at least one method is required")
 
     values = {m: _A_SUM_METHODS[m](args) for m in methods}
-    residuals = {}
-    for i, m1 in enumerate(methods):
-        for m2 in methods[i + 1 :]:
-            residuals[f"{m1}/{m2}"] = abs(values[m1] - values[m2])
+    residuals = {
+        f"{m1}/{m2}": abs(values[m1] - values[m2])
+        for m1, m2 in itertools.combinations(methods, 2)
+    }
 
     expansion = None
     if args.expand:
@@ -587,11 +581,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_file_options(p, default_format: str, stamp: bool = True) -> None:
+        """--format, --output and --stamp; called after the command's own options,
+        so that --help lists them last."""
+        p.add_argument("--format", choices=("json", "csv"), default=default_format)
+        p.add_argument("--output", required=True)
+        if stamp:
+            p.add_argument("--stamp", action="store_true")
+
     p = sub.add_parser("coeffs", help="emit the exact coefficient table")
     p.add_argument("--k-max", type=int, required=True)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--output", required=True)
-    p.add_argument("--stamp", action="store_true")
+    add_file_options(p, "json")
 
     p = sub.add_parser("verify", help="run sum-rule residual grids")
     p.add_argument(
@@ -600,8 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
     )
     p.add_argument("--tolerance", type=float, default=1e-9)
-    p.add_argument("--format", choices=("json", "csv"), default="csv")
-    p.add_argument("--output", required=True)
+    add_file_options(p, "csv", stamp=False)
 
     p = sub.add_parser("sidebands", help="emit a sideband spectrum")
     p.add_argument("--M", type=float, default=None, help="sinusoidal modulation index")
@@ -614,9 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--Omega", type=float, default=1.0)
     p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="csv")
-    p.add_argument("--output", required=True)
-    p.add_argument("--stamp", action="store_true")
+    add_file_options(p, "csv")
 
     p = sub.add_parser("lineshape", help="emit absorbed-power harmonic sweeps")
     p.add_argument("--omega0", type=float, default=1e6)
@@ -640,9 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", type=float, default=1.0)
     p.add_argument("--method", choices=("exact", "perturbative", "ode"), default="exact")
     p.add_argument("--harmonics", type=int, default=2)
-    p.add_argument("--format", choices=("json", "csv"), default="csv")
-    p.add_argument("--output", required=True)
-    p.add_argument("--stamp", action="store_true")
+    add_file_options(p, "csv")
 
     p = sub.add_parser("a-sum", help="evaluate a resonant sideband sum")
     p.add_argument("--s", type=int, required=True)
@@ -653,9 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=3, help="geometric expansion order")
     p.add_argument("--tolerance", type=float, default=1e-8, help="cross-method residual bound")
     p.add_argument("--expand", action="store_true", help="emit eta-expansion coefficients")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--output", required=True)
-    p.add_argument("--stamp", action="store_true")
+    add_file_options(p, "json")
 
     return parser
 

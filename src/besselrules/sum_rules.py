@@ -352,10 +352,11 @@ class SidebandSpectrum:
 def general_sidebands(mod: GeneralModulation, n_max: int) -> SidebandSpectrum:
     """Sideband amplitudes by uniform sampling over one modulation period.
 
-    The sample count starts at a power of two >= 8 n_max and doubles until
-    the aliasing tail (largest amplitude in the outer half of the sampled
-    spectrum) falls below 1e-13.  A count past _MAX_SAMPLES raises
-    AccuracyError; when the first count is past it, nothing is sampled.
+    The sample count starts at the larger of 256 and the power of two
+    >= 8 n_max, and doubles until the aliasing tail (largest amplitude in
+    the outer half of the sampled spectrum) falls below 1e-13.  A count
+    past _MAX_SAMPLES raises AccuracyError; when the first count is past
+    it, nothing is sampled.
     """
     if n_max < mod.support():
         raise ValueError(
@@ -372,10 +373,7 @@ def general_sidebands(mod: GeneralModulation, n_max: int) -> SidebandSpectrum:
     while True:
         t = np.arange(m) * (2.0 * math.pi / (mod.fundamental * m))
         g = fft(np.exp(1j * mod.phase(t))) / m
-        guard = np.abs(
-            np.concatenate([g[m // 4 : m // 2], g[m // 2 : 3 * m // 4]])
-        )
-        tail = float(guard.max()) if guard.size else 0.0
+        tail = float(np.abs(g[m // 4 : 3 * m // 4]).max())
         if tail < _TAIL_TOL:
             break
         m *= 2
@@ -384,13 +382,10 @@ def general_sidebands(mod: GeneralModulation, n_max: int) -> SidebandSpectrum:
                 f"sideband sampling tail {tail:.3e} did not fall below "
                 f"{_TAIL_TOL:.0e}"
             )
-    values = np.empty(2 * n_max + 1, dtype=complex)
-    for n in range(-n_max, n_max + 1):
-        values[n + n_max] = g[n % m]
     return SidebandSpectrum(
         order_max=n_max,
         fundamental=mod.fundamental,
-        values=values,
+        values=g[np.arange(-n_max, n_max + 1) % m],
         sample_count=m,
         tail_estimate=tail,
     )

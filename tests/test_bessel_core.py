@@ -135,8 +135,10 @@ class TestBesselJInt:
 
 class TestBesselRow:
     def test_zero_argument_row(self):
-        row = bessel_j_row(4, 0.0)
-        assert list(row.values) == [1.0, 0.0, 0.0, 0.0, 0.0]
+        for y in (0.0, -0.0):
+            row = bessel_j_row(4, y)
+            assert list(row.values) == [1.0, 0.0, 0.0, 0.0, 0.0]
+            assert not np.signbit(row.values).any()
 
     def test_elementwise_match(self):
         for y in Y_GRID:

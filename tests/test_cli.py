@@ -1001,6 +1001,17 @@ class TestASumCommand:
         assert err.count("\n") == 1
         assert "cli.py" not in err
 
+    def test_repeated_domain_warning_is_printed_once(self, tmp_path, capsys):
+        # both geometric sums raise the same warning; main prints it once
+        out = tmp_path / "a.json"
+        assert run(
+            "a-sum", "--s", "1", "--M", "0.5", "--Omega", "2", "--method",
+            "geometric,geometric", "--output", str(out),
+        ) == 0
+        err = capsys.readouterr().err
+        assert err.count("warning:") == 1
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("flags", [("--expand",), ("--method", "geometric")])
     def test_order_past_the_table_is_usage_error(self, tmp_path, capsys, flags):
         out = tmp_path / "a.json"
@@ -1163,6 +1174,16 @@ class TestDeterminismAndUsage:
         assert run(*RERUN_COMMANDS[command], "--output", str(a)) == 0
         assert run(*RERUN_COMMANDS[command], "--output", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("command", list(RERUN_COMMANDS))
+    def test_stamp_is_an_option_of_every_command_but_verify(self, tmp_path, command):
+        argv = (*RERUN_COMMANDS[command], "--stamp", "--output", str(tmp_path / "out"))
+        if command == "verify":
+            with pytest.raises(SystemExit) as err:
+                run(*argv)
+            assert err.value.code == 2
+        else:
+            assert run(*argv) == 0
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from besselrules import cli, coefficients
+from besselrules import coefficients
 from besselrules.bessel_core import bessel_j_row, truncation_bound
 from besselrules.coefficients import (
     CoeffTable,
@@ -231,21 +231,6 @@ class TestBuildCoeffTable:
         assert again["k_max"] == table.k_max
         entries = {(e["k"], e["n"]): poly_from_json(e["poly"]) for e in again["entries"]}
         assert entries == dict(table.entries)
-
-    @pytest.mark.parametrize("k_max", [0, 1, 5, 64])
-    @pytest.mark.parametrize(
-        "trailing",
-        [{}, {"dual_path": "ok"}, {"dual_path": "skipped", "stamp": "t"}],
-    )
-    def test_json_text_is_the_indented_dump(self, tmp_path, k_max, trailing):
-        # the entries as the coeffs command lays them out, one template each
-        table = build_coeff_table(k_max)
-        items = (cli._coeff_entry(len(flat) // 3) % (k, n, *flat)
-                 for k, n, flat in table._flat_entries())
-        out = tmp_path / "coeffs.json"
-        cli._write_json(str(out), {"k_max": k_max}, False, "entries", items, **trailing)
-        want = json.dumps(table.to_json_obj() | trailing, indent=2) + "\n"
-        assert out.read_text() == want
 
     def test_cached_table_cannot_be_changed_in_place(self):
         table = build_coeff_table(4)
