@@ -78,14 +78,15 @@ _RESCALE_SHIFT = 512
 _TINY_ARGUMENT = 1e-8
 
 
-def _tiny_argument_series(n: int, y: float) -> float:
-    acc = 1.0
-    half = 0.5 * y
-    for k in range(1, n + 1):
-        acc *= half / k
-        if acc == 0.0:
-            return 0.0
-    return acc * (1.0 - 0.25 * y * y / (n + 1))
+def _tiny_chain(y: float, order_max: int, nu: complex = 0) -> np.ndarray:
+    """_downward_chain's values for 0 <= y < _TINY_ARGUMENT, by two terms of the
+    ascending series: prod_{j <= m} (y/2)/(nu+j) times 1 - (y/2)^2/(nu+m+1)."""
+    quarter, power, values = 0.25 * y * y, 1.0, []
+    for m in range(order_max + 1):
+        denominator = nu + (m + 1)
+        values.append(power * (1.0 - quarter / denominator))
+        power *= 0.5 * y / denominator
+    return np.array(values)
 
 
 def _neumann_ratios(nu: complex, count: int) -> list[complex]:
@@ -161,10 +162,7 @@ def bessel_j_row(order_max: int, y: float) -> BesselRow:
     if abs(y) > 1e6:
         raise ValueError(f"|argument| must be <= 1e6, got {y!r}")
     ya = abs(y)
-    if ya < _TINY_ARGUMENT:
-        values = np.array([_tiny_argument_series(m, ya) for m in range(order_max + 1)])
-    else:
-        values = _downward_chain(ya, order_max)
+    values = (_tiny_chain if ya < _TINY_ARGUMENT else _downward_chain)(ya, order_max)
     if y < 0.0:
         values[1::2] = -values[1::2]
     return BesselRow(order_max, y, values)
@@ -263,11 +261,9 @@ def bessel_j_complex_order(nu: complex, z: float) -> complex:
         raise ValueError(f"J_nu(0) is singular for Re nu <= 0, nu = {nu}")
     k = math.floor(nu.real)
     if z < _TINY_ARGUMENT:
-        # two terms of the ascending series, from nu itself when Re nu >= 0
+        # the ascending series from nu itself when Re nu >= 0
         k = min(k, 0)
-        b = nu - k
-        values = [1.0 - 0.25 * z * z / (b + 1.0),
-                  0.5 * z / (b + 1.0) * (1.0 - 0.25 * z * z / (b + 2.0))]
+        values = _tiny_chain(z, 1, nu - k)
         error = 2.0 ** -52
     else:
         # the Neumann terms, whose sum is 1, die off past the turning point z

@@ -382,14 +382,15 @@ def _sweep_values(lo: float, hi: float, count: int) -> list[float]:
 
 
 def _lineshape_rows(
-    base: OscillatorParams, deltas: list[float], method: str, harmonics: int
+    base: OscillatorParams, deltas: list[float], rad: list[float], method: str,
+    harmonics: int,
 ) -> list:
-    """Rows [delta, dc, h1_cos, h1_sin, ...] at the normalized detunings deltas.
+    """Rows [delta, dc, h1_cos, h1_sin, ...] at the detunings rad (rad/s), whose
+    normalized values deltas fill the delta column.
 
     The sweeps give columns, which fill one table; the harmonics past the
     two of perturbative are zeros.  The oracle runs per detuning.
     """
-    rad = [0.5 * d * base.gamma for d in deltas]
     if method == "ode":
         mod = GeneralModulation.sinusoidal(base.M, base.Omega)
         rows = []
@@ -427,10 +428,14 @@ def cmd_lineshape(args) -> int:
         if args.delta_min is None or args.delta_max is None:
             raise ValueError("--delta-min and --delta-max must be given together")
         deltas = _sweep_values(args.delta_min, args.delta_max, args.delta_steps)
+        rad = [0.5 * d * base.gamma for d in deltas]
     else:
-        deltas = [2.0 * args.delta / args.gamma]
+        deltas, rad = [2.0 * args.delta / args.gamma], [args.delta]
+        if math.isfinite(args.delta) and not math.isfinite(deltas[0]):
+            raise ValueError(
+                f"--delta {args.delta!r} over --gamma {args.gamma!r} overflows 2 delta / gamma")
 
-    rows = _lineshape_rows(base, deltas, args.method, args.harmonics)
+    rows = _lineshape_rows(base, deltas, rad, args.method, args.harmonics)
 
     header = ["delta", "dc"]
     for h in range(1, args.harmonics + 1):
@@ -541,45 +546,18 @@ def _is_negative_number(token: str) -> bool:
     return token.startswith("-")
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """An ArgumentParser that reads "-1e-3" as the value of a float option.
-
-    argparse takes only tokens shaped like "-5" or "-0.5" for negative
-    numbers; any other token that starts with "-" counts as an option, so
-    "--delta-min -1e-3" fails with "expected one argument".  Before
-    parsing, each float option is joined to a negative value that follows
-    it ("--delta-min=-1e-3"), a form argparse always reads as one option
-    and its value.  Options must be spelled in full, so that "--tol" is
-    not read as "--tolerance".  Subcommand parsers share this class.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, allow_abbrev=False, **kwargs)
-        self.float_options: set[str] = set()
-
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        if kwargs.get("type") is float:
-            self.float_options.update(action.option_strings)
-        return action
-
-    def parse_known_args(self, args=None, namespace=None):
-        joined: list[str] = []
-        for token in sys.argv[1:] if args is None else args:
-            follows_float = joined and joined[-1] in self.float_options
-            if follows_float and _is_negative_number(token):
-                joined[-1] += "=" + token
-            else:
-                joined.append(token)
-        return super().parse_known_args(joined, namespace)
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(
+    # options must be spelled in full, so that "--tol" is not read as "--tolerance"
+    parser = argparse.ArgumentParser(
         prog="besselrules",
         description="Bessel-product sum rules: tables, checks, spectra, lineshapes",
+        allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        parser_class=functools.partial(argparse.ArgumentParser, allow_abbrev=False),
+    )
 
     def add_file_options(p, default_format: str, stamp: bool = True) -> None:
         """--format, --output and --stamp; called after the command's own options,
@@ -658,7 +636,17 @@ _PARSER = build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
+    # argparse reads "-5" and "-0.5" as values but "-1e-3" as an option, so
+    # each --option is joined to a negative number that follows it:
+    # "--delta-min=-1e-3" is always one option and its value
+    joined: list[str] = []
+    for token in sys.argv[1:] if argv is None else argv:
+        if (joined and joined[-1].startswith("--") and "=" not in joined[-1]
+                and _is_negative_number(token)):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    args = _PARSER.parse_args(joined)
     # looked up per call, so that a cmd_* replaced after import is the one run
     command = globals()["cmd_" + args.command.replace("-", "_")]
     with warnings.catch_warnings():

@@ -59,8 +59,6 @@ class DyadicPoly:
 
     def evaluate(self, y: float) -> float:
         """Horner evaluation in u = y/2 (one rounding per operation)."""
-        if not self.coeffs:
-            return 0.0
         u = 0.5 * y
         acc = 0.0
         prev_power: int | None = None

@@ -133,8 +133,10 @@ class OscillatorParams:
                 raise ValueError(f"{name} must be finite and > 0, got {v!r}")
         if not (self.M >= 0.0 and math.isfinite(self.M)):
             raise ValueError(f"M must be finite and >= 0, got {self.M!r}")
-        if not (math.isfinite(self.force) and math.isfinite(self.delta)):
-            raise ValueError("force and delta must be finite")
+        for name in ("force", "delta"):
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v!r}")
 
     @property
     def Delta(self) -> float:
@@ -341,8 +343,9 @@ def exact_truncation_order(M: float, s_max: int) -> int:
 def _finite_deltas(deltas: Sequence[float]) -> np.ndarray:
     """deltas as a float array; a non-finite one is refused as OscillatorParams does."""
     deltas = np.asarray(deltas, dtype=float)
-    if not np.all(np.isfinite(deltas)):
-        raise ValueError("force and delta must be finite")
+    bad = deltas[~np.isfinite(deltas)]
+    if bad.size:
+        raise ValueError(f"delta must be finite, got {float(bad[0])!r}")
     return deltas
 
 

@@ -335,7 +335,6 @@ class SidebandSpectrum:
     """Sideband amplitudes of exp(i phi(t)), n in [-order_max, order_max]."""
 
     order_max: int
-    fundamental: float
     values: np.ndarray
     sample_count: int
     tail_estimate: float
@@ -384,7 +383,6 @@ def general_sidebands(mod: GeneralModulation, n_max: int) -> SidebandSpectrum:
             )
     return SidebandSpectrum(
         order_max=n_max,
-        fundamental=mod.fundamental,
         values=g[np.arange(-n_max, n_max + 1) % m],
         sample_count=m,
         tail_estimate=tail,

@@ -19,8 +19,15 @@ from besselrules import bessel_core, cli, sum_rules
 from besselrules.bessel_core import bessel_j_int, truncation_bound
 from besselrules.cli import main
 from besselrules.coefficients import CoeffTable, DyadicPoly, build_coeff_table
-from besselrules.modulation_spectroscopy import a_s_direct
+from besselrules.modulation_spectroscopy import (
+    OscillatorParams,
+    a_s_direct,
+    modulated_power_exact,
+    modulated_power_perturbative,
+    time_domain_oracle,
+)
 from besselrules.sum_rules import (
+    GeneralModulation,
     SumRuleReport,
     addition_formula_sides,
     alternating_sum_sides,
@@ -647,6 +654,56 @@ class TestLineshapeCommand:
         ) == 0
         assert [float(r["delta"]) for r in read_csv(out)] == [-1e-3, 0.0, 1e-3]
 
+    def test_negative_value_with_exponent_from_the_console_script(self, tmp_path, monkeypatch):
+        # the installed script calls main() with no argv: it reads sys.argv
+        out = tmp_path / "n.csv"
+        monkeypatch.setattr("sys.argv", [
+            "besselrules", "lineshape", "--Omega", "0.03", "--M", "0.5", "--delta-min",
+            "-1e-3", "--delta-max", "1e-3", "--delta-steps", "3", "--output", str(out),
+        ])
+        assert main() == 0
+        assert [float(r["delta"]) for r in read_csv(out)] == [-1e-3, 0.0, 1e-3]
+
+    @pytest.mark.parametrize("method", ["exact", "perturbative", "ode"])
+    def test_single_detuning_is_computed_as_given(self, tmp_path, method):
+        # 2 delta / gamma and back is 0.7000000000000001 here
+        out = tmp_path / "d.json"
+        assert run(
+            "lineshape", "--M", "1", "--Omega", "0.03", "--gamma", "0.3", "--delta", "0.7",
+            "--method", method, "--format", "json", "--output", str(out),
+        ) == 0
+        (row,) = json.loads(out.read_text())["rows"]
+        p = OscillatorParams(omega0=1e6, gamma=0.3, force=1.0, delta=0.7, Omega=0.03, M=1.0)
+        if method == "exact":
+            dec = modulated_power_exact(p, 2)
+        elif method == "perturbative":
+            dec = modulated_power_perturbative(p)
+        else:
+            dec = time_domain_oracle(p, GeneralModulation.sinusoidal(1.0, 0.03), n_harmonics=2)
+        assert row == {
+            "delta": 2.0 * 0.7 / 0.3, "dc": dec.dc,
+            "h1_cos": dec.cos_amps[0], "h1_sin": dec.sin_amps[0],
+            "h2_cos": dec.cos_amps[1], "h2_sin": dec.sin_amps[1],
+        }
+
+    def test_overflowing_normalized_detuning_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        code = run("lineshape", "--M", "1", "--Omega", "0.1", "--gamma", "0.1",
+                   "--delta", "1e307", "--output", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--delta 1e+307" in err and "--gamma 0.1" in err
+        assert not out.exists()
+
+    def test_non_finite_force_names_force(self, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        code = run("lineshape", "--M", "1", "--Omega", "0.1", "--force", "nan",
+                   "--output", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: force must be finite, got nan\n"
+        assert not out.exists()
+
     def test_overflowing_sweep_step_is_usage_error(self, tmp_path, capsys):
         # finite ends whose step (hi - lo) / (steps - 1) overflows to inf
         out = tmp_path / "wide.csv"
@@ -1184,6 +1241,20 @@ class TestDeterminismAndUsage:
             assert err.value.code == 2
         else:
             assert run(*argv) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ("coeffs", "--k", "5"),
+        ("verify", "--tol", "1e-9"),
+        ("sidebands", "--phi", "[]"),
+        ("lineshape", "--Omega", "0.03", "--M", "0.5", "--harm", "1"),
+        ("a-sum", "--s", "1", "--M", "1", "--Omega", "0.5", "--tol", "1e-3"),
+    ], ids=lambda argv: argv[0])
+    def test_abbreviated_option_is_usage_error(self, tmp_path, argv):
+        # each names one option of its command, so with abbreviations the call would run
+        with pytest.raises(SystemExit) as err:
+            run(*argv, "--output", str(tmp_path / "out"))
+        assert err.value.code == 2
+        assert not (tmp_path / "out").exists()
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:

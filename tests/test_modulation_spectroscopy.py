@@ -530,7 +530,7 @@ class TestModulatedPowerPerturbative:
         empty = modulated_power_perturbative_sweep(params(), [])
         assert [a.shape for a in empty] == [(0,), (0, 2), (0, 2)]
         # a detuning that overflowed is refused, as by OscillatorParams
-        with pytest.raises(ValueError, match="delta must be finite"):
+        with pytest.raises(ValueError, match="^delta must be finite, got -inf$"):
             modulated_power_perturbative_sweep(params(), [0.0, -math.inf])
 
 
