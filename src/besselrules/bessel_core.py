@@ -46,6 +46,13 @@ class BesselRow:
         return float(self.values[n])
 
 
+def _check_finite(name: str, value: float, bound: str = "") -> None:
+    """Refuse, naming it, a value that is not finite or not within bound ("> 0", ">= 0")."""
+    inside = value > 0 if bound == "> 0" else value >= 0 if bound == ">= 0" else True
+    if not (math.isfinite(value) and inside):
+        raise ValueError(f"{name} must be finite{' and ' + bound if bound else ''}, got {value!r}")
+
+
 def truncation_bound(y: float, tol: float) -> int:
     """Smallest N (from a validated envelope) with |J_n(y)| < tol for |n| >= N.
 
@@ -57,8 +64,7 @@ def truncation_bound(y: float, tol: float) -> int:
     L = -ln tol.  Deliberately generous; the test suite checks it against
     direct evaluation across the working grid.
     """
-    if not (y >= 0.0) or not math.isfinite(y):
-        raise ValueError(f"argument must be finite and >= 0, got {y!r}")
+    _check_finite("argument", y, ">= 0")
     if not (0.0 < tol < 1.0):
         raise ValueError(f"tolerance must lie in (0, 1), got {tol!r}")
     big_l = -math.log(tol)
@@ -157,8 +163,7 @@ def bessel_j_row(order_max: int, y: float) -> BesselRow:
     """All of J_0(y)..J_order_max(y) from a single normalized chain."""
     if order_max < 0:
         raise ValueError(f"order_max must be >= 0, got {order_max}")
-    if not math.isfinite(y):
-        raise ValueError(f"argument must be finite, got {y!r}")
+    _check_finite("argument", y)
     if abs(y) > 1e6:
         raise ValueError(f"|argument| must be <= 1e6, got {y!r}")
     ya = abs(y)
@@ -251,8 +256,7 @@ def bessel_j_complex_order(nu: complex, z: float) -> complex:
     order 0 included, and OverflowError past doubles.
     """
     nu = complex(nu)
-    if not (z >= 0.0) or not math.isfinite(z):
-        raise ValueError(f"argument must be finite and >= 0, got {z!r}")
+    _check_finite("argument", z, ">= 0")
     if nu.imag == 0.0 and nu.real == int(nu.real):
         return complex(bessel_j_int(int(nu.real), z))
     if z == 0.0:

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from besselrules.bessel_core import ConvergenceError, OracleError
+from besselrules.bessel_core import ConvergenceError, OracleError, _check_finite
 from besselrules.coefficients import (
     MAX_FAA_DI_BRUNO_K,
     build_coeff_table,
@@ -127,12 +127,6 @@ def _write_csv(path: str, header: list[str], lines: Iterable[str]) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(lines)
-
-
-def _check_tolerance(tolerance: float) -> None:
-    # every comparison with NaN is false, so a NaN bound would gate nothing
-    if not (math.isfinite(tolerance) and tolerance >= 0):
-        raise ValueError(f"--tolerance must be finite and >= 0, got {tolerance:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +264,7 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
-    _check_tolerance(args.tolerance)
+    _check_finite("--tolerance", args.tolerance, ">= 0")
     reports: list[SumRuleReport] = []
     for build in _SUITES[args.suite]:
         reports.extend(build())
@@ -330,6 +324,10 @@ def cmd_sidebands(args) -> int:
         raise ValueError(
             "specify exactly one modulation: --M, or --y1/--y2, or --phi-coeffs"
         )
+    for name, value in (("--M", args.M), ("--y1", args.y1), ("--y2", args.y2)):
+        if value is not None:
+            _check_finite(name, value)
+    _check_finite("--Omega", args.Omega, "> 0")
     if args.M is not None:
         mod = GeneralModulation.sinusoidal(args.M, args.Omega)
     elif args.phi_coeffs is not None:
@@ -475,7 +473,7 @@ _A_SUM_METHODS = {
 
 
 def cmd_a_sum(args) -> int:
-    _check_tolerance(args.tolerance)
+    _check_finite("--tolerance", args.tolerance, ">= 0")
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
     for m in methods:
         if m not in _A_SUM_METHODS:
@@ -544,6 +542,18 @@ def _is_negative_number(token: str) -> bool:
     except ValueError:
         return False
     return token.startswith("-")
+
+
+def _value_options(parser: argparse.ArgumentParser) -> set[str]:
+    """The option strings of parser and its commands that take a value."""
+    options = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for command in action.choices.values():
+                options |= _value_options(command)
+        elif action.nargs != 0:
+            options.update(action.option_strings)
+    return options
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -633,16 +643,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 # built once per process: every main() call parses with it
 _PARSER = build_parser()
+_VALUE_OPTIONS = _value_options(_PARSER)
 
 
 def main(argv: list[str] | None = None) -> int:
-    # argparse reads "-5" and "-0.5" as values but "-1e-3" as an option, so
-    # each --option is joined to a negative number that follows it:
-    # "--delta-min=-1e-3" is always one option and its value
+    # argparse reads "-5" and "-0.5" as values but "-1e-3" as an option, so an
+    # option that takes a value is joined to a negative number after it:
+    # "--delta-min=-1e-3" is always one option and its value; a flag never is
     joined: list[str] = []
     for token in sys.argv[1:] if argv is None else argv:
-        if (joined and joined[-1].startswith("--") and "=" not in joined[-1]
-                and _is_negative_number(token)):
+        if joined and joined[-1] in _VALUE_OPTIONS and _is_negative_number(token):
             joined[-1] += "=" + token
         else:
             joined.append(token)

@@ -11,18 +11,19 @@ two-term lattice recursion
 noncentral Stirling numbers, and a closed form over chain-rule partitions.
 The recursion shows D[k, n] = sum_m c[k, n, m] (y/2)^m with integer c,
 so the arithmetic is exact on plain big integers; nothing here ever
-rounds.  Only _flat_terms reduces c / 2^m to the y-basis dyadic form, the
-terms that the writers of besselrules.cli lay out as JSON and CSV; this
-module holds no file layout.
+rounds.  A CoeffTable keeps the recursion's rows for n >= 0 and takes
+D[k, -n] by its sign.  Only _flat_terms reduces c / 2^m to the y-basis
+dyadic form, the terms that the writers of besselrules.cli lay out as
+JSON and CSV; this module holds no file layout.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 __all__ = [
     "DyadicPoly",
@@ -75,7 +76,7 @@ class DyadicPoly:
 
     def terms(self) -> list[tuple[int, int, int]]:
         """(power, num, exp2) per term (num / 2^exp2) y^power, by power."""
-        flat = _flat_terms(self.coeffs)
+        flat = _flat_terms(sorted(self.coeffs.items()))
         return list(zip(flat[::3], flat[1::3], flat[2::3]))
 
     def to_json_obj(self) -> list[dict]:
@@ -83,38 +84,59 @@ class DyadicPoly:
         return [{"power": p, "num": str(num), "exp2": e} for p, num, e in self.terms()]
 
 
-def _flat_terms(coeffs: Mapping[int, int]) -> tuple[int, ...]:
-    """(power, num, exp2, ...) per term c (y/2)^m = (num / 2^exp2) y^m, by power, with
-    num odd unless exp2 == 0: c / 2^m is reduced here and nowhere else."""
+def _flat_terms(terms: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """(power, num, exp2, ...) per nonzero term c (y/2)^m = (num / 2^exp2) y^m of
+    terms, pairs (m, c) by power, with num odd unless exp2 == 0: c / 2^m is
+    reduced here and nowhere else."""
     flat: list[int] = []
-    for power, c in sorted(coeffs.items()):
-        tz = (c & -c).bit_length() - 1  # trailing zero bits of c
-        if tz > power:
-            tz = power
-        flat += power, c >> tz, power - tz
+    for power, c in terms:
+        if c:
+            tz = (c & -c).bit_length() - 1  # trailing zero bits of c
+            if tz > power:
+                tz = power
+            flat += power, c >> tz, power - tz
     return tuple(flat)
+
+
+def _both_signs(k: int, values: list) -> Iterator[tuple[int, object, bool]]:
+    """(n, values[|n|], whether D[k, n] is D[k, |n|] negated) for n = -k..k."""
+    for n in range(-k, k + 1):
+        yield n, values[abs(n)], n < 0 and (k + n) % 2 == 1
 
 
 @dataclass(frozen=True)
 class CoeffTable:
-    """Read-only map (k, n) -> polynomial for all |n| <= k <= k_max.
+    """Every D[k, n] with |n| <= k <= k_max, as the recursion builds them.
 
-    Entries with |n| > k are identically zero and not stored; neither are
-    entries that happen to vanish (k + n odd forces the n = 0 column to
-    zero for odd k, for instance).
+    rows[k][n], 0 <= n <= k, holds the c of the terms c (y/2)^m of D[k, n]
+    over m = n, n + 2, ..., k.  theta -> pi - theta fixes sin(theta), maps
+    e^{i n theta} to (-1)^n e^{-i n theta} and d/dtheta to -d/dtheta, so
+    D[k, -n] = (-1)^(k+n) D[k, n] (_both_signs) is not stored.  entries, the
+    read-only map (k, n) -> polynomial, is derived from rows when first
+    read; it holds no entry with |n| > k and none that vanishes (D[k, 0]
+    for odd k, for instance).
     """
 
-    k_max: int
-    entries: Mapping[tuple[int, int], DyadicPoly]
+    rows: tuple[tuple[tuple[int, ...], ...], ...]
 
     def __post_init__(self):
-        # build_coeff_table hands one cached table to every caller, so
-        # neither the entry map nor a polynomial may change in place
-        frozen = {
-            key: poly if isinstance(poly.coeffs, MappingProxyType) else _frozen(dict(poly.coeffs))
-            for key, poly in self.entries.items()
-        }
-        object.__setattr__(self, "entries", MappingProxyType(frozen))
+        # build_coeff_table hands one cached table to every caller, so no
+        # row may change in place
+        object.__setattr__(self, "rows", tuple(tuple(map(tuple, row)) for row in self.rows))
+
+    @property
+    def k_max(self) -> int:
+        return len(self.rows) - 1
+
+    @cached_property
+    def entries(self) -> Mapping[tuple[int, int], DyadicPoly]:
+        polys = {}
+        for k, row in enumerate(self.rows):
+            for n, cs, negated in _both_signs(k, row):
+                coeffs = {abs(n) + 2 * i: -c if negated else c for i, c in enumerate(cs) if c}
+                if coeffs:
+                    polys[k, n] = _frozen(coeffs)
+        return MappingProxyType(polys)
 
     def entry(self, k: int, n: int) -> DyadicPoly:
         if not (0 <= k <= self.k_max):
@@ -127,17 +149,16 @@ class CoeffTable:
         return {"k_max": self.k_max, "entries": items}
 
     def _flat_entries(self) -> Iterator[tuple[int, int, tuple[int, ...]]]:
-        """(k, n, _flat_terms of the entry) by key.  build_coeff_table stores
-        D[k, -n] as the very object D[k, n] when k + n is even, so each row
-        reduces a polynomial object once."""
-        row, seen = None, {}
-        for (k, n), poly in sorted(self.entries.items()):
-            if k != row:
-                row, seen = k, {}
-            flat = seen.get(id(poly))
-            if flat is None:
-                flat = seen[id(poly)] = _flat_terms(poly.coeffs)
-            yield k, n, flat
+        """(k, n, _flat_terms of D[k, n]) for every key of entries, in order.
+        Each rows[k][n] is reduced once, and D[k, -n] takes its terms."""
+        for k, row in enumerate(self.rows):
+            flats = [_flat_terms(zip(range(n, k + 1, 2), cs)) for n, cs in enumerate(row)]
+            for n, flat, negated in _both_signs(k, flats):
+                if negated:
+                    flat = list(flat)
+                    flat[1::3] = [-num for num in flat[1::3]]
+                if flat:
+                    yield k, n, tuple(flat)
 
 
 def _frozen(coeffs: dict[int, int]) -> DyadicPoly:
@@ -151,20 +172,17 @@ def _frozen(coeffs: dict[int, int]) -> DyadicPoly:
 def build_coeff_table(k_max: int) -> CoeffTable:
     """Exact table of all coefficient polynomials with k <= k_max.
 
-    theta -> pi - theta fixes sin(theta), maps e^{i n theta} to
-    (-1)^n e^{-i n theta} and d/dtheta to -d/dtheta, so
-    D[k, -n] = (-1)^(k+n) D[k, n] and the recursion runs on n >= 0 only.
-    Every term c (y/2)^m of D[k, n] has m = n (mod 2) and n <= m <= k, so
-    row[n] is the dense list of c over m = n, n + 2, ..., k: y/2 times
-    D[k, n-1] lands at the same index of D[k+1, n], and y/2 times
-    D[k, n+1] one index up.
+    By the mirror of CoeffTable the recursion runs on n >= 0 only.  Every
+    term c (y/2)^m of D[k, n] has m = n (mod 2) and n <= m <= k, so row[n]
+    is the dense list of c over m = n, n + 2, ..., k: y/2 times D[k, n-1]
+    lands at the same index of D[k+1, n], and y/2 times D[k, n+1] one
+    index up.
     """
     if not (0 <= k_max <= MAX_RECURSION_K):
         raise ValueError(f"k_max must lie in [0, {MAX_RECURSION_K}], got {k_max}")
-    entries: dict[tuple[int, int], DyadicPoly] = {(0, 0): _frozen({0: 1})}
-    row = [[1]]
+    rows = [[[1]]]
     for k in range(1, k_max + 1):
-        prev = row
+        prev = rows[-1]
         # D[k, 0] = (y/2)(D[k-1, 1] + D[k-1, -1]), both one index up, and
         # D[k-1, -1] = (-1)^k D[k-1, 1]: twice D[k-1, 1] for even k, else zero
         row = [[0, *(2 * c for c in prev[1])] if k % 2 == 0 else [0] * (k // 2 + 1)]
@@ -175,17 +193,8 @@ def build_coeff_table(k_max: int) -> CoeffTable:
             for i, c in enumerate(prev[n + 1] if n + 1 < k else (), 1):
                 acc[i] += c
             row.append(acc)
-        polys = [_frozen({n + 2 * i: c for i, c in enumerate(cs) if c})
-                 for n, cs in enumerate(row)]
-        mirrored = [
-            poly if (k + n) % 2 == 0 else _frozen({m: -c for m, c in poly.coeffs.items()})
-            for n, poly in enumerate(polys)
-        ]
-        for n in range(-k, k + 1):
-            poly = mirrored[-n] if n < 0 else polys[n]
-            if poly.coeffs:
-                entries[(k, n)] = poly
-    return CoeffTable(k_max=k_max, entries=entries)
+        rows.append(row)
+    return CoeffTable(rows)
 
 
 def coeff_stirling_table(k_max: int) -> dict[tuple[int, int], DyadicPoly]:

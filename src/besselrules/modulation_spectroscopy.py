@@ -33,6 +33,7 @@ from besselrules.bessel_core import (
     _MAX_CHAIN_ERROR,
     ConvergenceError,
     OracleError,
+    _check_finite,
     _j_symmetric,
     _lagged,
     _miller_start,
@@ -127,16 +128,9 @@ class OscillatorParams:
     M: float
 
     def __post_init__(self):
-        for name in ("omega0", "gamma", "Omega"):
-            v = getattr(self, name)
-            if not (v > 0.0 and math.isfinite(v)):
-                raise ValueError(f"{name} must be finite and > 0, got {v!r}")
-        if not (self.M >= 0.0 and math.isfinite(self.M)):
-            raise ValueError(f"M must be finite and >= 0, got {self.M!r}")
-        for name in ("force", "delta"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
+        for name, bound in (("omega0", "> 0"), ("gamma", "> 0"), ("Omega", "> 0"),
+                            ("M", ">= 0"), ("force", ""), ("delta", "")):
+            _check_finite(name, getattr(self, name), bound)
 
     @property
     def Delta(self) -> float:
@@ -174,12 +168,6 @@ class HarmonicDecomposition:
         return len(self.cos_amps)
 
 
-def _check_M(M: float) -> None:
-    """Refuse a non-finite modulation index M with a ValueError naming M."""
-    if not math.isfinite(M):
-        raise ValueError(f"M must be finite, got {M!r}")
-
-
 def _check_order(order: int) -> None:
     """Refuse an expansion order outside the exact table, naming the order."""
     if order < 0:
@@ -193,10 +181,9 @@ def _check_a_s_args(M: float, gamma: float, Omega: float) -> None:
 
     Shared by the four A_s paths; the ValueError names the parameter.
     """
-    _check_M(M)
-    for name, value in (("gamma", gamma), ("Omega", Omega)):
-        if not (value > 0.0 and math.isfinite(value)):
-            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    _check_finite("M", M)
+    _check_finite("gamma", gamma, "> 0")
+    _check_finite("Omega", Omega, "> 0")
 
 
 def a_s_direct(s: int, M: float, gamma: float, Omega: float) -> complex:
@@ -326,7 +313,7 @@ def a_s_eta_coefficients(s: int, M: float, order: int) -> list[complex]:
     for dyadic M the float results are exact.
     """
     _check_order(order)
-    _check_M(M)
+    _check_finite("M", M)
     table = build_coeff_table(order)
     out = []
     for k in range(order + 1):

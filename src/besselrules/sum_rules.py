@@ -20,7 +20,7 @@ from typing import Mapping
 import numpy as np
 from numpy.fft import fft
 
-from besselrules.bessel_core import _j_symmetric, _lagged, truncation_bound
+from besselrules.bessel_core import _check_finite, _j_symmetric, _lagged, truncation_bound
 from besselrules.coefficients import build_coeff_table
 
 __all__ = [
@@ -292,8 +292,7 @@ class GeneralModulation:
     fundamental: float
 
     def __post_init__(self):
-        if not (self.fundamental > 0.0 and math.isfinite(self.fundamental)):
-            raise ValueError(f"fundamental must be > 0, got {self.fundamental!r}")
+        _check_finite("fundamental", self.fundamental, "> 0")
         coeffs = {int(n): complex(c) for n, c in self.fourier_coeffs.items() if c != 0}
         for n, c in coeffs.items():
             if not cmath.isfinite(c):

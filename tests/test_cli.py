@@ -75,7 +75,7 @@ def coeffs_csv_reference(table: CoeffTable, flag_of) -> str:
 
 
 class TestCoeffsCommand:
-    @pytest.mark.parametrize("k_max", [0, 1, 5, 20, 64])
+    @pytest.mark.parametrize("k_max", [0, 1, 3, 5, 20, 31, 63, 64])
     def test_files_match_the_generic_writers(self, tmp_path, monkeypatch, k_max):
         monkeypatch.setattr(cli, "_utc_stamp", lambda: STAMP)
         flag = "ok" if k_max <= 30 else "skipped"
@@ -141,26 +141,21 @@ class TestCoeffsCommand:
         assert out.read_text() == want
 
     def test_writers_reduce_each_object_by_value(self, tmp_path, monkeypatch):
-        # the writers reuse the reduction of a polynomial object within a
-        # row; shared and equal-but-distinct entries all read back
-        shared = build_coeff_table(3).entry(3, 1)  # read-only: kept as it is
+        # hand-built rows as well as the recursion's: zeros inside a row, an
+        # all-zero row, odd and even k + n, numbers past 64 bits; each row is
+        # reduced once and its mirror read back by sign
         tables = {
-            "one object under two keys of one row": CoeffTable(
-                k_max=3,
-                entries={(3, -3): DyadicPoly({3: -1}), (3, -1): shared, (3, 1): shared,
-                         (3, 3): DyadicPoly({3: 1})},
-            ),
-            "a mirror equal in value, distinct object": CoeffTable(
-                k_max=2, entries={(2, -1): DyadicPoly({1: 1}), (2, 1): DyadicPoly({1: 1})}
-            ),
-            "one object across two rows": CoeffTable(
-                k_max=4, entries={(3, 1): shared, (4, 0): shared, (4, 2): shared}
-            ),
+            "the k = 3 table": build_coeff_table(3),
+            "hand-built rows": CoeffTable([
+                [[1]], [[0], [-2]], [[0, 0], [6], [2**70 + 4]],
+                [[4, 0], [0, -12], [0], [3 * 2**65]], [[0, 8, 0], [5, 0], [0, 0], [1], [0]],
+            ]),
         }
-        entries = tables["one object under two keys of one row"].entries
-        assert entries[(3, -1)] is entries[(3, 1)]
-        entries = tables["a mirror equal in value, distinct object"].entries
-        assert entries[(2, -1)] == entries[(2, 1)] and entries[(2, -1)] is not entries[(2, 1)]
+        entries = tables["hand-built rows"].entries
+        assert entries[(2, -1)] == DyadicPoly({1: -6})
+        assert entries[(3, -1)] == entries[(3, 1)] == DyadicPoly({3: -12})
+        assert entries[(4, -3)] == DyadicPoly({3: -1})
+        assert {(1, 0), (3, 2), (3, -2), (4, 2), (4, -2), (4, 4)}.isdisjoint(entries)
         for (name, table), flagged in itertools.product(tables.items(), ((), ((3, 1), (4, 0)))):
             # the dual path disagrees at the flagged keys and nowhere else
             stirling = dict(table.entries) | {key: DyadicPoly({0: 7}) for key in flagged}
@@ -508,6 +503,18 @@ class TestSidebandsCommand:
         for flags in (("--M", "nan", "--n-max", "10"), ("--y1", "1.0", "--y2", "inf")):
             assert run("sidebands", *flags, "--output", str(out)) == 2
             assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ("--M", "inf"), ("--y1", "inf"), ("--y1", "1.0", "--y2", "-inf"),
+        ("--M", "1.0", "--Omega", "nan"), ("--M", "1.0", "--Omega", "0"),
+    ], ids=lambda flags: " ".join(flags[-2:]))
+    def test_bad_option_is_named_with_its_value(self, tmp_path, capsys, flags):
+        out = tmp_path / "x.csv"
+        assert run("sidebands", *flags, "--output", str(out)) == 2
+        bound = "finite and > 0" if flags[-2] == "--Omega" else "finite"
+        want = f"{flags[-2]} must be {bound}, got {float(flags[-1])!r}"
+        assert want in capsys.readouterr().err
+        assert not out.exists()
 
     def test_modulation_flags_are_exclusive(self, tmp_path):
         out = tmp_path / "x.csv"
@@ -1255,6 +1262,25 @@ class TestDeterminismAndUsage:
             run(*argv, "--output", str(tmp_path / "out"))
         assert err.value.code == 2
         assert not (tmp_path / "out").exists()
+
+    def test_help_before_a_negative_number_prints_the_help(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            run("coeffs", "--help", "-1e-3")
+        assert err.value.code == 0
+        assert "--k-max" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ("coeffs", "--k-max", "3", "--stamp", "-1e-3"),
+        ("a-sum", "--s", "1", "--M", "1", "--Omega", "0.5", "--expand", "-1"),
+    ], ids=lambda argv: argv[-2])
+    def test_flag_before_a_negative_number_leaves_it_unrecognized(self, tmp_path, capsys, argv):
+        # a flag takes no value, so the number is not joined to it
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            run(*argv[:-2], "--output", str(out), *argv[-2:])
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {argv[-1]}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:

@@ -217,6 +217,10 @@ class TestBuildCoeffTable:
                 mirrored = {p: sign * c for p, c in table.entry(k, n).coeffs.items()}
                 assert table.entry(k, -n).coeffs == mirrored
 
+    def test_k64_table_has_4193_entries(self):
+        # the count the benchmark's tracer reports for build_coeff_table
+        assert len(build_coeff_table(64).entries) == 4193
+
     @pytest.mark.parametrize("k_max", [0, 1, 2, 7, 64])
     def test_half_lattice_matches_two_sided_recursion(self, k_max):
         want = two_sided_table(k_max)
@@ -242,10 +246,14 @@ class TestBuildCoeffTable:
             table.entries[(4, 0)] = DyadicPoly()
         with pytest.raises(TypeError):
             del table.entries[(3, 1)]
-        source = {(0, 0): DyadicPoly({0: 1})}
-        copied = CoeffTable(k_max=0, entries=source)
-        source[(0, 0)].coeffs.clear()
-        assert copied.entry(0, 0) == DyadicPoly({0: 1})
+        source = [[[1]], [[0], [1]]]
+        copied = CoeffTable(source)
+        source[1][1][0] = 5
+        source[1].append([7])
+        source.append([[2]])
+        assert copied.k_max == 1
+        assert dict(copied.entries) == {(0, 0): DyadicPoly({0: 1}), (1, -1): DyadicPoly({1: 1}),
+                                        (1, 1): DyadicPoly({1: 1})}
         rebuilt = build_coeff_table(4)
         for k in range(5):
             for n in range(-k, k + 1):
