@@ -28,6 +28,7 @@ import numpy as np
 from besselrules.bessel_core import ConvergenceError, OracleError, _check_finite
 from besselrules.coefficients import (
     MAX_FAA_DI_BRUNO_K,
+    _both_signs,
     build_coeff_table,
     coeff_stirling_table,
 )
@@ -148,9 +149,11 @@ def cmd_coeffs(args) -> int:
     dual_checked = args.k_max <= MAX_FAA_DI_BRUNO_K
     mismatches = set()
     if dual_checked:
+        # the Stirling form's negative n check the mirror that _both_signs applies
         stirling = coeff_stirling_table(args.k_max)
-        mismatches = {key for key in stirling.keys() | table.entries.keys()
-                      if key[0] >= 1 and stirling.get(key) != table.entries.get(key)}
+        mismatches = {(k, n) for k, row in enumerate(table.rows)
+                      for (n, cs, negated), got in zip(_both_signs(k, row), stirling[k])
+                      if got != [-c if negated else c for c in cs]}
     unflagged = "ok" if dual_checked else "skipped"
 
     # every stored entry has at least one term, and (0, 0) is always stored

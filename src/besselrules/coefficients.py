@@ -197,18 +197,21 @@ def build_coeff_table(k_max: int) -> CoeffTable:
     return CoeffTable(rows)
 
 
-def coeff_stirling_table(k_max: int) -> dict[tuple[int, int], DyadicPoly]:
-    """Every nonzero D[k, n] with 1 <= k <= k_max by noncentral Stirling numbers.
+def coeff_stirling_table(k_max: int) -> list[list[list[int]]]:
+    """Every D[k, n] with k <= k_max by noncentral Stirling numbers, as dense rows.
 
     Row k holds the z^n coefficients of e^{-f} (z d/dz)^k e^f, z = e^{i theta} and
     f = (y/2)(z - 1/z), so c[k, n, m] = C(m, Q) T_Q(k, m) at Q = (m - n)/2, with
     T_Q(0, 0) = 1 and T_Q(k+1, m) = (m - Q) T_Q(k, m) + T_Q(k, m-1) (Koutras 1982,
-    Broder 1984).  This runs over (k, m) at fixed Q, sharing no step with the
-    lattice recursion; negative n come from Q > m/2, not from the mirror.
+    Broder 1984).  rows[k][n + k], -k <= n <= k, is the list of c over m = |n|,
+    |n| + 2, ..., k, the layout of CoeffTable.rows[k][|n|].  This runs over (k, m)
+    at fixed Q, sharing no step with the lattice recursion; negative n come from
+    Q > m/2, not from the mirror.
     """
     if not (0 <= k_max <= MAX_RECURSION_K):
         raise ValueError(f"k_max must lie in [0, {MAX_RECURSION_K}], got {k_max}")
-    rows: dict[tuple[int, int], dict[int, int]] = {}
+    rows = [[[0] * ((k - abs(n)) // 2 + 1) for n in range(-k, k + 1)] for k in range(k_max + 1)]
+    rows[0][0][0] = 1  # T_0(0, 0)
     for q in range(k_max + 1):
         t = [1] + [0] * k_max  # T_Q(k, m) over m, updated in place per k
         for k in range(1, k_max + 1):
@@ -216,9 +219,9 @@ def coeff_stirling_table(k_max: int) -> dict[tuple[int, int], DyadicPoly]:
                 t[m] = (m - q) * t[m] + t[m - 1]
             t[0] *= -q
             for m in range(q, k + 1):  # C(m, Q) vanishes below m = Q
-                if t[m]:
-                    rows.setdefault((k, m - 2 * q), {})[m] = math.comb(m, q) * t[m]
-    return {key: _frozen(coeffs) for key, coeffs in rows.items()}
+                n = m - 2 * q
+                rows[k][n + k][(m - abs(n)) // 2] = math.comb(m, q) * t[m]
+    return rows
 
 
 def enumerate_derivative_partitions(k: int) -> list[tuple[int, ...]]:

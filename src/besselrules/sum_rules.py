@@ -211,16 +211,16 @@ def jcs(n: int, x: float, y: float) -> complex:
     Coefficient of e^{i n theta} in exp(i (x cos theta + y sin theta)),
     computed as the convolution sum_q i^q J_q(x) J_{n-q}(y).
     """
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError("arguments must be finite")
+    _check_finite("x", x)
+    _check_finite("y", y)
     return complex(_jcs_array(x, y, abs(n))[n + abs(n)])
 
 
 def _jcs_moment_grid(qs, x: float, y: float):
     """n_max, then per q the exact value of 2 sum_{|n| <= n_max} n jcs_n
     conj(jcs_{n-q}) and the sum."""
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError("arguments must be finite")
+    _check_finite("x", x)
+    _check_finite("y", y)
     qs, reach = _grid(qs)
     n_max = _brute_order(x, 8) + _brute_order(y, 8) + reach
     n, gn, gnq = _lagged(_jcs_array(x, y, n_max + reach), qs, n_max)
@@ -253,16 +253,16 @@ def jbar(n: int, y1: float, y2: float) -> float:
     Coefficient of e^{i n theta} in exp(i (y1 sin theta + y2 sin 2 theta)),
     computed as sum_q J_q(y2) J_{n-2q}(y1); real for real arguments.
     """
-    if not (math.isfinite(y1) and math.isfinite(y2)):
-        raise ValueError("arguments must be finite")
+    _check_finite("y1", y1)
+    _check_finite("y2", y2)
     return float(_jbar_array(y1, y2, abs(n))[abs(n) + n])
 
 
 def _jbar_moment_grid(lags, y1: float, y2: float):
     """n_max, then per s the exact value of sum_{|n| <= n_max} n jbar_n
     jbar_{n-s} and the sum."""
-    if not (math.isfinite(y1) and math.isfinite(y2)):
-        raise ValueError("arguments must be finite")
+    _check_finite("y1", y1)
+    _check_finite("y2", y2)
     lags, reach = _grid(lags)
     n_max = _brute_order(y1, 8) + 2 * _brute_order(y2, 8) + reach
     n, gn, gns = _lagged(_jbar_array(y1, y2, n_max + reach), lags, n_max)

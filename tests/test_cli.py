@@ -3,7 +3,6 @@
 import csv
 import datetime
 import io
-import itertools
 import json
 import math
 import time
@@ -74,6 +73,19 @@ def coeffs_csv_reference(table: CoeffTable, flag_of) -> str:
     return fh.getvalue()
 
 
+def stirling_rows(table: CoeffTable, flagged=()) -> list:
+    """table's rows on both signs of n, D[k, -n] = (-1)^(k+n) D[k, n], in the
+    layout of coeff_stirling_table, with 7 added to the first c of each
+    flagged (k, n)."""
+    rows = [
+        [[-c if n < 0 and (k + n) % 2 else c for c in row[abs(n)]] for n in range(-k, k + 1)]
+        for k, row in enumerate(table.rows)
+    ]
+    for k, n in flagged:
+        rows[k][n + k][0] += 7
+    return rows
+
+
 class TestCoeffsCommand:
     @pytest.mark.parametrize("k_max", [0, 1, 3, 5, 20, 31, 63, 64])
     def test_files_match_the_generic_writers(self, tmp_path, monkeypatch, k_max):
@@ -123,7 +135,9 @@ class TestCoeffsCommand:
         real = cli.coeff_stirling_table
 
         def disagree_at_3_1(k_max):
-            return real(k_max) | {(3, 1): DyadicPoly({0: 7})}
+            rows = real(k_max)
+            rows[3][1 + 3][0] += 7
+            return rows
 
         monkeypatch.setattr(cli, "coeff_stirling_table", disagree_at_3_1)
         out = tmp_path / f"coeffs.{fmt}"
@@ -139,6 +153,35 @@ class TestCoeffsCommand:
             assert want.count("mismatch") == 2
             assert "\n3,1,1,1,1,mismatch\n3,1,3,3,3,mismatch\n" in want
         assert out.read_text() == want
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_mirror_only_fault_is_flagged(self, tmp_path, monkeypatch, fmt):
+        # equal to the table for n >= 0; at (3, -1) the mirror sign is wrong,
+        # D[3, -1] = +D[3, 1], so only the negative half can catch it
+        table = build_coeff_table(5)
+        rows = stirling_rows(table)
+        assert rows[3][-1 + 3] == rows[3][1 + 3] == [1, 3]
+        rows[3][-1 + 3] = [-1, -3]
+        monkeypatch.setattr(cli, "coeff_stirling_table", lambda k_max: rows)
+        out = tmp_path / f"coeffs.{fmt}"
+        assert run("coeffs", "--k-max", "5", "--format", fmt, "--output", str(out)) == 1
+        if fmt == "json":
+            want = coeffs_json_reference(table, dual_path="mismatch:(3,-1)")
+        else:
+            want = coeffs_csv_reference(
+                table, lambda k, n: "mismatch" if (k, n) == (3, -1) else "ok"
+            )
+            assert want.count("mismatch") == 2
+            assert "\n3,-1,1,1,1,mismatch\n3,-1,3,3,3,mismatch\n" in want
+        assert out.read_text() == want
+
+    def test_builds_no_entries_map(self, tmp_path):
+        # the dual-path check and the writers read the rows alone
+        build_coeff_table.cache_clear()
+        out = tmp_path / "coeffs.json"
+        assert run("coeffs", "--k-max", "20", "--output", str(out)) == 0
+        assert json.loads(out.read_text())["dual_path"] == "ok"
+        assert "entries" not in vars(build_coeff_table(20))
 
     def test_writers_reduce_each_object_by_value(self, tmp_path, monkeypatch):
         # hand-built rows as well as the recursion's: zeros inside a row, an
@@ -156,12 +199,20 @@ class TestCoeffsCommand:
         assert entries[(3, -1)] == entries[(3, 1)] == DyadicPoly({3: -12})
         assert entries[(4, -3)] == DyadicPoly({3: -1})
         assert {(1, 0), (3, 2), (3, -2), (4, 2), (4, -2), (4, 4)}.isdisjoint(entries)
-        for (name, table), flagged in itertools.product(tables.items(), ((), ((3, 1), (4, 0)))):
+        # D[3, 0] of the k = 3 table and D[4, 2] of the hand-built rows are
+        # all zero: a file names their mismatch, but no CSV row can carry it
+        all_flagged = {
+            "the k = 3 table": ((3, 0), (3, 1)),
+            "hand-built rows": ((0, 0), (3, 1), (4, 0), (4, 2)),
+        }
+        cases = [(name, table, flagged) for name, table in tables.items()
+                 for flagged in ((), all_flagged[name])]
+        for name, table, flagged in cases:
             # the dual path disagrees at the flagged keys and nowhere else
-            stirling = dict(table.entries) | {key: DyadicPoly({0: 7}) for key in flagged}
             monkeypatch.setattr(cli, "build_coeff_table", lambda k_max: table)
-            monkeypatch.setattr(cli, "coeff_stirling_table", lambda k_max: stirling)
-            dual_path = "mismatch:(3,1);(4,0)" if flagged else "ok"
+            monkeypatch.setattr(cli, "coeff_stirling_table",
+                                lambda k_max: stirling_rows(table, flagged))
+            dual_path = "mismatch:" + ";".join(f"({k},{n})" for k, n in flagged) if flagged else "ok"
             wants = {
                 "json": coeffs_json_reference(table, dual_path=dual_path),
                 "csv": coeffs_csv_reference(

@@ -340,27 +340,37 @@ class TestPartitions:
             enumerate_derivative_partitions(65)
 
 
+def stirling_entry(rows: list, k: int, n: int) -> DyadicPoly:
+    """D[k, n] from the dense two-sided rows of coeff_stirling_table."""
+    return DyadicPoly({abs(n) + 2 * i: c for i, c in enumerate(rows[k][n + k])})
+
+
 class TestStirling:
     def test_matches_the_table_at_every_n_through_k64(self):
         # negative n come from the form itself, so this also checks the mirror
         table = build_coeff_table(64)
         got = coeff_stirling_table(64)
-        assert set(got) == {key for key in table.entries if key[0] >= 1}
-        for k in range(1, 65):
+        assert [[len(cs) for cs in row] for row in got] == [
+            [len(table.rows[k][abs(n)]) for n in range(-k, k + 1)] for k in range(65)
+        ]
+        for k in range(65):
             for n in range(-k, k + 1):
-                assert got.get((k, n), DyadicPoly()) == table.entry(k, n), (k, n)
+                assert stirling_entry(got, k, n) == table.entry(k, n), (k, n)
 
     def test_matches_the_partition_closed_form_through_k30(self):
         got = coeff_stirling_table(30)
         for k in range(1, 31):
             for n in range(-k, k + 1):
-                assert got.get((k, n), DyadicPoly()) == coeff_faa_di_bruno(k, n), (k, n)
+                assert stirling_entry(got, k, n) == coeff_faa_di_bruno(k, n), (k, n)
 
     def test_small_tables(self):
-        assert coeff_stirling_table(0) == {}
-        assert coeff_stirling_table(4) == {
-            key: entry for key, entry in PINNED_TABLE.items() if key[0] >= 1
-        }
+        assert coeff_stirling_table(0) == [[[1]]]
+        assert coeff_stirling_table(2) == [[[1]], [[1], [0], [1]], [[1], [-1], [0, 2], [1], [1]]]
+        got = coeff_stirling_table(4)
+        assert len(got) == 5
+        for k in range(5):
+            for n in range(-k, k + 1):
+                assert stirling_entry(got, k, n) == PINNED_TABLE.get((k, n), DyadicPoly()), (k, n)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):

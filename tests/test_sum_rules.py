@@ -223,6 +223,17 @@ class TestTwoToneFunctions:
                 assert abs(lhs - rhs) < 1e-10, (s, y1, y2)
 
 
+@pytest.mark.parametrize("func", [jcs, jcs_sum_rule_sides, jbar, jbar_sum_rule_sides])
+@pytest.mark.parametrize("position, bad", [(0, math.nan), (1, math.inf), (1, -math.inf)])
+def test_non_finite_argument_is_named(func, position, bad):
+    # jcs and its moment grid take (x, y), jbar and its moment grid (y1, y2)
+    name = ("x", "y") if func in (jcs, jcs_sum_rule_sides) else ("y1", "y2")
+    args = [1.0, 0.5]
+    args[position] = bad
+    with pytest.raises(ValueError, match=rf"^{name[position]} must be finite, got {bad!r}$"):
+        func(1, *args)
+
+
 class TestGeneralModulation:
     def test_reality_enforced(self):
         with pytest.raises(ValueError):
