@@ -21,7 +21,7 @@ import json
 import math
 import sys
 import warnings
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -48,9 +48,9 @@ from besselrules.modulation_spectroscopy import (
     time_domain_oracle,
 )
 from besselrules.sum_rules import (
+    _REPORT_FIELDS,
     AccuracyError,
     GeneralModulation,
-    SumRuleReport,
     _addition_grid,
     _alternating_grid,
     _b_ks_grid,
@@ -59,10 +59,7 @@ from besselrules.sum_rules import (
     _modulation_moment_grid,
     _recursion_grid,
     auto_sideband_order,
-    b_ks_closed,
     general_sidebands,
-    write_reports_csv,
-    write_reports_jsonl,
 )
 
 EXIT_OK = 0
@@ -178,33 +175,50 @@ def cmd_coeffs(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _family(rule_id: str, kernel, axes: dict, arguments: list[dict]) -> list[SumRuleReport]:
+class _Block(NamedTuple):
+    """verify rows that share their parameter names, as columns: the rule id and
+    each parameter (by name) as lists of Python str, int and float, whose %r is
+    JSON, then both sides as real or complex arrays and n_max as a list of int."""
+
+    rule_ids: list
+    params: dict
+    closed: np.ndarray
+    brute: np.ndarray
+    n_max: list
+
+
+def _family(rule_id: str, kernel, axes: dict, arguments: list[dict]) -> _Block:
     """The rows of one rule family, in the order of the axes, then the arguments.
 
     kernel(*axis values, *argument values) runs once per argument and
     returns n_max and the closed and brute sides over the grid of the axes.
     """
-    sides = [(argument, kernel(*axes.values(), *argument.values())) for argument in arguments]
-    reports = []
-    for index in itertools.product(*(range(len(values)) for values in axes.values())):
-        point = {name: values[i] for (name, values), i in zip(axes.items(), index)}
-        for argument, (n_max, closed, brute) in sides:
-            reports.append(SumRuleReport(
-                rule_id, {**point, **argument}, closed[index], brute[index], n_max
-            ))
-    return reports
+    sides = [kernel(*axes.values(), *argument.values()) for argument in arguments]
+    # the argument index moves fastest, as the sides stacked on a last axis do
+    *points, which = zip(*itertools.product(*axes.values(), range(len(arguments))))
+    params = dict(zip(axes, map(list, points)))
+    params.update((name, [arguments[i][name] for i in which]) for name in arguments[0])
+    closed, brute = (np.stack([side[j] for side in sides], axis=-1).ravel() for j in (1, 2))
+    return _Block([rule_id] * len(which), params, closed, brute, [sides[i][0] for i in which])
 
 
-def _suite_core() -> list[SumRuleReport]:
+def _rows_block(names: tuple, rows: list[tuple]) -> _Block:
+    """One block from rows (rule_id, *parameters by names, closed, brute, n_max)."""
+    rule_ids, *params, closed, brute, n_max = map(list, zip(*rows))
+    return _Block(rule_ids, dict(zip(names, params)), np.array(closed, dtype=complex),
+                  np.array(brute, dtype=complex), n_max)
+
+
+def _suite_core() -> list[_Block]:
     return [
-        *_family("weighted_product_moment", _b_ks_grid, {"k": range(7), "s": range(-8, 9)},
-                 [{"M": M} for M in (0.5, 1.0, 2.0, 5.0)]),
-        *_family("addition_formula", _addition_grid, {"k": range(5), "q": range(-4, 5)},
-                 [{"y1": 1.0, "y2": 0.7}, {"y1": 2.0, "y2": -1.3}, {"y1": 0.5, "y2": 0.5}]),
-        *_family("alternating_sum", _alternating_grid, {"k": range(4), "q": range(-3, 4)},
-                 [{"y": y} for y in (0.5, 1.3, 2.0)]),
-        *_family("recursion_relation", _recursion_grid, {"k": (1, 2, 3, 4), "q": range(-10, 11)},
-                 [{"y": y} for y in (0.3, 1.0, 2.0, 5.0)]),
+        _family("weighted_product_moment", _b_ks_grid, {"k": range(7), "s": range(-8, 9)},
+                [{"M": M} for M in (0.5, 1.0, 2.0, 5.0)]),
+        _family("addition_formula", _addition_grid, {"k": range(5), "q": range(-4, 5)},
+                [{"y1": 1.0, "y2": 0.7}, {"y1": 2.0, "y2": -1.3}, {"y1": 0.5, "y2": 0.5}]),
+        _family("alternating_sum", _alternating_grid, {"k": range(4), "q": range(-3, 4)},
+                [{"y": y} for y in (0.5, 1.3, 2.0)]),
+        _family("recursion_relation", _recursion_grid, {"k": (1, 2, 3, 4), "q": range(-10, 11)},
+                [{"y": y} for y in (0.3, 1.0, 2.0, 5.0)]),
     ]
 
 
@@ -216,48 +230,45 @@ _SUITE_MODULATIONS = (
 )
 
 
-def _suite_generalized() -> list[SumRuleReport]:
-    reports = [
-        *_family("mixed_modulation_moment", _jcs_moment_grid, {"q": range(-2, 3)},
-                 [{"x": 1.0, "y": 2.0}, {"x": 0.5, "y": 0.5}, {"x": 2.0, "y": 0.0},
-                  {"x": 0.0, "y": 1.5}]),
-        *_family("two_tone_moment", _jbar_moment_grid, {"s": range(-3, 4)},
-                 [{"y1": 2.0, "y2": 0.7}, {"y1": 1.0, "y2": 0.5}, {"y1": 0.5, "y2": 0.0}]),
-    ]
+def _suite_generalized() -> list[_Block]:
+    rows = []
     lags = range(-2, 3)
     for idx, mod in enumerate(_SUITE_MODULATIONS):
         n_max, energy, moment, expected = _modulation_moment_grid(mod, lags)
         for j, s in enumerate(lags):
-            delta = complex(1.0 if s == 0 else 0.0)
-            for rule_id, closed, brute in (("modulation_energy", delta, energy[j]),
-                                           ("modulation_first_moment", expected[j], moment[j])):
-                reports.append(SumRuleReport(rule_id, {"mod": idx, "s": s}, closed, brute, n_max))
-    return reports
+            rows.append(("modulation_energy", idx, s, float(s == 0), energy[j], n_max))
+            rows.append(("modulation_first_moment", idx, s, expected[j], moment[j], n_max))
+    return [
+        _family("mixed_modulation_moment", _jcs_moment_grid, {"q": range(-2, 3)},
+                [{"x": 1.0, "y": 2.0}, {"x": 0.5, "y": 0.5}, {"x": 2.0, "y": 0.0},
+                 {"x": 0.0, "y": 1.5}]),
+        _family("two_tone_moment", _jbar_moment_grid, {"s": range(-3, 4)},
+                [{"y1": 2.0, "y2": 0.7}, {"y1": 1.0, "y2": 0.5}, {"y1": 0.5, "y2": 0.0}]),
+        _rows_block(("mod", "s"), rows),
+    ]
 
 
-def _suite_spectroscopy() -> list[SumRuleReport]:
-    reports = []
+def _suite_spectroscopy() -> list[_Block]:
+    resonant, symmetric = [], []
     gamma = 1.0
     for M in (0.5, 1.0, 2.0):
         for g_over_o in (0.5, 1.0, 3.0, 10.0):
             Omega = gamma / g_over_o
             for s in (0, 1, 2, 3):
                 direct = a_s_direct(s, M, gamma, Omega)
-                params = {"M": M, "gamma_over_Omega": g_over_o, "s": s}
                 for rule_id, a_s in (("resonant_sum_newberger", a_s_newberger),
                                      ("resonant_sum_series", a_s_series)):
-                    value = a_s(s, M, gamma, Omega)
-                    reports.append(SumRuleReport(rule_id, params, direct, value, 0))
+                    resonant.append((rule_id, M, g_over_o, s, direct, a_s(s, M, gamma, Omega), 0))
     for s in (1, 2, 3):
         for M, Omega in ((0.8, 0.4), (1.5, 1.0), (2.0, 0.2)):
             lhs = a_s_direct(-s, M, gamma, Omega)
             rhs = _reflected(-s, a_s_direct(s, M, gamma, Omega))
-            params = {"s": s, "M": M, "Omega": Omega}
-            reports.append(SumRuleReport("negative_order_symmetry", params, lhs, rhs, 0))
-    return reports
+            symmetric.append(("negative_order_symmetry", s, M, Omega, lhs, rhs, 0))
+    return [_rows_block(("M", "gamma_over_Omega", "s"), resonant),
+            _rows_block(("s", "M", "Omega"), symmetric)]
 
 
-# --suite name -> the report builders it runs, in order
+# --suite name -> the block builders it runs, in order
 _SUITES = {
     "core": (_suite_core,),
     "generalized": (_suite_generalized,),
@@ -266,24 +277,64 @@ _SUITES = {
 }
 
 
+def _jsonl_rows(names: list[str], rows, finite: list[bool]) -> Iterator[str]:
+    """The JSON line of each row (rule_id, *parameters by names, *_REPORT_FIELDS,
+    "true" or "false"), as json.dumps writes it.
+
+    Lines are filled with %r, which writes a finite float or an int as JSON
+    does, and no rule id or name needs escaping; a row that is not finite
+    (%r writes nan, JSON NaN) goes through json.dumps.
+    """
+    params = ", ".join(f"{json.dumps(name)}: %r" for name in names)
+    fields = ", ".join(f"{json.dumps(name)}: %r" for name in _REPORT_FIELDS)
+    line = '{"rule_id": "%s", "parameters": {' + params + "}, " + fields + ', "pass": %s}\n'
+    for row, ok in zip(rows, finite):
+        if ok:
+            yield line % row
+        else:
+            rule_id, *values, passed = row
+            yield json.dumps({"rule_id": rule_id, "parameters": dict(zip(names, values)),
+                              **dict(zip(_REPORT_FIELDS, values[len(names):])),
+                              "pass": passed == "true"}) + "\n"
+
+
 def cmd_verify(args) -> int:
     _check_finite("--tolerance", args.tolerance, ">= 0")
-    reports: list[SumRuleReport] = []
-    for build in _SUITES[args.suite]:
-        reports.extend(build())
-    passed = [r.passes(args.tolerance) for r in reports]
-    with open(args.output, "w", newline="") as fh:
+    blocks = [block for build in _SUITES[args.suite] for block in build()]
+    header = sorted({name for block in blocks for name in block.params})
+    flag = ("true", "false") if args.format == "json" else ("ok", "FAIL")
+    chunks, n_rows, n_fail = [], 0, 0
+    for block in blocks:
+        names = sorted(block.params)
+        params = [block.params[name] for name in names]
+        closed, brute = block.closed, block.brute
+        # np.hypot is abs() of a Python complex to the bit, where np.abs is not;
+        # a side that is not finite warns no more than Python arithmetic does
+        with np.errstate(all="ignore"):
+            diff = closed - brute
+            abs_res = np.hypot(diff.real, diff.imag)
+            scale = np.fmax(1.0, np.hypot(closed.real, closed.imag))  # max(1, |closed|)
+            passed = abs_res <= args.tolerance * scale
+            numbers = [closed.real, closed.imag, brute.real, brute.imag, abs_res, abs_res / scale]
+        n_rows += len(passed)
+        n_fail += len(passed) - int(passed.sum())
+        rows = zip(block.rule_ids, *params, *(c.tolist() for c in numbers), block.n_max,
+                   np.where(passed, *flag).tolist())
         if args.format == "json":
-            write_reports_jsonl(reports, fh, extra_fields={"pass": passed})
+            finite = np.logical_and.reduce([np.isfinite(c) for c in (*params, *numbers)])
+            chunks.append(_jsonl_rows(names, rows, finite.tolist()))
         else:
-            status = ["ok" if ok else "FAIL" for ok in passed]
-            write_reports_csv(reports, fh, extra_columns={"status": status})
-    n_fail = passed.count(False)
+            cells = ["%s", *("%.17g" if name in block.params else "" for name in header),
+                     *["%.17g"] * 6, "%d", "%s"]
+            chunks.append(_csv_rows(cells, rows))
+    if args.format == "json":
+        with open(args.output, "w", newline="") as fh:
+            fh.writelines(itertools.chain(*chunks))
+    else:
+        _write_csv(args.output, ["rule_id", *header, *_REPORT_FIELDS, "status"],
+                   itertools.chain(*chunks))
     if n_fail:
-        print(
-            f"{n_fail}/{len(reports)} rules exceeded tolerance {args.tolerance:g}",
-            file=sys.stderr,
-        )
+        print(f"{n_fail}/{n_rows} rules exceeded tolerance {args.tolerance:g}", file=sys.stderr)
         return EXIT_VERIFICATION
     return EXIT_OK
 

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.fft import fft
 
 from besselrules.bessel_core import _check_finite, _j_symmetric, _lagged, truncation_bound
-from besselrules.coefficients import build_coeff_table
+from besselrules.coefficients import MAX_RECURSION_K, build_coeff_table
 
 __all__ = [
     "AccuracyError",
@@ -100,16 +100,21 @@ def _grid(*axes) -> tuple[np.ndarray, ...]:
 
 
 def _check_k(k: int) -> None:
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    """Refuse, naming it, an order k outside the coefficient table."""
+    if not 0 <= k <= MAX_RECURSION_K:
+        raise ValueError(f"k must lie in [0, {MAX_RECURSION_K}], got {k}")
+
+
+def _closed_moment(k: int, s: int, M: float) -> float:
+    """D[k, s](M), which is 0 past the support |s| <= k."""
+    return build_coeff_table(k).entry(k, s).evaluate(M) if abs(s) <= k else 0.0
 
 
 def b_ks_closed(k: int, s: int, M: float) -> float:
     """Closed form of sum_n n^k J_n(M) J_{n-s}(M): the (k, s) polynomial at M."""
     _check_k(k)
-    if abs(s) > k:
-        return 0.0
-    return build_coeff_table(k).entry(k, s).evaluate(M)
+    _check_finite("M", M)
+    return _closed_moment(k, s, M)
 
 
 def _b_ks_grid(ks, lags, M: float):
@@ -118,8 +123,9 @@ def _b_ks_grid(ks, lags, M: float):
 
     One cut, at the largest k and |s| of the grid, serves every entry.
     """
+    _check_finite("M", M)
     ks, lags, reach = _grid(ks, lags)
-    closed = [[b_ks_closed(k, s, M) for s in lags.tolist()] for k in ks.tolist()]
+    closed = [[_closed_moment(k, s, M) for s in lags.tolist()] for k in ks.tolist()]
     n_max = _brute_order(M, max(8, 2 * int(ks.max())) + reach, 1e-14)
     n, jn, jns = _lagged(_j_symmetric(M, n_max + reach), lags, n_max)
     return n_max, np.array(closed), _moments(ks, n, jn[:, None] * jns)
@@ -142,6 +148,8 @@ def _addition_grid(ks, qs, y1: float, y2: float):
     Closed: i^k sum_m D[k, q-m](y1) J_m(y1+y2).  Brute: i^k sum_n n^k
     J_n(y1) J_{q-n}(y2) over |n| <= n_max, with J_{q-n}(y2) = J_{n-q}(-y2).
     """
+    _check_finite("y1", y1)
+    _check_finite("y2", y2)
     ks, qs, reach = _grid(ks, qs)
     ik = np.array([1j**k for k in ks.tolist()])[:, None]
     wide = _j_symmetric(y1 + y2, reach + int(ks.max()))
@@ -173,6 +181,7 @@ def _alternating_grid(ks, qs, y: float):
     Closed: (-1)^q sum_m D[k, q-m](y) J_m(2y).  Brute: sum_{|n| <= n_max}
     (-1)^n n^k J_n(y) J_{n-q}(y).
     """
+    _check_finite("y", y)
     ks, qs, reach = _grid(ks, qs)
     n_max = _brute_order(y, max(8, 2 * int(ks.max())) + reach)
     n, jn, jnq = _lagged(_j_symmetric(y, n_max + reach), qs, n_max)
@@ -429,6 +438,7 @@ def general_modulation_rules(
 def _recursion_grid(ks, qs, y: float):
     """0, zeros, and |q^k J_q(y) - sum_n D[k, n](y) J_{q-n}(y)|: rows k,
     columns q.  The sum is finite, so there is no cut to report."""
+    _check_finite("y", y)
     ks, qs, reach = _grid(ks, qs)
     m_max = reach + int(ks.max())
     j = _j_symmetric(y, m_max)
@@ -503,82 +513,21 @@ class SumRuleReport:
         }
 
 
-def _template_text(text: str) -> str:
-    """text as the literal part of a %-template."""
-    return text.replace("%", "%%")
-
-
-def _template_rows(reports, extra_cells, template_for):
-    """(index, template, values) per report.
-
-    template_for(report, sorted parameter names, cells) builds one template
-    per rule_id, parameter names and types, and the report's cells of
-    extra_cells.  values are the parameters by name, then r._row_values().
-    """
-    templates: dict[tuple, tuple] = {}
-    for i, r in enumerate(reports):
-        params = r.parameters
-        cells = tuple(column[i] for column in extra_cells)
-        key = (r.rule_id, tuple(params), tuple(map(type, params.values())), cells)
-        entry = templates.get(key)
-        if entry is None:
-            names = sorted(params)
-            entry = templates[key] = (template_for(r, names, cells), names)
-        template, names = entry
-        yield i, template, (*[params[name] for name in names], *r._row_values())
-
-
-def _json_template(r: SumRuleReport, names: list[str], cells: tuple) -> str | None:
-    """The JSON line of r with %r for each number, or None when a parameter
-    is neither a float nor an int, whose %r may not be its JSON."""
-    if not all(type(r.parameters[name]) in (float, int) for name in names):
-        return None
-    params = ", ".join(_template_text(json.dumps(name)) + ": %r" for name in names)
-    fields = ", ".join('"%s": %%r' % name for name in _REPORT_FIELDS)
-    extras = "".join(", " + _template_text(cell) for cell in cells)
-    rule_id = _template_text(json.dumps(r.rule_id))
-    return '{"rule_id": %s, "parameters": {%s}, %s%s}\n' % (rule_id, params, fields, extras)
-
-
 def write_reports_jsonl(
     reports: list[SumRuleReport],
     stream: io.TextIOBase,
     extra_fields: Mapping[str, list] | None = None,
 ) -> None:
-    """One JSON object per line; extra_fields[name][i] is appended to line i.
-
-    Each line equals json.dumps of the report's to_json_obj() with the
-    extra fields added.  Lines are filled from %r templates (_template_rows);
-    %r writes a finite float or an int as JSON does.  A line with a float
-    that is not finite (%r writes nan, JSON NaN) or a parameter of another
-    type goes through json.dumps.
-    """
+    """One JSON object per line: json.dumps of the report's to_json_obj(), with
+    extra_fields[name][i] appended to line i."""
     extras = dict(extra_fields or {})
     clash = set(extras) & {"rule_id", "parameters", *_REPORT_FIELDS}
     if clash:
         raise ValueError(f"extra fields {sorted(clash)} would replace report fields")
-    # each extra field as the text it adds to a line; bools are spelled out,
-    # since json.dumps per line would add a fifth to the writer's time
-    cells = []
-    for name, column in extras.items():
-        head = json.dumps(name) + ": "
-        cells.append([
-            head + ("true" if v is True else "false" if v is False else json.dumps(v))
-            for v in column
-        ])
-    for i, template, values in _template_rows(reports, cells, _json_template):
-        if template is not None and all(map(math.isfinite, values)):
-            stream.write(template % values)
-        else:
-            obj = reports[i].to_json_obj()
-            obj.update((name, column[i]) for name, column in extras.items())
-            stream.write(json.dumps(obj) + "\n")
-
-
-def _csv_line(cells: list[str]) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(cells)
-    return buf.getvalue()
+    for i, r in enumerate(reports):
+        obj = r.to_json_obj()
+        obj.update((name, column[i]) for name, column in extras.items())
+        stream.write(json.dumps(obj) + "\n")
 
 
 def write_reports_csv(
@@ -586,26 +535,19 @@ def write_reports_csv(
     stream: io.TextIOBase,
     extra_columns: Mapping[str, list[str]] | None = None,
 ) -> None:
-    """CSV with the union of parameter names expanded into columns.
-
-    The bytes are those of csv.writer with each float as format(x, ".17g").
-    Lines are filled from "%.17g" templates (_template_rows): csv.writer
-    lays out each template once, and no number needs quoting.
-    """
+    """CSV with the union of parameter names expanded into columns, as
+    csv.writer writes it, each float as format(x, ".17g")."""
     param_names = sorted({name for r in reports for name in r.parameters})
     extras = dict(extra_columns or {})
-
-    def template_for(r: SumRuleReport, names: list[str], cells: tuple) -> str:
-        return _csv_line(
-            [_template_text(r.rule_id)]
-            + ["%.17g" if name in r.parameters else "" for name in param_names]
-            + ["%.17g"] * 6
-            + ["%d"]
-            + [_template_text(str(cell)) for cell in cells]
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(["rule_id", *param_names, *_REPORT_FIELDS, *extras])
+    for i, r in enumerate(reports):
+        *numbers, order = r._row_values()
+        writer.writerow(
+            [r.rule_id]
+            + ["%.17g" % r.parameters[name] if name in r.parameters else ""
+               for name in param_names]
+            + ["%.17g" % x for x in numbers]
+            + [order]
+            + [column[i] for column in extras.values()]
         )
-
-    stream.write(_csv_line(["rule_id", *param_names, *_REPORT_FIELDS, *extras]))
-    stream.writelines(
-        template % values
-        for _, template, values in _template_rows(reports, extras.values(), template_for)
-    )

@@ -328,7 +328,14 @@ class TestVerifyCommand:
 
 
 def suite_reports(suite: str) -> list[SumRuleReport]:
-    return [r for build in cli._SUITES[suite] for r in build()]
+    """One SumRuleReport per row of the suite's blocks, in the order of its files."""
+    return [
+        SumRuleReport(rule_id, {name: column[i] for name, column in block.params.items()},
+                      block.closed[i], block.brute[i], block.n_max[i])
+        for build in cli._SUITES[suite]
+        for block in build()
+        for i, rule_id in enumerate(block.rule_ids)
+    ]
 
 
 def reports_csv_reference(reports, extra_columns) -> str:
@@ -429,6 +436,18 @@ class TestVerifyReports:
             assert type(r.truncation_order) is int
             assert type(r.parameters) is dict
             assert not any(isinstance(v, np.generic) for v in r.parameters.values())
+        # so do the columns of verify: its %r templates write a Python int or
+        # float as JSON does, and a numpy number as np.float64(...)
+        for build in cli._SUITES["all"]:
+            for block in build():
+                rows = len(block.rule_ids)
+                assert all(type(rule_id) is str for rule_id in block.rule_ids)
+                assert len(block.n_max) == rows
+                assert all(type(n_max) is int for n_max in block.n_max)
+                for column in block.params.values():
+                    assert len(column) == rows
+                    assert all(type(v) in (int, float) for v in column)
+                assert block.closed.shape == block.brute.shape == (rows,)
 
     def test_truncation_order_is_the_cut_of_the_brute_side(self, tmp_path):
         out = tmp_path / "all.csv"
@@ -442,6 +461,60 @@ class TestVerifyReports:
                 assert order == truncation_bound(float(row["M"]), 1e-14) + 20
             else:
                 assert order > 0, row
+
+    @pytest.mark.parametrize("tolerance", [1e-9, 1e-30])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("suite", list(cli._SUITES))
+    def test_files_are_what_the_report_writers_write(self, tmp_path, suite, fmt, tolerance):
+        reports = suite_reports(suite)
+        passed = [r.passes(tolerance) for r in reports]
+        want = io.StringIO(newline="")
+        if fmt == "json":
+            write_reports_jsonl(reports, want, extra_fields={"pass": passed})
+        else:
+            status = ["ok" if ok else "FAIL" for ok in passed]
+            write_reports_csv(reports, want, extra_columns={"status": status})
+        out = tmp_path / "report"
+        code = run("verify", "--suite", suite, "--format", fmt, "--tolerance", repr(tolerance),
+                   "--output", str(out))
+        assert code == (0 if all(passed) else 1)
+        # 1e-30 fails rows of every suite, so FAIL and false are written too
+        assert all(passed) == (tolerance == 1e-9)
+        assert out.read_bytes() == want.getvalue().encode()
+
+    def test_row_with_a_non_finite_side(self, tmp_path, monkeypatch, capsys):
+        kernel = cli._b_ks_grid
+
+        def nan_first_brute(ks, lags, M):
+            n_max, closed, brute = kernel(ks, lags, M)
+            brute = brute.copy()
+            brute[0, 0] = math.nan
+            return n_max, closed, brute
+
+        monkeypatch.setattr(cli, "_b_ks_grid", nan_first_brute)
+        # the first row of each M, at k = 0 and s = -8, whose closed side is 0
+        want = {}
+        for M in (0.5, 1.0, 2.0, 5.0):
+            n_max, closed, _ = kernel(range(7), range(-8, 9), M)
+            assert closed[0, 0] == 0.0
+            want[M] = json.dumps({
+                "rule_id": "weighted_product_moment", "parameters": {"M": M, "k": 0, "s": -8},
+                "closed_re": 0.0, "closed_im": 0.0, "brute_re": math.nan, "brute_im": 0.0,
+                "abs_residual": math.nan, "rel_residual": math.nan, "truncation_order": n_max,
+                "pass": False,
+            })
+        jsonl, table = tmp_path / "core.jsonl", tmp_path / "core.csv"
+        for fmt, out in (("json", jsonl), ("csv", table)):
+            assert run("verify", "--suite", "core", "--format", fmt, "--output", str(out)) == 1
+            assert capsys.readouterr().err == "4/1031 rules exceeded tolerance 1e-09\n"
+        lines = [line for line in jsonl.read_text().splitlines() if "NaN" in line]
+        assert lines == [want[json.loads(line)["parameters"]["M"]] for line in lines]
+        assert len(lines) == 4
+        rows = [row for row in read_csv(table) if row["brute_re"] == "nan"]
+        assert [(row["M"], row["k"], row["s"]) for row in rows] == [
+            (M, "0", "-8") for M in ("0.5", "1", "2", "5")
+        ]
+        assert all(row["abs_residual"] == "nan" and row["status"] == "FAIL" for row in rows)
 
     @pytest.fixture(scope="class")
     def reports(self):

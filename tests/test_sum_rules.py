@@ -234,6 +234,30 @@ def test_non_finite_argument_is_named(func, position, bad):
         func(1, *args)
 
 
+# a non-finite argument, or an order past the coefficient table, and its message
+BAD_TABLE_RULE_ARGUMENTS = [
+    (b_ks_closed, (2, 0, math.nan), "M must be finite, got nan"),
+    (b_ks_closed, (2, 0, math.inf), "M must be finite, got inf"),
+    (b_ks_brute, (2, 0, math.nan), "M must be finite, got nan"),
+    (b_ks_brute, (2, 0, -math.inf), "M must be finite, got -inf"),
+    (addition_formula_sides, (1, 0, math.nan, 0.5), "y1 must be finite, got nan"),
+    (addition_formula_sides, (1, 0, 0.5, math.inf), "y2 must be finite, got inf"),
+    (alternating_sum_sides, (1, 0, math.inf), "y must be finite, got inf"),
+    (recursion_residual, (1, 0, math.nan), "y must be finite, got nan"),
+    (b_ks_closed, (70, 0, 1.0), r"k must lie in \[0, 64\], got 70"),
+    (recursion_residual, (70, 0, 1.0), r"k must lie in \[0, 64\], got 70"),
+]
+
+
+@pytest.mark.parametrize(
+    "func, args, message", BAD_TABLE_RULE_ARGUMENTS,
+    ids=[f"{func.__name__}{args}" for func, args, _ in BAD_TABLE_RULE_ARGUMENTS],
+)
+def test_bad_argument_of_a_table_rule_is_named(func, args, message):
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        func(*args)
+
+
 class TestGeneralModulation:
     def test_reality_enforced(self):
         with pytest.raises(ValueError):
