@@ -246,6 +246,23 @@ def ln_gamma_complex(z: complex) -> complex:
 _MAX_CHAIN_ERROR = 1e-8  # largest estimated relative error returned
 
 
+def _complex_chain(z: float, order_max: int, base: complex) -> tuple[np.ndarray, float]:
+    """J_{base+m}(z) Gamma(base+1) / (z/2)^base, m = 0 to at least order_max,
+    z > 0, and their relative error: 2^-52 below _TINY_ARGUMENT, where two
+    series terms give them, else 2^-52 times the sum of the magnitudes of the
+    Neumann terms, whose sum is 1 and which die off past the turning point z.
+    """
+    if z < _TINY_ARGUMENT:
+        return _tiny_chain(z, order_max, base), 2.0 ** -52
+    n = order_max + math.ceil(z) + 8
+    values = _downward_chain(z, n, base)
+    # at large |base| and z the weights overflow, leaving an inf or nan
+    # estimate for the caller to refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = np.cumprod([1.0, base + 2.0, *_neumann_ratios(base, n // 2 - 1)])
+        return values, 2.0 ** -52 * float(np.sum(np.abs(weights * values[::2])))
+
+
 def bessel_j_complex_order(nu: complex, z: float) -> complex:
     """J_nu(z) for complex order nu and real z >= 0, by the Miller chain.
 
@@ -267,14 +284,7 @@ def bessel_j_complex_order(nu: complex, z: float) -> complex:
     if z < _TINY_ARGUMENT:
         # the ascending series from nu itself when Re nu >= 0
         k = min(k, 0)
-        values = _tiny_chain(z, 1, nu - k)
-        error = 2.0 ** -52
-    else:
-        # the Neumann terms, whose sum is 1, die off past the turning point z
-        n = max(k, 1) + math.ceil(z) + 8
-        values = _downward_chain(z, n, nu - k)
-        weights = np.cumprod([1.0, nu - k + 2.0, *_neumann_ratios(nu - k, n // 2 - 1)])
-        error = 2.0 ** -52 * float(np.sum(np.abs(weights * values[::2])))
+    values, error = _complex_chain(z, max(k, 1), nu - k)
     # bound, the error of value, grows with each step below order 0: next to a
     # negative integer nu they cancel
     value, jp = complex(values[max(k, 0)]), complex(values[1])

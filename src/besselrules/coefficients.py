@@ -38,6 +38,12 @@ MAX_RECURSION_K = 64
 MAX_FAA_DI_BRUNO_K = 30
 
 
+def _check_k(name: str, k: int, k_max: int = MAX_RECURSION_K) -> None:
+    """Refuse, naming it, an order k outside [0, k_max]."""
+    if not 0 <= k <= k_max:
+        raise ValueError(f"{name} must lie in [0, {k_max}], got {k}")
+
+
 class DyadicPoly:
     """Sparse polynomial in u = y/2 with integer coefficients.
 
@@ -139,8 +145,7 @@ class CoeffTable:
         return MappingProxyType(polys)
 
     def entry(self, k: int, n: int) -> DyadicPoly:
-        if not (0 <= k <= self.k_max):
-            raise ValueError(f"k must lie in [0, {self.k_max}], got {k}")
+        _check_k("k", k, self.k_max)
         return self.entries.get((k, n), DyadicPoly())
 
     def to_json_obj(self) -> dict:
@@ -178,8 +183,7 @@ def build_coeff_table(k_max: int) -> CoeffTable:
     lands at the same index of D[k+1, n], and y/2 times D[k, n+1] one
     index up.
     """
-    if not (0 <= k_max <= MAX_RECURSION_K):
-        raise ValueError(f"k_max must lie in [0, {MAX_RECURSION_K}], got {k_max}")
+    _check_k("k_max", k_max)
     rows = [[[1]]]
     for k in range(1, k_max + 1):
         prev = rows[-1]
@@ -208,8 +212,7 @@ def coeff_stirling_table(k_max: int) -> list[list[list[int]]]:
     at fixed Q, sharing no step with the lattice recursion; negative n come from
     Q > m/2, not from the mirror.
     """
-    if not (0 <= k_max <= MAX_RECURSION_K):
-        raise ValueError(f"k_max must lie in [0, {MAX_RECURSION_K}], got {k_max}")
+    _check_k("k_max", k_max)
     rows = [[[0] * ((k - abs(n)) // 2 + 1) for n in range(-k, k + 1)] for k in range(k_max + 1)]
     rows[0][0][0] = 1  # T_0(0, 0)
     for q in range(k_max + 1):

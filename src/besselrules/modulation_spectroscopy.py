@@ -34,13 +34,13 @@ from besselrules.bessel_core import (
     ConvergenceError,
     OracleError,
     _check_finite,
+    _complex_chain,
     _j_symmetric,
     _lagged,
     _miller_start,
-    bessel_j_complex_order,
     truncation_bound,
 )
-from besselrules.coefficients import MAX_RECURSION_K, build_coeff_table
+from besselrules.coefficients import _check_k, build_coeff_table
 from besselrules.sum_rules import GeneralModulation, auto_sideband_order
 
 __all__ = [
@@ -73,7 +73,6 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-SINH_GUARD = 700.0
 # detunings per response matrix in modulated_power_exact_sweep: bounds its
 # memory while keeping each matmul large
 _SWEEP_BLOCK = 64
@@ -168,14 +167,6 @@ class HarmonicDecomposition:
         return len(self.cos_amps)
 
 
-def _check_order(order: int) -> None:
-    """Refuse an expansion order outside the exact table, naming the order."""
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    if order > MAX_RECURSION_K:
-        raise ValueError(f"order must lie in [0, {MAX_RECURSION_K}], got {order}")
-
-
 def _check_a_s_args(M: float, gamma: float, Omega: float) -> None:
     """Refuse a non-finite M, and a gamma or Omega that is not finite and > 0.
 
@@ -203,12 +194,16 @@ def _reflected(s: int, value: complex) -> complex:
 
 
 def a_s_newberger(s: int, M: float, gamma: float, Omega: float) -> complex:
-    """Closed form of the resonant sideband sum via complex-order Bessels.
+    """Newberger's closed form of the resonant sideband sum, from one Miller chain.
 
-    The closed form holds for s >= 0 and M >= 0; negative s follows from
-    A_{-s} = (-1)^s conj(A_s), and negative M from A_s(-M) = (-1)^s A_s(M).
-    Guarded against sinh overflow at pi gamma / Omega > 700, where the
-    prefactor and the Bessel product overflow in opposite directions.
+    With a = gamma/Omega the form is (-1)^s/gamma (pi a/sinh pi a) J_{ia}(M)
+    J_{s-ia}(M) for s >= 0 and M > 0.  The chain at base -ia has entries
+    e_m = J_{m-ia}(M) Gamma(1-ia) / (M/2)^{-ia}; since J_{ia} = conj(J_{-ia})
+    and |Gamma(1+ia)|^2 = pi a/sinh pi a, the Gamma factors, the powers of
+    M/2 and the sinh cancel, leaving (-1)^s conj(e_0) e_s / gamma at any
+    gamma/Omega.  Negative s follows from A_{-s} = (-1)^s conj(A_s), and
+    negative M from A_s(-M) = (-1)^s A_s(M).  ConvergenceError is raised
+    when the chain's estimated relative error passes _MAX_CHAIN_ERROR.
     """
     _check_a_s_args(M, gamma, Omega)
     if s < 0:
@@ -216,23 +211,18 @@ def a_s_newberger(s: int, M: float, gamma: float, Omega: float) -> complex:
     if M < 0.0:
         return ((-1) ** (s % 2)) * a_s_newberger(s, -M, gamma, Omega)
     if M == 0.0:
+        # the chain would give -0.0 parts at odd s
         return (1.0 / gamma if s == 0 else 0.0) + 0.0j
-    x = math.pi * gamma / Omega
-    if x > SINH_GUARD:
-        raise OverflowError(
-            f"pi*gamma/Omega = {x:.1f} exceeds {SINH_GUARD:.0f}; "
-            "use the series or direct evaluation instead"
-        )
     a = gamma / Omega
-    prefactor = ((-1) ** (s % 2)) / gamma * (x / math.sinh(x))
-    # |J_{ia}(M)| grows like e^{x/2} and the prefactor falls like x e^{-x}, so
-    # their product comes first: the prefactor times a small J_{s-ia}(M)
-    # would leave the normal double range before J_{ia}(M) brought it back
-    return (
-        prefactor
-        * bessel_j_complex_order(complex(0.0, a), M)
-        * bessel_j_complex_order(complex(s, -a), M)
-    )
+    values, error = _complex_chain(M, s, complex(0.0, -a))
+    # written so that a NaN estimate is refused too
+    if not error <= _MAX_CHAIN_ERROR:
+        raise ConvergenceError(
+            f"A_s closed form at s = {s}, M = {M}, gamma/Omega = {a:g}: the "
+            f"Miller chain leaves an estimated relative error {error:.1e} > "
+            f"{_MAX_CHAIN_ERROR:g}"
+        )
+    return ((-1) ** (s % 2)) * complex(values[0]).conjugate() * complex(values[s]) / gamma
 
 
 def a_s_series(s: int, M: float, gamma: float, Omega: float) -> complex:
@@ -292,7 +282,7 @@ def a_s_geometric(
     Outside the convergence bound the value is still returned but a
     PerturbativeDomainWarning is issued.
     """
-    _check_order(order)
+    _check_k("order", order)
     _check_a_s_args(M, gamma, Omega)
     if not perturbative_validity(M, gamma, Omega):
         warnings.warn(
@@ -312,7 +302,7 @@ def a_s_eta_coefficients(s: int, M: float, order: int) -> list[complex]:
     c_k = (-i)^k B[k, s](M), evaluated from the exact coefficient table;
     for dyadic M the float results are exact.
     """
-    _check_order(order)
+    _check_k("order", order)
     _check_finite("M", M)
     table = build_coeff_table(order)
     out = []

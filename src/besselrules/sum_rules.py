@@ -21,7 +21,7 @@ import numpy as np
 from numpy.fft import fft
 
 from besselrules.bessel_core import _check_finite, _j_symmetric, _lagged, truncation_bound
-from besselrules.coefficients import MAX_RECURSION_K, build_coeff_table
+from besselrules.coefficients import _check_k, build_coeff_table
 
 __all__ = [
     "AccuracyError",
@@ -99,12 +99,6 @@ def _grid(*axes) -> tuple[np.ndarray, ...]:
     return (*arrays, int(np.abs(arrays[-1]).max()))
 
 
-def _check_k(k: int) -> None:
-    """Refuse, naming it, an order k outside the coefficient table."""
-    if not 0 <= k <= MAX_RECURSION_K:
-        raise ValueError(f"k must lie in [0, {MAX_RECURSION_K}], got {k}")
-
-
 def _closed_moment(k: int, s: int, M: float) -> float:
     """D[k, s](M), which is 0 past the support |s| <= k."""
     return build_coeff_table(k).entry(k, s).evaluate(M) if abs(s) <= k else 0.0
@@ -112,7 +106,7 @@ def _closed_moment(k: int, s: int, M: float) -> float:
 
 def b_ks_closed(k: int, s: int, M: float) -> float:
     """Closed form of sum_n n^k J_n(M) J_{n-s}(M): the (k, s) polynomial at M."""
-    _check_k(k)
+    _check_k("k", k)
     _check_finite("M", M)
     return _closed_moment(k, s, M)
 
@@ -137,7 +131,7 @@ def b_ks_brute(k: int, s: int, M: float) -> float:
     The n^k weight amplifies the tail, so the cut extends max(8, 2k) + |s|
     orders past the envelope bound for |J_n(M)| < 1e-14.
     """
-    _check_k(k)
+    _check_k("k", k)
     return float(_b_ks_grid(k, s, M)[2][0, 0])
 
 
@@ -169,7 +163,7 @@ def addition_formula_sides(
     coefficient support is |q-m| <= k.  Right: the truncated sum
     sum_n (i n)^k J_n(y1) J_{q-n}(y2).
     """
-    _check_k(k)
+    _check_k("k", k)
     _, closed, brute = _addition_grid(k, q, y1, y2)
     return complex(closed[0, 0]), complex(brute[0, 0])
 
@@ -200,7 +194,7 @@ def alternating_sum_sides(k: int, q: int, y: float) -> tuple[complex, complex]:
     Left: sum_n (-1)^n n^k J_n(y) J_{n-q}(y), truncated.  Right:
     (-1)^q sum_m D[k, q-m](y) J_m(2y) over the finite coefficient support.
     """
-    _check_k(k)
+    _check_k("k", k)
     _, closed, brute = _alternating_grid(k, q, y)
     return complex(brute[0, 0]), complex(closed[0, 0])
 
@@ -449,7 +443,7 @@ def _recursion_grid(ks, qs, y: float):
 
 def recursion_residual(k: int, q: int, y: float) -> float:
     """|q^k J_q(y) - sum_n D[k, n](y) J_{q-n}(y)| over the finite support."""
-    _check_k(k)
+    _check_k("k", k)
     return float(_recursion_grid(k, q, y)[2][0, 0])
 
 

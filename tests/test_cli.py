@@ -1105,7 +1105,8 @@ class TestASumCommand:
         assert obj["residuals"]["direct/geometric"] > 1e-8
         assert obj["residuals"]["direct/newberger"] < 1e-8
 
-    def test_sinh_guard_maps_to_regime_exit(self, tmp_path):
+    def test_newberger_at_ratio_300_exits_0(self, tmp_path):
+        # sinh(pi gamma/Omega) = sinh(942) overflows a double
         out = tmp_path / "ag.json"
         code = run(
             "a-sum",
@@ -1122,7 +1123,10 @@ class TestASumCommand:
             "--output",
             str(out),
         )
-        assert code == 3
+        assert code == 0
+        value = json.loads(out.read_text())["values"]["newberger"]
+        assert complex(value["re"], value["im"]) == pytest.approx(
+            a_s_direct(0, 1.0, 300.0, 1.0), rel=1e-12)
 
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.5"])
     def test_bad_tolerance_is_usage_error(self, tmp_path, capsys, tolerance):
