@@ -294,7 +294,9 @@ def bessel_j_complex_order(nu: complex, z: float) -> complex:
         jp, value, bound_p, bound = value, step * value - jp, bound, (
             abs(step) * bound + bound_p + 2.0 ** -52 * (abs(step * value) + abs(jp)))
     relative = bound / abs(value) if value else math.inf
-    if relative > _MAX_CHAIN_ERROR:
+    # a NaN chain estimate (overflowed Neumann weights) is refused; a NaN
+    # relative from steps below order 0 that leave double range overflows below
+    if math.isnan(error) or relative > _MAX_CHAIN_ERROR:
         raise ConvergenceError(
             f"J_nu({z}), nu = {nu}: the Miller chain leaves an estimated relative "
             f"error {relative:.1e} > {_MAX_CHAIN_ERROR:g}"

@@ -29,6 +29,7 @@ from besselrules.bessel_core import ConvergenceError, OracleError, _check_finite
 from besselrules.coefficients import (
     MAX_FAA_DI_BRUNO_K,
     _both_signs,
+    _flat_terms,
     build_coeff_table,
     coeff_stirling_table,
 )
@@ -131,14 +132,26 @@ def _write_csv(path: str, header: list[str], lines: Iterable[str]) -> None:
 # coeffs
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def _coeff_entry(terms: int) -> str:
-    """The template of an "entries" item with that many terms, filled with k,
-    n and the flat terms (power, num, exp2, ...) of CoeffTable._flat_entries."""
-    term = ('        {\n          "power": %d,\n          "num": "%d",\n'
-            '          "exp2": %d\n        }')
-    return ('    {\n      "k": %d,\n      "n": %d,\n      "poly": [\n'
-            + ",\n".join([term] * terms) + "\n      ]\n    }")
+def _coeff_texts(table, term: str, sep: str, mark: str) -> Iterator[tuple[int, int, str]]:
+    """(k, n, the terms of D[k, n] as text) for every key of table.entries of a
+    CoeffTable, in order.
+
+    term is the %-template of one term (power, num, exp2), in which mark
+    comes right before num and nowhere else, and sep joins the terms.  Each
+    rows[k][|n|] is reduced once by _flat_terms and its text filled once;
+    D[k, -n] takes the same text, with its num signs flipped on the string
+    where the mirror negates it, so no number is formatted twice.
+    """
+    for k, row in enumerate(table.rows):
+        texts = []
+        for n, cs in enumerate(row):
+            flat = _flat_terms(zip(range(n, k + 1, 2), cs))
+            texts.append(sep.join([term] * (len(flat) // 3)) % flat)
+        for n, text, negated in _both_signs(k, texts):
+            if negated:
+                text = text.replace(mark, mark + "-").replace(mark + "--", mark)
+            if text:
+                yield k, n, text
 
 
 def cmd_coeffs(args) -> int:
@@ -154,20 +167,24 @@ def cmd_coeffs(args) -> int:
     unflagged = "ok" if dual_checked else "skipped"
 
     # every stored entry has at least one term, and (0, 0) is always stored
-    entries = table._flat_entries()
     if args.format == "json":
         flagged = ";".join(f"({k},{n})" for k, n in sorted(mismatches))
-        items = (_coeff_entry(len(flat) // 3) % (k, n, *flat) for k, n, flat in entries)
+        term = ('        {\n          "power": %d,\n          "num": "%d",\n'
+                '          "exp2": %d\n        }')
+        item = '    {\n      "k": %d,\n      "n": %d,\n      "poly": [\n%s\n      ]\n    }'
+        items = (item % entry for entry in _coeff_texts(table, term, ",\n", '"num": "'))
         _write_json(args.output, {"k_max": table.k_max}, args.stamp, "entries", items,
                     dual_path="mismatch:" + flagged if mismatches else unflagged)
     else:
-        # one chunk of rows k,n,power,num,exp2,dual_path per entry
-        lines = (
-            ("%d,%d,%%d,%%d,%%d,%s\n" % (k, n, "mismatch" if (k, n) in mismatches else unflagged)
-             * (len(flat) // 3)) % flat
-            for k, n, flat in entries
-        )
-        _write_csv(args.output, ["k", "n", "power", "num", "exp2", "dual_path"], lines)
+        def lines():
+            # one line k,n,power,num,exp2,dual_path per term; a tab stands in
+            # for the comma before num, as no comma tells num from exp2
+            for k, n, text in _coeff_texts(table, "%d\t%d,%d", "\n", "\t"):
+                head = "%d,%d," % (k, n)
+                tail = ",%s\n" % ("mismatch" if (k, n) in mismatches else unflagged)
+                yield head + text.replace("\t", ",").replace("\n", tail + head) + tail
+
+        _write_csv(args.output, ["k", "n", "power", "num", "exp2", "dual_path"], lines())
     return EXIT_VERIFICATION if mismatches else EXIT_OK
 
 

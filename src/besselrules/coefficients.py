@@ -153,18 +153,6 @@ class CoeffTable:
         items = [{"k": k, "n": n, "poly": poly.to_json_obj()} for (k, n), poly in entries]
         return {"k_max": self.k_max, "entries": items}
 
-    def _flat_entries(self) -> Iterator[tuple[int, int, tuple[int, ...]]]:
-        """(k, n, _flat_terms of D[k, n]) for every key of entries, in order.
-        Each rows[k][n] is reduced once, and D[k, -n] takes its terms."""
-        for k, row in enumerate(self.rows):
-            flats = [_flat_terms(zip(range(n, k + 1, 2), cs)) for n, cs in enumerate(row)]
-            for n, flat, negated in _both_signs(k, flats):
-                if negated:
-                    flat = list(flat)
-                    flat[1::3] = [-num for num in flat[1::3]]
-                if flat:
-                    yield k, n, tuple(flat)
-
 
 def _frozen(coeffs: dict[int, int]) -> DyadicPoly:
     """A read-only polynomial over coeffs, which hold no zero and no other reference."""

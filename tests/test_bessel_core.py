@@ -366,6 +366,13 @@ class TestBesselJComplexOrder:
         with pytest.raises(ConvergenceError, match=r"J_nu\(300\.0\), nu = \(2-40j\)"):
             bessel_j_complex_order(2 - 40j, 300.0)
 
+    @pytest.mark.parametrize("nu, z", [(1e6j, 300.0), (-1e12j, 50.0), (1e300j, 1.0)])
+    def test_nan_error_estimate_is_refused(self, nu, z):
+        # the Neumann weights overflow to a nan estimate, which once passed the
+        # bound and ended in a bare OverflowError from the scale factor
+        with pytest.raises(ConvergenceError, match=r"J_nu\(%s\), nu = .* nan > 1e-08" % z):
+            bessel_j_complex_order(nu, z)
+
     def test_value_beyond_double_range_is_refused(self):
         # |J_{-150.5+i}(0.5)| is about 7e352
         with pytest.raises(OverflowError, match=r"nu = \(-150\.5\+1j\)"):

@@ -185,25 +185,29 @@ class TestCoeffsCommand:
 
     def test_writers_reduce_each_object_by_value(self, tmp_path, monkeypatch):
         # hand-built rows as well as the recursion's: zeros inside a row, an
-        # all-zero row, odd and even k + n, numbers past 64 bits; each row is
-        # reduced once and its mirror read back by sign
+        # all-zero row, odd and even k + n, numbers past 64 bits, and mixed
+        # signs in a negated mirror, where a negative num turns positive (the
+        # recursion's rows hold no negative c); each row is reduced once and
+        # its mirror read back by sign
         tables = {
             "the k = 3 table": build_coeff_table(3),
             "hand-built rows": CoeffTable([
                 [[1]], [[0], [-2]], [[0, 0], [6], [2**70 + 4]],
-                [[4, 0], [0, -12], [0], [3 * 2**65]], [[0, 8, 0], [5, 0], [0, 0], [1], [0]],
+                [[4, 0], [0, -12], [0], [3 * 2**65]],
+                [[0, 8, 0], [5, -(2**67 + 12)], [0, 0], [1], [0]],
             ]),
         }
         entries = tables["hand-built rows"].entries
         assert entries[(2, -1)] == DyadicPoly({1: -6})
         assert entries[(3, -1)] == entries[(3, 1)] == DyadicPoly({3: -12})
+        assert entries[(4, -1)] == DyadicPoly({1: -5, 3: 2**67 + 12})
         assert entries[(4, -3)] == DyadicPoly({3: -1})
         assert {(1, 0), (3, 2), (3, -2), (4, 2), (4, -2), (4, 4)}.isdisjoint(entries)
         # D[3, 0] of the k = 3 table and D[4, 2] of the hand-built rows are
         # all zero: a file names their mismatch, but no CSV row can carry it
         all_flagged = {
             "the k = 3 table": ((3, 0), (3, 1)),
-            "hand-built rows": ((0, 0), (3, 1), (4, 0), (4, 2)),
+            "hand-built rows": ((0, 0), (3, 1), (4, -1), (4, 0), (4, 2)),
         }
         cases = [(name, table, flagged) for name, table in tables.items()
                  for flagged in ((), all_flagged[name])]
@@ -224,6 +228,22 @@ class TestCoeffsCommand:
                 argv = ("coeffs", "--k-max", str(table.k_max), "--format", fmt)
                 assert run(*argv, "--output", str(out)) == (1 if flagged else 0)
                 assert out.read_text() == want, (name, flagged, fmt)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_writers_reduce_each_stored_row_once(self, tmp_path, monkeypatch, fmt):
+        # 66 stored rows n = 0..k for k <= 10; one reduction per (k, n) would
+        # take 121
+        reduced = []
+
+        def counting(terms):
+            reduced.append(None)
+            return real(terms)
+
+        real = cli._flat_terms
+        monkeypatch.setattr(cli, "_flat_terms", counting)
+        out = tmp_path / f"coeffs.{fmt}"
+        assert run("coeffs", "--k-max", "10", "--format", fmt, "--output", str(out)) == 0
+        assert len(reduced) == 66
 
     def test_json_pins_quartic_entry(self, tmp_path):
         out = tmp_path / "coeffs.json"
