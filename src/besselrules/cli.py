@@ -46,7 +46,7 @@ from besselrules.modulation_spectroscopy import (
     exact_truncation_order,
     modulated_power_exact_sweep,
     modulated_power_perturbative_sweep,
-    time_domain_oracle,
+    time_domain_oracle_sweep,
 )
 from besselrules.sum_rules import (
     _REPORT_FIELDS,
@@ -457,19 +457,13 @@ def _lineshape_rows(
     """Rows [delta, dc, h1_cos, h1_sin, ...] at the detunings rad (rad/s), whose
     normalized values deltas fill the delta column.
 
-    The sweeps give columns, which fill one table; the harmonics past the
-    two of perturbative are zeros.  The oracle runs per detuning.
+    The sweep that method names gives columns, which fill one table; the
+    harmonics past the two of perturbative are zeros.
     """
     if method == "ode":
         mod = GeneralModulation.sinusoidal(base.M, base.Omega)
-        rows = []
-        for d, delta in zip(deltas, rad):
-            dec = time_domain_oracle(
-                dataclasses.replace(base, delta=delta), mod, n_harmonics=harmonics
-            )
-            rows.append([d, dec.dc, *itertools.chain(*zip(dec.cos_amps, dec.sin_amps))])
-        return rows
-    if method == "exact":
+        dc, cos_amps, sin_amps = time_domain_oracle_sweep(base, rad, mod, harmonics)
+    elif method == "exact":
         dc, cos_amps, sin_amps = modulated_power_exact_sweep(base, rad, harmonics)
     else:
         dc, cos_amps, sin_amps = modulated_power_perturbative_sweep(base, rad)

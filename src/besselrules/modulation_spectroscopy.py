@@ -60,6 +60,7 @@ __all__ = [
     "modulated_power_perturbative",
     "modulated_power_perturbative_sweep",
     "time_domain_oracle",
+    "time_domain_oracle_sweep",
 ]
 
 
@@ -85,7 +86,8 @@ _ORACLE_MAX_NODES = 128
 _ORACLE_RTOL = 1e-10
 # cap on the points at which time_domain_oracle evaluates the drive at once
 # (n_samples * nodes; n_samples grows with the sideband reach and the
-# harmonics).  Peak memory is about 70 bytes per point (0.34 GB at 5.0e6)
+# harmonics), and on the points of the drives a sweep holds.  Peak memory
+# is about 70 bytes per point (0.34 GB at 5.0e6)
 _ORACLE_MAX_POINTS = 1 << 23
 # Gauss-Legendre nodes and weights on [-1, 1], computed once per node count
 _gauss_legendre = lru_cache(maxsize=None)(leggauss)
@@ -181,11 +183,29 @@ def a_s_direct(s: int, M: float, gamma: float, Omega: float) -> complex:
     """Truncated direct sum of J_n(M) J_{n-s}(M) / (gamma + i n Omega).
 
     The sum runs over every n where |J_n(M)| >= 1e-14, plus |s| + 8 more.
+    Since sum_n n^k J_n J_{n-s} = 0 for k < |s|, A_s is a remainder of
+    order (Omega/gamma)^|s| of terms of order 1/gamma, and the rounding of
+    the J values and of the sum is relative to the terms, not to A_s.  The
+    sum of the N rounded terms is off by at most N 2^-52 sum|t_n|, so its
+    relative error is estimated as N 2^-52 sum|t_n| / |sum t_n| (0 when
+    every term is 0); past _MAX_CHAIN_ERROR, ConvergenceError is raised.
+    Without the factor N it is not a bound: the error reached 14 times it.
     """
     _check_a_s_args(M, gamma, Omega)
     n_max = truncation_bound(abs(M), 1e-14) + abs(s) + 8
     n, jn, jns = _lagged(_j_symmetric(M, n_max + abs(s)), s, n_max)
-    return complex(np.sum(jn * jns / (gamma + 1j * n * Omega)))
+    terms = jn * jns / (gamma + 1j * n * Omega)
+    total = complex(np.sum(terms))
+    magnitude = len(terms) * 2.0 ** -52 * float(np.sum(np.abs(terms)))
+    error = magnitude / abs(total) if total else (math.inf if magnitude else 0.0)
+    # written so that a NaN estimate is refused too
+    if not error <= _MAX_CHAIN_ERROR:
+        raise ConvergenceError(
+            f"A_s direct sum at s = {s}, M = {M}, gamma/Omega = {gamma / Omega:g}: "
+            f"the terms cancel to an estimated relative error {error:.1e} > "
+            f"{_MAX_CHAIN_ERROR:g}"
+        )
+    return total
 
 
 def _reflected(s: int, value: complex) -> complex:
@@ -501,20 +521,20 @@ def modulated_power_perturbative_sweep(
 
 
 
-@lru_cache(maxsize=None)
-def _legendre_of_lagrange(nodes: int) -> np.ndarray:
-    """C[r, l]: the P_r coefficient of the Lagrange polynomial of Gauss-Legendre node l.
+def _legendre_of_lagrange(x: np.ndarray) -> np.ndarray:
+    """C[r, l]: the P_r coefficient of the Lagrange polynomial of Gauss-Legendre node x_l.
 
     The inverse of the Legendre Vandermonde matrix P_r(x_l), whose condition
     number is 22 at 128 nodes.  (r + 1/2) w_l P_r(x_l) is C only for exact
     nodes: leggauss's rounded ones leave it 1.4e-11 off at 128.
     """
-    return np.linalg.inv(legvander(leggauss(nodes)[0], nodes - 1))
+    return np.linalg.inv(legvander(x, len(x) - 1))
 
 
-def _decay_weights(z: complex, nodes: int) -> np.ndarray:
+def _decay_weights(z: complex, lagrange: np.ndarray) -> np.ndarray:
     """W_l = int_0^1 e^{z(1-s)} L_l(s) ds for the Lagrange polynomials L_l of
-    the Gauss-Legendre nodes on [0, 1], Re z <= 0.
+    the Gauss-Legendre nodes on [0, 1], Re z <= 0; lagrange is their
+    _legendre_of_lagrange matrix.
 
     The Legendre moments mu_r = int_0^1 e^{z(1-s)} P_r(2s - 1) ds =
     (-1)^r e^a i_r(a), a = z/2, obey mu_{r+1} = mu_{r-1} + (2r+1) mu_r / a.
@@ -523,6 +543,7 @@ def _decay_weights(z: complex, nodes: int) -> np.ndarray:
     and nodes^2 |Re a| <= |a|^2.  Elsewhere the ratios mu_r / mu_{r-1} come
     downward from above nodes and |a|, as in bessel_core's Miller chain.
     """
+    nodes = len(lagrange)
     a = 0.5 * z
     size = abs(a)
     mu = np.empty(nodes, dtype=complex)
@@ -538,30 +559,32 @@ def _decay_weights(z: complex, nodes: int) -> np.ndarray:
             if r < nodes:
                 mu[r] = ratio
         mu = np.cumprod(mu)
-    return mu @ _legendre_of_lagrange(nodes)
+    return mu @ lagrange
 
 
-def _periodic_samples(kappa: complex, drive: np.ndarray, step: float) -> np.ndarray:
+def _periodic_samples(
+    kappa: complex, drive: np.ndarray, lagrange: np.ndarray, step: float
+) -> np.ndarray:
     """a(k step) for the T-periodic solution of a' = kappa a + d(t), T = len(drive) step.
 
-    drive[k, l] is d at Gauss-Legendre node l of [k step, (k+1) step].  Each
-    step is exact in e^{kappa t}: a_{k+1} = e^{z} a_k + F_k, z = kappa step,
-    F_k = step sum_l W_l(z) drive[k, l].  a(T) = a(0) gives a_0 =
-    sum_k e^{z (K-1-k)} F_k / -expm1(kappa T); expm1 keeps Omega >> gamma.
+    drive[k, l] is d at Gauss-Legendre node l of [k step, (k+1) step], and
+    lagrange is the nodes' _legendre_of_lagrange matrix.  Each step is exact
+    in e^{kappa t}: a_{k+1} = e^{z} a_k + F_k, z = kappa step, F_k = step
+    sum_l W_l(z) drive[k, l].  a(T) = a(0) gives a_0 = sum_k e^{z (K-1-k)}
+    F_k / -expm1(kappa T); expm1 keeps Omega >> gamma.  The recurrence runs
+    on Python complex numbers, which round as numpy's complex scalars do.
     """
-    n_samples, nodes = drive.shape
+    n_samples = len(drive)
     z = kappa * step
-    forcing = step * (drive @ _decay_weights(z, nodes))
+    forcing = step * (drive @ _decay_weights(z, lagrange))
     closure = np.exp(z * np.arange(n_samples - 1, -1, -1))
-    a = np.empty(n_samples, dtype=complex)
-    a[0] = np.dot(closure, forcing) / -complex(np.expm1(z * n_samples))
+    a = [complex(np.dot(closure, forcing) / -complex(np.expm1(z * n_samples)))]
     decay = cmath.exp(z)
-    for k in range(n_samples - 1):
-        a[k + 1] = decay * a[k] + forcing[k]
-    return a
+    for f in forcing[:-1].tolist():
+        a.append(decay * a[-1] + f)
+    return np.array(a)
 
 
-@np.errstate(all="ignore")  # as for modulated_power_exact_sweep
 def time_domain_oracle(
     p: OscillatorParams,
     mod: GeneralModulation,
@@ -569,18 +592,38 @@ def time_domain_oracle(
 ) -> HarmonicDecomposition:
     """Absorbed-power harmonics from the periodic steady state of the oscillator.
 
+    This is the one-detuning call of time_domain_oracle_sweep, which
+    documents the method, its accuracy and its refusals.
+    """
+    return _first_point(time_domain_oracle_sweep(p, [p.delta], mod, n_harmonics))
+
+
+@np.errstate(all="ignore")  # as for modulated_power_exact_sweep
+def time_domain_oracle_sweep(
+    base: OscillatorParams,
+    deltas: Sequence[float],
+    mod: GeneralModulation,
+    n_harmonics: int = 4,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Absorbed-power harmonics from the periodic steady state of the oscillator,
+    at each detuning in deltas (rad/s), base.delta unused.
+
+    Returns the columns dc[N], cos[N, n_harmonics] and sin[N, n_harmonics]
+    of modulated_power_exact_sweep: row i holds the harmonics at deltas[i].
+
     Variation of parameters over the homogeneous modes lambda_{1,2} =
     -gamma/2 +- i omega_d, with the drive carrier factored out, leaves two
     slow amplitudes a_j' = kappa_j a_j +- f e^{i phi(t)} / (lambda1 -
     lambda2), kappa_j = lambda_j - i carrier.  _periodic_samples solves
     both with one exact-exponential step per sample, so the cost does not
     depend on the detuning; kappa1 takes omega_d - carrier as
-    -(gamma^2/4)/(omega_d + omega0) - delta, which does not cancel.  The
-    node count starts at _ORACLE_NODES and doubles until the velocity
-    samples move by at most _ORACLE_RTOL (1e-10) of their largest
-    magnitude.  OracleError is raised past _ORACLE_MAX_NODES, and before
-    any evaluation whose n_samples * nodes would pass _ORACLE_MAX_POINTS.
-    No J_n is used: the moments of _decay_weights are i_r(kappa step / 2).
+    -(gamma^2/4)/(omega_d + omega0) - delta, which does not cancel.  At
+    each detuning the node count starts at _ORACLE_NODES and doubles until
+    the velocity samples move by at most _ORACLE_RTOL (1e-10) of their
+    largest magnitude.  OracleError is raised past _ORACLE_MAX_NODES, and
+    before any evaluation whose n_samples * nodes would pass
+    _ORACLE_MAX_POINTS.  No J_n is used: the moments of _decay_weights are
+    i_r(kappa step / 2).
 
     The power is drive times velocity without its optical 2 omega part,
     as a multi-cycle average leaves it.  It repeats every period, so its
@@ -590,29 +633,65 @@ def time_domain_oracle(
     so none aliases onto a projected one; the reach comes from
     truncation_bound's Bessel envelope, not from a Bessel value.
 
+    The sideband reach, omega_d and the sample grid are built once per
+    sweep, and the nodes and their _legendre_of_lagrange matrix once per
+    node count.  The drive at the nodes of each node count and at the
+    samples are kept for later detunings while all that is kept totals at
+    most _ORACLE_MAX_POINTS points; one that would pass that drops the
+    others before it is built, so peak memory keeps its bound.
+
     Every harmonic lies within 1e-12 f^2/gamma of the exact sideband sum
     at any detuning; far off resonance this bound is absolute, not
     relative to the tiny power.  RegimeError is raised, as by
     modulated_power_exact_sweep, when the sidebands |n| <=
     auto_sideband_order(mod) reach a frequency <= 0, and when a harmonic
-    leaves double range (naming the force).
+    leaves double range (naming the force).  The detunings are checked in
+    turn, each as time_domain_oracle checks its own, so the first one that
+    fails raises; a non-finite one is refused as OscillatorParams refuses it.
     """
-    if mod.fundamental != p.Omega:
+    if n_harmonics < 0:
+        raise ValueError(f"n_harmonics must be >= 0, got {n_harmonics}")
+    deltas = np.asarray(deltas, dtype=float).tolist()
+    # OscillatorParams refuses a non-finite detuning before time_domain_oracle
+    # checks the rest, so the first one is checked before them
+    for delta in deltas[:1]:
+        _check_finite("delta", delta)
+    if mod.fundamental != base.Omega:
         raise ValueError("modulation fundamental must equal p.Omega")
-    if p.gamma >= 2.0 * p.omega0:
+    if base.gamma >= 2.0 * base.omega0:
         raise RegimeError("overdamped oscillator: gamma >= 2 omega0")
     reach = auto_sideband_order(mod)
-    _refuse_non_positive_sidebands([p.carrier], reach, p.Omega)
-    omega_d = math.sqrt(p.omega0**2 - 0.25 * p.gamma**2)
-    lam1 = complex(-0.5 * p.gamma, omega_d)
-    kappa1 = complex(-0.5 * p.gamma, -0.25 * p.gamma**2 / (omega_d + p.omega0) - p.delta)
-    kappa2 = complex(-0.5 * p.gamma, -(omega_d + p.carrier))
+    omega_d = math.sqrt(base.omega0**2 - 0.25 * base.gamma**2)
+    lam1 = complex(-0.5 * base.gamma, omega_d)
+    # omega_d - omega0, without the cancellation of the difference
+    shift = -0.25 * base.gamma**2 / (omega_d + base.omega0)
+    envelope = base.force / (2j * omega_d)
     n_samples = max(8, 2 * (reach + n_harmonics))
     n_samples = 1 << (n_samples - 1).bit_length()
-    step = 2.0 * math.pi / p.Omega / n_samples
+    step = 2.0 * math.pi / base.Omega / n_samples
     t = np.arange(n_samples) * step
+    held = {}  # key -> (points, array): what later detunings reuse
 
-    def velocity(nodes: int) -> np.ndarray:
+    def kept(key, points: int, build) -> np.ndarray:
+        # held while all that is held totals at most _ORACLE_MAX_POINTS
+        # points; past that, the rest is dropped before build runs
+        if key not in held:
+            if points + sum(size for size, _ in held.values()) > _ORACLE_MAX_POINTS:
+                held.clear()
+            held[key] = points, build()
+        return held[key][1]
+
+    @lru_cache(maxsize=None)
+    def nodes_of(nodes: int) -> np.ndarray:
+        return _gauss_legendre(nodes)[0]
+
+    # built after the first drive of its node count, so as not to add to
+    # that drive's peak memory
+    @lru_cache(maxsize=None)
+    def lagrange_of(nodes: int) -> np.ndarray:
+        return _legendre_of_lagrange(nodes_of(nodes))
+
+    def velocity(kappa1: complex, kappa2: complex, nodes: int) -> np.ndarray:
         # lambda1 a_1 + lambda2 a_2, over f / (lambda1 - lambda2)
         if n_samples * nodes > _ORACLE_MAX_POINTS:
             raise OracleError(
@@ -620,29 +699,44 @@ def time_domain_oracle(
                 f"nodes each evaluate the drive at {n_samples * nodes} points, past "
                 f"the cap of {_ORACLE_MAX_POINTS}"
             )
-        x, _ = _gauss_legendre(nodes)
-        drive = np.exp(1j * mod.phase(t[:, None] + 0.5 * (x + 1.0) * step))
-        return (lam1 * _periodic_samples(kappa1, drive, step)
-                - lam1.conjugate() * _periodic_samples(kappa2, drive, step))
+        x = nodes_of(nodes)
+        drive = kept(nodes, n_samples * nodes, lambda: np.exp(
+            1j * mod.phase(t[:, None] + 0.5 * (x + 1.0) * step)))
+        lagrange = lagrange_of(nodes)
+        return (lam1 * _periodic_samples(kappa1, drive, lagrange, step)
+                - lam1.conjugate() * _periodic_samples(kappa2, drive, lagrange, step))
 
-    nodes = _ORACLE_NODES
-    coarse, v = None, velocity(nodes)
-    while coarse is None or np.max(np.abs(v - coarse)) > _ORACLE_RTOL * np.max(np.abs(v)):
-        if 2 * nodes > _ORACLE_MAX_NODES:
-            raise OracleError(
-                f"time-domain oracle: {nodes} Gauss-Legendre nodes per sample step "
-                f"of {step:.3e} s did not settle to rtol {_ORACLE_RTOL:g}, and "
-                f"doubling them passes the cap of {_ORACLE_MAX_NODES} nodes"
-            )
-        nodes *= 2
-        coarse, v = v, velocity(nodes)
+    def harmonics(delta: float) -> tuple[float, np.ndarray]:
+        # dc and the complex harmonics 1..n_harmonics at one detuning
+        _check_finite("delta", delta)
+        carrier = base.omega0 + delta
+        _refuse_non_positive_sidebands([carrier], reach, base.Omega)
+        kappa1 = complex(-0.5 * base.gamma, shift - delta)
+        kappa2 = complex(-0.5 * base.gamma, -(omega_d + carrier))
+        nodes = _ORACLE_NODES
+        coarse, v = None, velocity(kappa1, kappa2, nodes)
+        while coarse is None or np.max(np.abs(v - coarse)) > _ORACLE_RTOL * np.max(np.abs(v)):
+            if 2 * nodes > _ORACLE_MAX_NODES:
+                raise OracleError(
+                    f"time-domain oracle: {nodes} Gauss-Legendre nodes per sample step "
+                    f"of {step:.3e} s did not settle to rtol {_ORACLE_RTOL:g}, and "
+                    f"doubling them passes the cap of {_ORACLE_MAX_NODES} nodes"
+                )
+            nodes *= 2
+            coarse, v = v, velocity(kappa1, kappa2, nodes)
 
-    velocity_env = p.force / (2j * omega_d) * v
-    power = 0.5 * np.real(p.force * np.exp(1j * mod.phase(t)) * np.conj(velocity_env))
-    # harmonic h of samples at Omega t = 2 pi k / n_samples: rfft bin h
-    spectrum = (2.0 / n_samples) * np.fft.rfft(power)[1 : n_harmonics + 1]
-    dc = float(np.mean(power))
-    _refuse_non_finite(p, [dc], spectrum)
-    return HarmonicDecomposition(
-        dc, tuple(spectrum.real.tolist()), tuple((-spectrum.imag).tolist())
-    )
+        sampled = kept("samples", n_samples, lambda: base.force * np.exp(1j * mod.phase(t)))
+        power = 0.5 * np.real(sampled * np.conj(envelope * v))
+        # harmonic h of samples at Omega t = 2 pi k / n_samples: rfft bin h
+        spectrum = (2.0 / n_samples) * np.fft.rfft(power)[1 : n_harmonics + 1]
+        dc = float(np.mean(power))
+        _refuse_non_finite(base, [dc], spectrum)
+        return dc, spectrum
+
+    dc = np.empty(len(deltas))
+    cos_amps = np.empty((len(deltas), n_harmonics))
+    sin_amps = np.empty((len(deltas), n_harmonics))
+    for i, delta in enumerate(deltas):
+        dc[i], spectrum = harmonics(delta)
+        cos_amps[i], sin_amps[i] = spectrum.real, -spectrum.imag
+    return dc, cos_amps, sin_amps

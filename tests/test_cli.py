@@ -784,6 +784,40 @@ class TestLineshapeCommand:
             for name in ex:
                 assert abs(float(od[name]) - float(ex[name])) <= 1e-9 * scale
 
+    def test_ode_sweep_rows_are_the_oracle_at_each_detuning(self, tmp_path):
+        out = tmp_path / "o.json"
+        assert run(
+            "lineshape", "--Omega", "0.1", "--M", "12", "--omega0", "1e9", "--gamma", "0.2",
+            "--delta-min", "-660", "--delta-max", "660", "--delta-steps", "5",
+            "--method", "ode", "--harmonics", "3", "--format", "json", "--output", str(out),
+        ) == 0
+        rows = json.loads(out.read_text())["rows"]
+        mod = GeneralModulation.sinusoidal(12.0, 0.1)
+        for row, d in zip(rows, [-660.0, -330.0, 0.0, 330.0, 660.0], strict=True):
+            p = OscillatorParams(omega0=1e9, gamma=0.2, force=1.0, delta=0.1 * d,
+                                 Omega=0.1, M=12.0)
+            dec = time_domain_oracle(p, mod, n_harmonics=3)
+            assert row == {"delta": d, "dc": dec.dc} | {
+                f"h{h}_{part}": amps[h - 1]
+                for h in (1, 2, 3)
+                for part, amps in (("cos", dec.cos_amps), ("sin", dec.sin_amps))
+            }
+
+    def test_ode_sweep_stops_at_the_first_failing_detuning(self, tmp_path, capsys):
+        # the third detuning, -1e3 rad/s, puts the carrier at 0
+        out = tmp_path / "o.csv"
+        code = run(
+            "lineshape", "--Omega", "0.1", "--M", "1", "--omega0", "1e3", "--delta-min", "0",
+            "--delta-max", "-4e3", "--delta-steps", "5", "--method", "ode",
+            "--output", str(out),
+        )
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: sideband frequencies reach -3.100e+00 <= 0 within the truncation "
+            "range |n| <= 31; the oscillator model needs positive drive frequencies\n"
+        )
+        assert not out.exists()
+
     def test_ode_matches_exact_at_large_index(self, tmp_path):
         # the sidebands reach |n| ~ 180 here, past what 64 samples resolve
         flags = ("lineshape", "--Omega", "0.3", "--M", "100", "--delta-min", "0.6",
@@ -1193,6 +1227,19 @@ class TestASumCommand:
         err = capsys.readouterr().err
         assert "s = 1, M = 20.0, gamma/Omega = 0.5" in err
         assert "estimated relative error" in err
+        assert not out.exists()
+
+    def test_cancelled_direct_sum_is_refused(self, tmp_path, capsys):
+        # A_3 is about 1e-13 here, the remainder of terms of order 1
+        out = tmp_path / "a.json"
+        code = run(
+            "a-sum", "--s", "3", "--M", "1", "--gamma", "1", "--Omega", "1e-4",
+            "--method", "direct,newberger,series", "--output", str(out),
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: A_s direct sum at s = 3, M = 1.0, gamma/Omega = 10000:")
+        assert err.endswith("> 1e-08\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("option", [("--k-max", "40"), ("--tol", "1e-14")])

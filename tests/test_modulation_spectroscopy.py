@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -29,8 +30,9 @@ from besselrules.modulation_spectroscopy import (
     modulated_power_perturbative_sweep,
     perturbative_validity,
     time_domain_oracle,
+    time_domain_oracle_sweep,
 )
-from besselrules.sum_rules import GeneralModulation, jbar
+from besselrules.sum_rules import GeneralModulation, auto_sideband_order, jbar
 
 # Direct-sum anchors; a_s_direct is itself the oracle for the closed forms.
 DIRECT_FROZEN = {
@@ -234,6 +236,31 @@ class TestClosedForms:
         except ConvergenceError:
             return
         want = newberger_mpmath(s, M, 1.0, 1.0 / ratio)
+        assert abs(got - want) <= 1e-8 * abs(want) + 1e-300
+
+    @given(
+        s=st.integers(min_value=-3, max_value=3),
+        M=st.floats(min_value=-50.0, max_value=50.0),
+        log_ratio=st.floats(min_value=-1.0, max_value=6.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    # the a-sum case that returned a value off by 5.8e-5
+    @example(s=3, M=1.0, log_ratio=4.0)
+    # one 2^-52 per term estimated 9.7e-9 here, and the value was off by 2.0e-8
+    @example(s=2, M=-42.163616330111495, log_ratio=5.192806004)
+    def test_direct_up_to_ratio_1e6_matches_mpmath_or_refuses(self, s, M, log_ratio):
+        # the terms are of order 1/gamma and A_s of order (Omega/gamma)^|s|/gamma,
+        # so past gamma/Omega ~ 1e2 most sums with s != 0 are refused
+        assume(M != 0.0)
+        ratio = 10.0**log_ratio
+        try:
+            got = a_s_direct(s, M, 1.0, 1.0 / ratio)
+        except ConvergenceError as exc:
+            assert f"s = {s}, M = {M}, gamma/Omega = {ratio:g}" in str(exc)
+            assert str(exc).endswith("> 1e-08")
+            return
+        with mp.workdps(40):
+            want = newberger_mpmath(s, M, 1.0, 1.0 / ratio)
         assert abs(got - want) <= 1e-8 * abs(want) + 1e-300
 
     @given(
@@ -594,6 +621,16 @@ class TestHarmonicDecomposition:
             HarmonicDecomposition(0.0, (1.0,), ())
 
 
+def sampled_drive_points(monkeypatch) -> list:
+    """The size of every phi(t) evaluation from here on."""
+    points = []
+    phase = GeneralModulation.phase
+    monkeypatch.setattr(
+        GeneralModulation, "phase", lambda mod, t: points.append(np.size(t)) or phase(mod, t)
+    )
+    return points
+
+
 class TestTimeDomainOracle:
     def test_unmodulated_on_resonance(self):
         p = params(M=0.0, delta=0.0, Omega=0.05)
@@ -697,18 +734,18 @@ class TestTimeDomainOracle:
 
     def test_drive_points_ignore_detuning(self, monkeypatch):
         # one exact-exponential step per sample at any kappa1 ~ -i delta
-        points = []
-        phase = GeneralModulation.phase
-        monkeypatch.setattr(
-            GeneralModulation, "phase", lambda mod, t: points.append(np.size(t)) or phase(mod, t)
-        )
+        points = sampled_drive_points(monkeypatch)
         counts = []
         for delta in (1.0, 1e12):
             points.clear()
             p = params(M=1.0, Omega=0.1, delta=delta)
             time_domain_oracle(p, GeneralModulation.sinusoidal(p.M, p.Omega))
             counts.append(sum(points))
-        assert counts[0] == counts[1] == 128 * (8 + 16 + 1)
+        # 128 samples: the drive at 8 and 16 nodes per step, and at the
+        # samples; a sweep evaluates each of them once for all its detunings
+        points.clear()
+        time_domain_oracle_sweep(p, [1.0, 2.0, 1e12], GeneralModulation.sinusoidal(p.M, p.Omega))
+        assert counts[0] == counts[1] == sum(points) == 128 * (8 + 16 + 1)
 
     def test_node_doubling_past_the_point_cap_is_refused(self, monkeypatch):
         # this detuning settles at 16 nodes; a cap between the points of
@@ -784,6 +821,120 @@ class TestTimeDomainOracle:
             assert error <= 1e-9 * abs(want.dc)
 
 
+def one_detuning_at_a_time(base, deltas, mod, n_harmonics=4):
+    """time_domain_oracle at each detuning in turn, as rows of (dc, cos, sin)."""
+    return [time_domain_oracle(dataclasses.replace(base, delta=d), mod, n_harmonics)
+            for d in deltas]
+
+
+# (params overrides, harmonics, detunings in rad/s); at M = 12 and delta =
+# 66 rad/s the doubling goes to 32 nodes, the other detunings settle at 16
+SWEEPS = {
+    "near resonance": (dict(), 2, [-2.0, -0.5, 0.0, 0.5, 2.0]),
+    "far off resonance": (dict(omega0=1e7, gamma=0.3, Omega=0.1, M=5.0), 4,
+                          [-1e4, -30.0, 1.0, 30.0, 1e4]),
+    "omega0 1e9": (dict(omega0=1e9, gamma=3.0, Omega=1.0, M=20.0), 0, [-5e3, 0.0, 7.0]),
+    "32 nodes": (dict(omega0=1e9, gamma=0.2, Omega=0.1, M=12.0), 3, [1.0, 66.0, -1.0, 66.0]),
+}
+
+
+class TestTimeDomainOracleSweep:
+    @pytest.mark.parametrize("case", SWEEPS)
+    def test_rows_are_the_one_detuning_calls_bit_for_bit(self, case):
+        overrides, n_harmonics, deltas = SWEEPS[case]
+        base = params(**overrides)
+        mod = GeneralModulation.sinusoidal(base.M, base.Omega)
+        dc, cos_amps, sin_amps = time_domain_oracle_sweep(base, deltas, mod, n_harmonics)
+        assert cos_amps.shape == sin_amps.shape == (len(deltas), n_harmonics)
+        for i, want in enumerate(one_detuning_at_a_time(base, deltas, mod, n_harmonics)):
+            assert dc[i] == want.dc
+            assert tuple(cos_amps[i].tolist()) == want.cos_amps
+            assert tuple(sin_amps[i].tolist()) == want.sin_amps
+
+    def test_doubles_past_16_nodes(self, monkeypatch):
+        overrides, n_harmonics, deltas = SWEEPS["32 nodes"]
+        base = params(**overrides)
+        built = []
+        real = modulation_spectroscopy._gauss_legendre
+        monkeypatch.setattr(
+            modulation_spectroscopy, "_gauss_legendre", lambda n: built.append(n) or real(n)
+        )
+        time_domain_oracle_sweep(
+            base, deltas, GeneralModulation.sinusoidal(base.M, base.Omega), n_harmonics
+        )
+        # one rule per node count for the whole sweep
+        assert built == [8, 16, 32]
+
+    def test_drives_past_the_point_cap_are_rebuilt_not_held(self, monkeypatch):
+        p = params(M=1.0, Omega=0.1)
+        mod = GeneralModulation.sinusoidal(p.M, p.Omega)
+        deltas = [1.0, 2.0, 1e12]
+        want = time_domain_oracle_sweep(p, deltas, mod)
+        # the 16-node drive fills the cap, so nothing else is held beside it
+        monkeypatch.setattr(modulation_spectroscopy, "_ORACLE_MAX_POINTS", 128 * 16)
+        points = sampled_drive_points(monkeypatch)
+        got = time_domain_oracle_sweep(p, deltas, mod)
+        assert sum(points) == len(deltas) * 128 * (8 + 16 + 1)
+        for a, b in zip(got, want, strict=True):
+            assert np.array_equal(a, b)
+
+    def test_peak_memory_near_the_point_cap_is_that_of_one_detuning(self, monkeypatch):
+        # M = 3000 takes 8192 samples; delta = -30 rad/s doubles to 32 nodes,
+        # the others settle at 16, and the cap holds the 32-node drive alone
+        p = params(M=3000.0, Omega=0.1)
+        mod = GeneralModulation.sinusoidal(p.M, p.Omega)
+        n_samples = 8192
+        monkeypatch.setattr(modulation_spectroscopy, "_ORACLE_MAX_POINTS", 32 * n_samples)
+
+        def peak(deltas):
+            tracemalloc.start()
+            try:
+                time_domain_oracle_sweep(p, deltas, mod)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        single = peak([-30.0])
+        # no array of n_samples complex values (128 KiB) is left over
+        assert peak([30.0, -30.0, 1.0, -30.0, 29.0]) <= single + 4 * n_samples
+
+    @pytest.mark.parametrize("call", [time_domain_oracle, time_domain_oracle_sweep])
+    def test_negative_harmonic_count_is_refused(self, call):
+        p = params()
+        args = (p, [0.0]) if call is time_domain_oracle_sweep else (p,)
+        with pytest.raises(ValueError, match=r"^n_harmonics must be >= 0, got -1$"):
+            call(*args, GeneralModulation.sinusoidal(p.M, p.Omega), -1)
+
+    @pytest.mark.parametrize(
+        "overrides, deltas, patches",
+        [
+            (dict(M=1.0, Omega=0.1), [0.0, 1.0, -2e6, math.inf], {}),
+            (dict(M=1.0, Omega=0.1), [0.0, math.inf, -2e6], {}),
+            (dict(M=1.0, Omega=0.1), [math.nan, -2e6], {}),
+            (dict(omega0=1e6, gamma=3e6), [math.inf], {}),
+            (dict(omega0=1e6, gamma=3e6), [0.0, math.inf], {}),
+            (dict(M=1.0, Omega=0.1, force=1e200), [-2e6, 0.0], {}),
+            (dict(omega0=1e9, gamma=0.2, Omega=0.1, M=12.0), [1.0, 66.0, -2e9],
+             {"_ORACLE_MAX_NODES": 16}),
+            (dict(omega0=1e9, gamma=0.2, Omega=0.1, M=12.0), [1.0, 66.0, -2e9],
+             {"_ORACLE_MAX_POINTS": 256 * 24}),
+        ],
+        ids=["sidebands", "inf", "nan-first", "overdamped-inf-first", "overdamped",
+             "sidebands-first", "node-cap", "point-cap"],
+    )
+    def test_failing_detuning_raises_as_its_own_call(self, monkeypatch, overrides, deltas, patches):
+        for name, value in patches.items():
+            monkeypatch.setattr(modulation_spectroscopy, name, value)
+        base = params(**overrides)
+        mod = GeneralModulation.sinusoidal(base.M, base.Omega)
+        with pytest.raises((ValueError, OracleError)) as single:
+            one_detuning_at_a_time(base, deltas, mod)
+        with pytest.raises((ValueError, OracleError)) as sweep:
+            time_domain_oracle_sweep(base, deltas, mod)
+        assert type(sweep.value) is type(single.value)
+        assert str(sweep.value) == str(single.value)
+
+
 @pytest.mark.parametrize(
     "path",
     [
@@ -823,7 +974,7 @@ def decay_moments_mpmath(z: complex, count: int) -> list:
 def test_lagrange_coefficients_interpolate_at_the_nodes(nodes):
     x, _ = np.polynomial.legendre.leggauss(nodes)
     lagrange = np.polynomial.legendre.legvander(x, nodes - 1) @ (
-        modulation_spectroscopy._legendre_of_lagrange(nodes)
+        modulation_spectroscopy._legendre_of_lagrange(x)
     )
     assert np.max(np.abs(lagrange - np.eye(nodes))) <= 1e-14
 
@@ -834,11 +985,15 @@ def test_decay_weights_match_mpmath():
     # and z = -316
     magnitudes = 10.0 ** np.arange(-8.0, 7.5, 0.5)
     angles = np.linspace(0.5, 1.0, 5) * np.pi
+    lagranges = [
+        modulation_spectroscopy._legendre_of_lagrange(np.polynomial.legendre.leggauss(nodes)[0])
+        for nodes in (8, 16, 32, 64, 128)
+    ]
     worst = 0.0
     for z in (m * complex(math.cos(a), math.sin(a)) for m in magnitudes for a in angles):
         mu = np.array(decay_moments_mpmath(z, 128))
-        for nodes in (8, 16, 32, 64, 128):
-            want = mu[:nodes] @ modulation_spectroscopy._legendre_of_lagrange(nodes)
-            got = modulation_spectroscopy._decay_weights(z, nodes)
+        for lagrange in lagranges:
+            want = mu[: len(lagrange)] @ lagrange
+            got = modulation_spectroscopy._decay_weights(z, lagrange)
             worst = max(worst, np.max(np.abs(got - want)) / np.sum(np.abs(want)))
     assert worst <= 1e-13
