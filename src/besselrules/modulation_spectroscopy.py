@@ -87,10 +87,9 @@ _ORACLE_RTOL = 1e-10
 # cap on the points at which time_domain_oracle evaluates the drive at once
 # (n_samples * nodes; n_samples grows with the sideband reach and the
 # harmonics), and on the points of the drives a sweep holds.  Peak memory
-# is about 70 bytes per point (0.34 GB at 5.0e6)
+# is about 70 bytes per point (0.34 GB at 5.0e6).  It also caps the entries
+# of modulated_power_exact_sweep's products matrix J_n J_{n-s}
 _ORACLE_MAX_POINTS = 1 << 23
-# Gauss-Legendre nodes and weights on [-1, 1], computed once per node count
-_gauss_legendre = lru_cache(maxsize=None)(leggauss)
 
 
 class RegimeError(ValueError):
@@ -179,6 +178,13 @@ def _check_a_s_args(M: float, gamma: float, Omega: float) -> None:
     _check_finite("Omega", Omega, "> 0")
 
 
+def _refuse_lost_digits(what: str, error: float) -> None:
+    """Raise ConvergenceError led by what unless error <= _MAX_CHAIN_ERROR (NaN too)."""
+    if not error <= _MAX_CHAIN_ERROR:
+        raise ConvergenceError(
+            f"{what} an estimated relative error {error:.1e} > {_MAX_CHAIN_ERROR:g}")
+
+
 def a_s_direct(s: int, M: float, gamma: float, Omega: float) -> complex:
     """Truncated direct sum of J_n(M) J_{n-s}(M) / (gamma + i n Omega).
 
@@ -198,13 +204,8 @@ def a_s_direct(s: int, M: float, gamma: float, Omega: float) -> complex:
     total = complex(np.sum(terms))
     magnitude = len(terms) * 2.0 ** -52 * float(np.sum(np.abs(terms)))
     error = magnitude / abs(total) if total else (math.inf if magnitude else 0.0)
-    # written so that a NaN estimate is refused too
-    if not error <= _MAX_CHAIN_ERROR:
-        raise ConvergenceError(
-            f"A_s direct sum at s = {s}, M = {M}, gamma/Omega = {gamma / Omega:g}: "
-            f"the terms cancel to an estimated relative error {error:.1e} > "
-            f"{_MAX_CHAIN_ERROR:g}"
-        )
+    _refuse_lost_digits(f"A_s direct sum at s = {s}, M = {M}, gamma/Omega = "
+                        f"{gamma / Omega:g}: the terms cancel to", error)
     return total
 
 
@@ -235,13 +236,8 @@ def a_s_newberger(s: int, M: float, gamma: float, Omega: float) -> complex:
         return (1.0 / gamma if s == 0 else 0.0) + 0.0j
     a = gamma / Omega
     values, error = _complex_chain(M, s, complex(0.0, -a))
-    # written so that a NaN estimate is refused too
-    if not error <= _MAX_CHAIN_ERROR:
-        raise ConvergenceError(
-            f"A_s closed form at s = {s}, M = {M}, gamma/Omega = {a:g}: the "
-            f"Miller chain leaves an estimated relative error {error:.1e} > "
-            f"{_MAX_CHAIN_ERROR:g}"
-        )
+    _refuse_lost_digits(f"A_s closed form at s = {s}, M = {M}, gamma/Omega = {a:g}: "
+                        "the Miller chain leaves", error)
     return ((-1) ** (s % 2)) * complex(values[0]).conjugate() * complex(values[s]) / gamma
 
 
@@ -284,13 +280,8 @@ def a_s_series(s: int, M: float, gamma: float, Omega: float) -> complex:
             break
         total += term
     error = 2.0 ** -52 * magnitude / abs(total) if total else math.inf
-    # written so that a NaN estimate is refused too
-    if not error <= _MAX_CHAIN_ERROR:
-        raise ConvergenceError(
-            f"A_s series at s = {s}, M = {M}, gamma/Omega = {a:g}: the terms "
-            f"cancel to an estimated relative error {error:.1e} > "
-            f"{_MAX_CHAIN_ERROR:g}"
-        )
+    _refuse_lost_digits(f"A_s series at s = {s}, M = {M}, gamma/Omega = {a:g}: "
+                        "the terms cancel to", error)
     return ((-1) ** (s % 2)) / gamma * (0.5 * M) ** s * total
 
 
@@ -402,7 +393,9 @@ def modulated_power_exact_sweep(
     the J row and the products J_n J_{n-s} for every n and s are built
     once; each block of _SWEEP_BLOCK detunings forms its response matrix
     and gets every X_s from one matmul.  A harmonic that leaves double
-    range (force**2 overflows, say) raises RegimeError naming the force.
+    range (force**2 overflows, say) raises RegimeError naming the force;
+    so does a products matrix past _ORACLE_MAX_POINTS entries, naming
+    s_max and M, before any Bessel value is computed.
 
     Far off resonance a harmonic X_s with s != 0 is the small remainder of
     a sum whose terms are each about 1/delta (sum_n J_n J_{n-s} = 0), so it
@@ -416,6 +409,13 @@ def modulated_power_exact_sweep(
     n_max = exact_truncation_order(base.M, s_max)
     carriers = base.omega0 + deltas
     _refuse_non_positive_sidebands(carriers, n_max, base.Omega)
+    entries = (2 * n_max + 1) * (2 * s_max + 1)
+    if entries > _ORACLE_MAX_POINTS:
+        raise RegimeError(
+            f"{s_max} harmonics at M = {base.M!r} take a products matrix J_n J_(n-s) "
+            f"of {2 * n_max + 1} x {2 * s_max + 1} = {entries} entries, past the cap "
+            f"of {_ORACLE_MAX_POINTS}"
+        )
     s = np.arange(-s_max, s_max + 1)
     n, jn, jns = _lagged(_j_symmetric(base.M, n_max + s_max), s, n_max)
     # products[n, s] = J_n J_{n-s}
@@ -531,6 +531,13 @@ def _legendre_of_lagrange(x: np.ndarray) -> np.ndarray:
     return np.linalg.inv(legvander(x, len(x) - 1))
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Legendre nodes on [-1, 1] and their _legendre_of_lagrange matrix."""
+    x = leggauss(nodes)[0]
+    return x, _legendre_of_lagrange(x)
+
+
 def _decay_weights(z: complex, lagrange: np.ndarray) -> np.ndarray:
     """W_l = int_0^1 e^{z(1-s)} L_l(s) ds for the Lagrange polynomials L_l of
     the Gauss-Legendre nodes on [0, 1], Re z <= 0; lagrange is their
@@ -634,33 +641,31 @@ def time_domain_oracle_sweep(
     truncation_bound's Bessel envelope, not from a Bessel value.
 
     The sideband reach, omega_d and the sample grid are built once per
-    sweep, and the nodes and their _legendre_of_lagrange matrix once per
-    node count.  The drive at the nodes of each node count and at the
-    samples are kept for later detunings while all that is kept totals at
-    most _ORACLE_MAX_POINTS points; one that would pass that drops the
-    others before it is built, so peak memory keeps its bound.
+    sweep.  The drive at the nodes of each node count is held for later
+    detunings while the drives held total at most _ORACLE_MAX_POINTS
+    points; one that would pass that drops the others before it is built,
+    so peak memory keeps its bound.
 
     Every harmonic lies within 1e-12 f^2/gamma of the exact sideband sum
     at any detuning; far off resonance this bound is absolute, not
-    relative to the tiny power.  RegimeError is raised, as by
-    modulated_power_exact_sweep, when the sidebands |n| <=
-    auto_sideband_order(mod) reach a frequency <= 0, and when a harmonic
-    leaves double range (naming the force).  The detunings are checked in
-    turn, each as time_domain_oracle checks its own, so the first one that
-    fails raises; a non-finite one is refused as OscillatorParams refuses it.
+    relative to the tiny power.  The grid is refused in the order of
+    modulated_power_exact_sweep, before any evaluation: a non-finite
+    detuning (as OscillatorParams refuses it), a fundamental other than
+    base.Omega, an overdamped oscillator, then RegimeError when the
+    sidebands |n| <= auto_sideband_order(mod) of any detuning reach a
+    frequency <= 0.  A harmonic that leaves double range raises
+    RegimeError naming the force once every detuning is done.
     """
     if n_harmonics < 0:
         raise ValueError(f"n_harmonics must be >= 0, got {n_harmonics}")
-    deltas = np.asarray(deltas, dtype=float).tolist()
-    # OscillatorParams refuses a non-finite detuning before time_domain_oracle
-    # checks the rest, so the first one is checked before them
-    for delta in deltas[:1]:
-        _check_finite("delta", delta)
+    deltas = _finite_deltas(deltas)
     if mod.fundamental != base.Omega:
         raise ValueError("modulation fundamental must equal p.Omega")
     if base.gamma >= 2.0 * base.omega0:
         raise RegimeError("overdamped oscillator: gamma >= 2 omega0")
     reach = auto_sideband_order(mod)
+    carriers = base.omega0 + deltas
+    _refuse_non_positive_sidebands(carriers, reach, base.Omega)
     omega_d = math.sqrt(base.omega0**2 - 0.25 * base.gamma**2)
     lam1 = complex(-0.5 * base.gamma, omega_d)
     # omega_d - omega0, without the cancellation of the difference
@@ -670,26 +675,7 @@ def time_domain_oracle_sweep(
     n_samples = 1 << (n_samples - 1).bit_length()
     step = 2.0 * math.pi / base.Omega / n_samples
     t = np.arange(n_samples) * step
-    held = {}  # key -> (points, array): what later detunings reuse
-
-    def kept(key, points: int, build) -> np.ndarray:
-        # held while all that is held totals at most _ORACLE_MAX_POINTS
-        # points; past that, the rest is dropped before build runs
-        if key not in held:
-            if points + sum(size for size, _ in held.values()) > _ORACLE_MAX_POINTS:
-                held.clear()
-            held[key] = points, build()
-        return held[key][1]
-
-    @lru_cache(maxsize=None)
-    def nodes_of(nodes: int) -> np.ndarray:
-        return _gauss_legendre(nodes)[0]
-
-    # built after the first drive of its node count, so as not to add to
-    # that drive's peak memory
-    @lru_cache(maxsize=None)
-    def lagrange_of(nodes: int) -> np.ndarray:
-        return _legendre_of_lagrange(nodes_of(nodes))
+    drives = {}  # node count -> the drive at those nodes of each sample step
 
     def velocity(kappa1: complex, kappa2: complex, nodes: int) -> np.ndarray:
         # lambda1 a_1 + lambda2 a_2, over f / (lambda1 - lambda2)
@@ -699,18 +685,18 @@ def time_domain_oracle_sweep(
                 f"nodes each evaluate the drive at {n_samples * nodes} points, past "
                 f"the cap of {_ORACLE_MAX_POINTS}"
             )
-        x = nodes_of(nodes)
-        drive = kept(nodes, n_samples * nodes, lambda: np.exp(
-            1j * mod.phase(t[:, None] + 0.5 * (x + 1.0) * step)))
-        lagrange = lagrange_of(nodes)
-        return (lam1 * _periodic_samples(kappa1, drive, lagrange, step)
-                - lam1.conjugate() * _periodic_samples(kappa2, drive, lagrange, step))
+        x, lagrange = _gauss_legendre(nodes)
+        if nodes not in drives:
+            if n_samples * (nodes + sum(drives)) > _ORACLE_MAX_POINTS:
+                drives.clear()
+            drives[nodes] = np.exp(1j * mod.phase(t[:, None] + 0.5 * (x + 1.0) * step))
+        return (lam1 * _periodic_samples(kappa1, drives[nodes], lagrange, step)
+                - lam1.conjugate() * _periodic_samples(kappa2, drives[nodes], lagrange, step))
 
-    def harmonics(delta: float) -> tuple[float, np.ndarray]:
-        # dc and the complex harmonics 1..n_harmonics at one detuning
-        _check_finite("delta", delta)
-        carrier = base.omega0 + delta
-        _refuse_non_positive_sidebands([carrier], reach, base.Omega)
+    dc = np.empty(len(deltas))
+    cos_amps = np.empty((len(deltas), n_harmonics))
+    sin_amps = np.empty((len(deltas), n_harmonics))
+    for i, (delta, carrier) in enumerate(zip(deltas.tolist(), carriers.tolist())):
         kappa1 = complex(-0.5 * base.gamma, shift - delta)
         kappa2 = complex(-0.5 * base.gamma, -(omega_d + carrier))
         nodes = _ORACLE_NODES
@@ -724,19 +710,13 @@ def time_domain_oracle_sweep(
                 )
             nodes *= 2
             coarse, v = v, velocity(kappa1, kappa2, nodes)
-
-        sampled = kept("samples", n_samples, lambda: base.force * np.exp(1j * mod.phase(t)))
+        sampled = base.force * np.exp(1j * mod.phase(t))
         power = 0.5 * np.real(sampled * np.conj(envelope * v))
         # harmonic h of samples at Omega t = 2 pi k / n_samples: rfft bin h
         spectrum = (2.0 / n_samples) * np.fft.rfft(power)[1 : n_harmonics + 1]
-        dc = float(np.mean(power))
-        _refuse_non_finite(base, [dc], spectrum)
-        return dc, spectrum
-
-    dc = np.empty(len(deltas))
-    cos_amps = np.empty((len(deltas), n_harmonics))
-    sin_amps = np.empty((len(deltas), n_harmonics))
-    for i, delta in enumerate(deltas):
-        dc[i], spectrum = harmonics(delta)
+        dc[i] = np.mean(power)
         cos_amps[i], sin_amps[i] = spectrum.real, -spectrum.imag
+        # so that the next detuning's drives are built beside none of these
+        del coarse, v, sampled, power
+    _refuse_non_finite(base, dc, cos_amps, sin_amps)
     return dc, cos_amps, sin_amps

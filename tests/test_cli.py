@@ -818,6 +818,33 @@ class TestLineshapeCommand:
         )
         assert not out.exists()
 
+    def test_exact_and_ode_refuse_one_grid_alike(self, tmp_path, capsys):
+        # the last detuning is 0.5 * 1e308 * 10 = inf rad/s and the first
+        # puts the sidebands below 0: the non-finite one is named first
+        errors = []
+        for method in ("exact", "ode"):
+            out = tmp_path / f"{method}.csv"
+            code = run(
+                "lineshape", "--omega0", "10", "--gamma", "10", "--Omega", "0.1", "--M", "1",
+                "--delta-min", "-5", "--delta-max", "1e308", "--delta-steps", "3",
+                "--method", method, "--output", str(out),
+            )
+            assert code == 2
+            assert not out.exists()
+            errors.append(capsys.readouterr().err)
+        assert errors == ["error: delta must be finite, got inf\n"] * 2
+
+    def test_exact_refuses_a_products_matrix_past_the_cap(self, tmp_path, capsys):
+        out = tmp_path / "h.csv"
+        code = run("lineshape", "--Omega", "0.1", "--M", "1", "--harmonics", "200000",
+                   "--output", str(out))
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: 200000 harmonics at M = 1.0 take a products matrix J_n J_(n-s) of "
+            "400085 x 400001 = 160034400085 entries, past the cap of 8388608\n"
+        )
+        assert not out.exists()
+
     def test_ode_matches_exact_at_large_index(self, tmp_path):
         # the sidebands reach |n| ~ 180 here, past what 64 samples resolve
         flags = ("lineshape", "--Omega", "0.3", "--M", "100", "--delta-min", "0.6",

@@ -311,6 +311,25 @@ class TestClosedForms:
         want = a_s_newberger(1, 1.0, 1.0, 0.1)
         assert abs(got - want) <= 1e-10 * abs(want)
 
+    @pytest.mark.parametrize(
+        "path, args, message",
+        [
+            (a_s_direct, (3, 1, 1, 1e-4), "A_s direct sum at s = 3, M = 1, gamma/Omega = "
+             "10000: the terms cancel to an estimated relative error 1.9e-02 > 1e-08"),
+            (a_s_series, (1, 60, 1, 1), "A_s series at s = 1, M = 60, gamma/Omega = 1: "
+             "the terms cancel to an estimated relative error 1.4e+01 > 1e-08"),
+            # the chain's estimate is NaN here
+            (a_s_newberger, (1, 100, 1e12, 1), "A_s closed form at s = 1, M = 100, "
+             "gamma/Omega = 1e+12: the Miller chain leaves an estimated relative "
+             "error nan > 1e-08"),
+        ],
+        ids=["direct", "series", "closed-form"],
+    )
+    def test_lost_digits_are_refused_word_for_word(self, path, args, message):
+        with pytest.raises(ConvergenceError) as refused:
+            path(*args)
+        assert str(refused.value) == message
+
     def test_oracle_chain_grid(self):
         for M in (0.5, 1.0, 2.0):
             for g_over_o in (0.5, 1.0, 3.0, 10.0):
@@ -509,6 +528,26 @@ class TestModulatedPowerExact:
         # force**2 leaves double range: dc = inf and the harmonics +-inf
         with pytest.raises(RegimeError, match=r"force = 1e\+200: .* gamma = 1.0"):
             modulated_power_exact_sweep(params(M=1.0, Omega=0.1, force=1e200), [0.0], 2)
+
+    def test_products_matrix_past_the_point_cap_is_refused_before_evaluation(
+        self, monkeypatch
+    ):
+        # M = 1 and 4 harmonics keep |n| <= 46: 93 x 9 = 837 products
+        p = params(M=1.0, Omega=0.1)
+        monkeypatch.setattr(modulation_spectroscopy, "_ORACLE_MAX_POINTS", 837)
+        modulated_power_exact_sweep(p, [0.0], 4)
+
+        def evaluated(*args):
+            raise AssertionError("evaluated past the cap")
+
+        monkeypatch.setattr(modulation_spectroscopy, "_j_symmetric", evaluated)
+        monkeypatch.setattr(modulation_spectroscopy, "_ORACLE_MAX_POINTS", 836)
+        with pytest.raises(RegimeError) as refused:
+            modulated_power_exact_sweep(p, [0.0], 4)
+        assert str(refused.value) == (
+            "4 harmonics at M = 1.0 take a products matrix J_n J_(n-s) of 93 x 9 = 837 "
+            "entries, past the cap of 836"
+        )
 
 
 class TestModulatedPowerPerturbative:
@@ -742,10 +781,12 @@ class TestTimeDomainOracle:
             time_domain_oracle(p, GeneralModulation.sinusoidal(p.M, p.Omega))
             counts.append(sum(points))
         # 128 samples: the drive at 8 and 16 nodes per step, and at the
-        # samples; a sweep evaluates each of them once for all its detunings
+        # samples; a sweep evaluates the first two once for all its
+        # detunings, and the drive at the samples once per detuning
+        assert counts[0] == counts[1] == 128 * (8 + 16 + 1)
         points.clear()
         time_domain_oracle_sweep(p, [1.0, 2.0, 1e12], GeneralModulation.sinusoidal(p.M, p.Omega))
-        assert counts[0] == counts[1] == sum(points) == 128 * (8 + 16 + 1)
+        assert sum(points) == 128 * (8 + 16) + 3 * 128
 
     def test_node_doubling_past_the_point_cap_is_refused(self, monkeypatch):
         # this detuning settles at 16 nodes; a cap between the points of
@@ -855,10 +896,11 @@ class TestTimeDomainOracleSweep:
         overrides, n_harmonics, deltas = SWEEPS["32 nodes"]
         base = params(**overrides)
         built = []
-        real = modulation_spectroscopy._gauss_legendre
+        real = modulation_spectroscopy.leggauss
         monkeypatch.setattr(
-            modulation_spectroscopy, "_gauss_legendre", lambda n: built.append(n) or real(n)
+            modulation_spectroscopy, "leggauss", lambda n: built.append(n) or real(n)
         )
+        modulation_spectroscopy._gauss_legendre.cache_clear()
         time_domain_oracle_sweep(
             base, deltas, GeneralModulation.sinusoidal(base.M, base.Omega), n_harmonics
         )
@@ -906,32 +948,49 @@ class TestTimeDomainOracleSweep:
             call(*args, GeneralModulation.sinusoidal(p.M, p.Omega), -1)
 
     @pytest.mark.parametrize(
-        "overrides, deltas, patches",
+        "deltas, error",
         [
-            (dict(M=1.0, Omega=0.1), [0.0, 1.0, -2e6, math.inf], {}),
-            (dict(M=1.0, Omega=0.1), [0.0, math.inf, -2e6], {}),
-            (dict(M=1.0, Omega=0.1), [math.nan, -2e6], {}),
-            (dict(omega0=1e6, gamma=3e6), [math.inf], {}),
-            (dict(omega0=1e6, gamma=3e6), [0.0, math.inf], {}),
-            (dict(M=1.0, Omega=0.1, force=1e200), [-2e6, 0.0], {}),
-            (dict(omega0=1e9, gamma=0.2, Omega=0.1, M=12.0), [1.0, 66.0, -2e9],
-             {"_ORACLE_MAX_NODES": 16}),
-            (dict(omega0=1e9, gamma=0.2, Omega=0.1, M=12.0), [1.0, 66.0, -2e9],
-             {"_ORACLE_MAX_POINTS": 256 * 24}),
+            ([0.0, 1.0, math.inf], ValueError),
+            ([math.nan, 0.0], ValueError),
+            ([0.0, -2e6, 1.0, -3e6], RegimeError),
+            ([0.0, -2e6, math.inf], ValueError),
         ],
-        ids=["sidebands", "inf", "nan-first", "overdamped-inf-first", "overdamped",
-             "sidebands-first", "node-cap", "point-cap"],
+        ids=["inf", "nan", "sidebands", "sidebands-and-inf"],
     )
-    def test_failing_detuning_raises_as_its_own_call(self, monkeypatch, overrides, deltas, patches):
+    def test_refuses_a_grid_as_the_exact_sweep_does(self, deltas, error):
+        # the oracle's sideband reach is that of mod, the exact sweep's that
+        # of base.M = 0 and s_max: they are made equal, so that one message
+        # names the same truncation range |n| <= 31
+        mod = GeneralModulation.sinusoidal(1.0, 0.1)
+        s_max = auto_sideband_order(mod) - exact_truncation_order(0.0, 0)
+        base = params(M=0.0, Omega=0.1)
+        with pytest.raises(error) as exact:
+            modulated_power_exact_sweep(base, deltas, s_max)
+        with pytest.raises(error) as oracle:
+            time_domain_oracle_sweep(base, deltas, mod)
+        assert type(oracle.value) is type(exact.value)
+        assert str(oracle.value) == str(exact.value)
+
+    @pytest.mark.parametrize(
+        "patches, message",
+        [
+            ({"_ORACLE_MAX_NODES": 16}, "passes the cap of 16 nodes"),
+            # 128 samples: 16 nodes take 2048 points, 32 take 4096
+            ({"_ORACLE_MAX_POINTS": 128 * 24}, "at 4096 points, past the cap of 3072"),
+        ],
+        ids=["node-cap", "point-cap"],
+    )
+    def test_failing_detuning_raises_as_its_own_call(self, monkeypatch, patches, message):
+        # delta = 66 rad/s doubles to 32 nodes, 1 rad/s settles at 16
         for name, value in patches.items():
             monkeypatch.setattr(modulation_spectroscopy, name, value)
-        base = params(**overrides)
+        base = params(omega0=1e9, gamma=0.2, Omega=0.1, M=12.0)
         mod = GeneralModulation.sinusoidal(base.M, base.Omega)
-        with pytest.raises((ValueError, OracleError)) as single:
+        deltas = [1.0, 66.0, 1.0]
+        with pytest.raises(OracleError, match=message) as single:
             one_detuning_at_a_time(base, deltas, mod)
-        with pytest.raises((ValueError, OracleError)) as sweep:
+        with pytest.raises(OracleError) as sweep:
             time_domain_oracle_sweep(base, deltas, mod)
-        assert type(sweep.value) is type(single.value)
         assert str(sweep.value) == str(single.value)
 
 
