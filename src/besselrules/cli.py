@@ -28,8 +28,8 @@ import numpy as np
 from besselrules.bessel_core import ConvergenceError, OracleError, _check_finite
 from besselrules.coefficients import (
     MAX_FAA_DI_BRUNO_K,
-    _both_signs,
     _flat_terms,
+    _negated,
     build_coeff_table,
     coeff_stirling_table,
 )
@@ -147,8 +147,9 @@ def _coeff_texts(table, term: str, sep: str, mark: str) -> Iterator[tuple[int, i
         for n, cs in enumerate(row):
             flat = _flat_terms(zip(range(n, k + 1, 2), cs))
             texts.append(sep.join([term] * (len(flat) // 3)) % flat)
-        for n, text, negated in _both_signs(k, texts):
-            if negated:
+        for n in range(-k, k + 1):
+            text = texts[abs(n)]
+            if _negated(k, n):
                 text = text.replace(mark, mark + "-").replace(mark + "--", mark)
             if text:
                 yield k, n, text
@@ -159,11 +160,11 @@ def cmd_coeffs(args) -> int:
     dual_checked = args.k_max <= MAX_FAA_DI_BRUNO_K
     mismatches = set()
     if dual_checked:
-        # the Stirling form's negative n check the mirror that _both_signs applies
+        # the Stirling form's negative n check the mirror that _negated applies
         stirling = coeff_stirling_table(args.k_max)
         mismatches = {(k, n) for k, row in enumerate(table.rows)
-                      for (n, cs, negated), got in zip(_both_signs(k, row), stirling[k])
-                      if got != [-c if negated else c for c in cs]}
+                      for n, got in enumerate(stirling[k], -k)
+                      if got != [-c if _negated(k, n) else c for c in row[abs(n)]]}
     unflagged = "ok" if dual_checked else "skipped"
 
     # every stored entry has at least one term, and (0, 0) is always stored

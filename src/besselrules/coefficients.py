@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 __all__ = [
     "DyadicPoly",
@@ -66,15 +66,7 @@ class DyadicPoly:
 
     def evaluate(self, y: float) -> float:
         """Horner evaluation in u = y/2 (one rounding per operation)."""
-        u = 0.5 * y
-        acc = 0.0
-        prev_power: int | None = None
-        for power in sorted(self.coeffs, reverse=True):
-            if prev_power is not None:
-                acc *= u ** (prev_power - power)
-            acc += float(self.coeffs[power])
-            prev_power = power
-        return acc * u**prev_power if prev_power else acc
+        return _horner(sorted(self.coeffs.items(), reverse=True), y)
 
     def __repr__(self) -> str:
         parts = [f"{c}*(y/2)^{p}" for p, c in sorted(self.coeffs.items())]
@@ -88,6 +80,21 @@ class DyadicPoly:
     def to_json_obj(self) -> list[dict]:
         """Terms as (num / 2^exp2) y^power with num odd unless exp2 == 0."""
         return [{"power": p, "num": str(num), "exp2": e} for p, num, e in self.terms()]
+
+
+def _horner(terms: Iterable[tuple[int, int]], y: float) -> float:
+    """sum c (y/2)^m over pairs (m, c) by falling m: Horner in u = y/2, one rounding
+    per operation.  A zero c is skipped, so a gap of g powers is one u^g step."""
+    u = 0.5 * y
+    acc = 0.0
+    prev: int | None = None
+    for power, c in terms:
+        if c:
+            if prev is not None:
+                acc *= u ** (prev - power)
+            acc += float(c)
+            prev = power
+    return acc * u**prev if prev else acc
 
 
 def _flat_terms(terms: Iterable[tuple[int, int]]) -> tuple[int, ...]:
@@ -104,10 +111,9 @@ def _flat_terms(terms: Iterable[tuple[int, int]]) -> tuple[int, ...]:
     return tuple(flat)
 
 
-def _both_signs(k: int, values: list) -> Iterator[tuple[int, object, bool]]:
-    """(n, values[|n|], whether D[k, n] is D[k, |n|] negated) for n = -k..k."""
-    for n in range(-k, k + 1):
-        yield n, values[abs(n)], n < 0 and (k + n) % 2 == 1
+def _negated(k: int, n: int) -> bool:
+    """Whether D[k, n] is D[k, |n|] negated: D[k, -n] = (-1)^(k+n) D[k, n]."""
+    return n < 0 and (k + n) % 2 == 1
 
 
 @dataclass(frozen=True)
@@ -117,10 +123,10 @@ class CoeffTable:
     rows[k][n], 0 <= n <= k, holds the c of the terms c (y/2)^m of D[k, n]
     over m = n, n + 2, ..., k.  theta -> pi - theta fixes sin(theta), maps
     e^{i n theta} to (-1)^n e^{-i n theta} and d/dtheta to -d/dtheta, so
-    D[k, -n] = (-1)^(k+n) D[k, n] (_both_signs) is not stored.  entries, the
-    read-only map (k, n) -> polynomial, is derived from rows when first
-    read; it holds no entry with |n| > k and none that vanishes (D[k, 0]
-    for odd k, for instance).
+    D[k, -n] = (-1)^(k+n) D[k, n] (_negated) is not stored.  evaluate
+    reads rows alone; entries, the read-only map (k, n) -> polynomial that
+    to_json_obj writes, is derived from rows when first read, with no entry
+    for |n| > k and none that vanishes (D[k, 0] for odd k, for instance).
     """
 
     rows: tuple[tuple[tuple[int, ...], ...], ...]
@@ -138,15 +144,19 @@ class CoeffTable:
     def entries(self) -> Mapping[tuple[int, int], DyadicPoly]:
         polys = {}
         for k, row in enumerate(self.rows):
-            for n, cs, negated in _both_signs(k, row):
-                coeffs = {abs(n) + 2 * i: -c if negated else c for i, c in enumerate(cs) if c}
+            for n in range(-k, k + 1):
+                sign = -1 if _negated(k, n) else 1
+                coeffs = {abs(n) + 2 * i: sign * c for i, c in enumerate(row[abs(n)]) if c}
                 if coeffs:
                     polys[k, n] = _frozen(coeffs)
         return MappingProxyType(polys)
 
-    def entry(self, k: int, n: int) -> DyadicPoly:
+    def evaluate(self, k: int, n: int, y: float) -> float:
+        """D[k, n](y), 0.0 past |n| <= k: _horner on rows[k][|n|], signed by _negated."""
         _check_k("k", k, self.k_max)
-        return self.entries.get((k, n), DyadicPoly())
+        cs = self.rows[k][abs(n)] if abs(n) <= k else ()
+        sign = -1 if _negated(k, n) else 1
+        return _horner(((abs(n) + 2 * i, sign * cs[i]) for i in reversed(range(len(cs)))), y)
 
     def to_json_obj(self) -> dict:
         entries = sorted(self.entries.items())

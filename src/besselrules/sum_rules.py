@@ -58,15 +58,16 @@ def _brute_order(y: float, extra: int, tol: float = 1e-16) -> int:
     return truncation_bound(abs(y), tol) + extra
 
 
-def _table_sums(k: int, y: float, j: np.ndarray, qs: np.ndarray) -> np.ndarray:
-    """sum_{n=-k..k} D[k, n](y) j_{q-n} for each q in qs.
+def _table_sums(ks: np.ndarray, y: float, j: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """sum_{n=-k..k} D[k, n](y) j_{q-n}: rows k in ks, columns q in qs.
 
-    j is indexed by order + len(j) // 2 and must reach order max|q| + k.
-    D[k, .](y) is evaluated once and convolved with j, which gives every q.
+    j is indexed by order + len(j) // 2 and must reach order max|q| + max k.
+    The table for the largest k serves every row; D[k, .](y) is evaluated
+    once per k and convolved with j, which gives every q.
     """
-    table = build_coeff_table(k)
-    d = [table.entry(k, n).evaluate(y) for n in range(-k, k + 1)]
-    return np.convolve(d, j)[qs + k + len(j) // 2]
+    table = build_coeff_table(int(ks.max()))
+    ds = [[table.evaluate(k, n, y) for n in range(-k, k + 1)] for k in ks.tolist()]
+    return np.array([np.convolve(d, j)[qs + len(d) // 2 + len(j) // 2] for d in ds])
 
 
 def _centered(conv: np.ndarray, n_max: int) -> np.ndarray:
@@ -99,16 +100,11 @@ def _grid(*axes) -> tuple[np.ndarray, ...]:
     return (*arrays, int(np.abs(arrays[-1]).max()))
 
 
-def _closed_moment(k: int, s: int, M: float) -> float:
-    """D[k, s](M), which is 0 past the support |s| <= k."""
-    return build_coeff_table(k).entry(k, s).evaluate(M) if abs(s) <= k else 0.0
-
-
 def b_ks_closed(k: int, s: int, M: float) -> float:
     """Closed form of sum_n n^k J_n(M) J_{n-s}(M): the (k, s) polynomial at M."""
     _check_k("k", k)
     _check_finite("M", M)
-    return _closed_moment(k, s, M)
+    return build_coeff_table(k).evaluate(k, s, M)
 
 
 def _b_ks_grid(ks, lags, M: float):
@@ -119,7 +115,8 @@ def _b_ks_grid(ks, lags, M: float):
     """
     _check_finite("M", M)
     ks, lags, reach = _grid(ks, lags)
-    closed = [[_closed_moment(k, s, M) for s in lags.tolist()] for k in ks.tolist()]
+    table = build_coeff_table(int(ks.max()))
+    closed = [[table.evaluate(k, s, M) for s in lags.tolist()] for k in ks.tolist()]
     n_max = _brute_order(M, max(8, 2 * int(ks.max())) + reach, 1e-14)
     n, jn, jns = _lagged(_j_symmetric(M, n_max + reach), lags, n_max)
     return n_max, np.array(closed), _moments(ks, n, jn[:, None] * jns)
@@ -147,7 +144,7 @@ def _addition_grid(ks, qs, y1: float, y2: float):
     ks, qs, reach = _grid(ks, qs)
     ik = np.array([1j**k for k in ks.tolist()])[:, None]
     wide = _j_symmetric(y1 + y2, reach + int(ks.max()))
-    closed = ik * np.array([_table_sums(k, y1, wide, qs) for k in ks.tolist()])
+    closed = ik * _table_sums(ks, y1, wide, qs)
     n_max = _brute_order(y1, max(8, 2 * int(ks.max())) + reach)
     n, _, lagged = _lagged(_j_symmetric(-y2, n_max + reach), qs, n_max)
     brute = ik * _moments(ks, n, _j_symmetric(y1, n_max)[:, None] * lagged)
@@ -182,9 +179,7 @@ def _alternating_grid(ks, qs, y: float):
     signs = np.where(n % 2 == 0, 1.0, -1.0)
     brute = _moments(ks, n, (signs * jn)[:, None] * jnq)
     wide = _j_symmetric(2.0 * y, reach + int(ks.max()))
-    closed = np.where(qs % 2 == 0, 1.0, -1.0) * np.array(
-        [_table_sums(k, y, wide, qs) for k in ks.tolist()]
-    )
+    closed = np.where(qs % 2 == 0, 1.0, -1.0) * _table_sums(ks, y, wide, qs)
     return n_max, closed, brute
 
 
@@ -437,7 +432,7 @@ def _recursion_grid(ks, qs, y: float):
     m_max = reach + int(ks.max())
     j = _j_symmetric(y, m_max)
     direct = qs.astype(float) ** ks[:, None] * j[qs + m_max]
-    residuals = np.abs(direct - [_table_sums(k, y, j, qs) for k in ks.tolist()])
+    residuals = np.abs(direct - _table_sums(ks, y, j, qs))
     return 0, np.zeros_like(residuals), residuals
 
 

@@ -183,6 +183,19 @@ class TestCoeffsCommand:
         assert json.loads(out.read_text())["dual_path"] == "ok"
         assert "entries" not in vars(build_coeff_table(20))
 
+    def test_evaluators_build_no_entries_map(self, tmp_path):
+        # b_ks_closed, the verify suites and the eta coefficients evaluate
+        # the table from its rows alone
+        build_coeff_table.cache_clear()
+        for k in range(65):
+            b_ks_closed(k, 0, 1.0)
+        assert run("verify", "--suite", "all", "--output", str(tmp_path / "v.csv")) == 0
+        out = tmp_path / "a.json"
+        assert run("a-sum", "--s", "2", "--M", "0.5", "--Omega", "0.01", "--method",
+                   "geometric", "--order", "64", "--expand", "--output", str(out)) == 0
+        assert len(json.loads(out.read_text())["eta_coefficients"]) == 65
+        assert not [k for k in range(65) if "entries" in vars(build_coeff_table(k))]
+
     def test_writers_reduce_each_object_by_value(self, tmp_path, monkeypatch):
         # hand-built rows as well as the recursion's: zeros inside a row, an
         # all-zero row, odd and even k + n, numbers past 64 bits, and mixed

@@ -6,6 +6,8 @@ forms; everything is exact integer equality in u = y/2, zero tolerance.
 
 import json
 import math
+import random
+import struct
 from fractions import Fraction
 from itertools import product
 
@@ -34,6 +36,25 @@ def evaluate_exact(p: DyadicPoly, y: Fraction) -> Fraction:
     """The polynomial at y in exact rational arithmetic."""
     u = Fraction(y) / 2
     return sum((c * u**power for power, c in p.coeffs.items()), Fraction(0))
+
+
+def table_entry(table: CoeffTable, k: int, n: int) -> DyadicPoly:
+    """D[k, n] of table as a polynomial, the zero one where entries holds none."""
+    return table.entries.get((k, n), DyadicPoly())
+
+
+def sparse_evaluate(p: DyadicPoly, y: float) -> float:
+    """Horner in u = y/2 over the stored powers of p, by falling power: the
+    reference CoeffTable.evaluate and DyadicPoly.evaluate match bit for bit."""
+    u = 0.5 * y
+    acc = 0.0
+    prev_power = None
+    for power in sorted(p.coeffs, reverse=True):
+        if prev_power is not None:
+            acc *= u ** (prev_power - power)
+        acc += float(p.coeffs[power])
+        prev_power = power
+    return acc * u**prev_power if prev_power else acc
 
 
 def poly_from_json(obj: list[dict]) -> DyadicPoly:
@@ -175,13 +196,13 @@ class TestBuildCoeffTable:
         table = build_coeff_table(4)
         for k in range(5):
             for n in range(-k, k + 1):
-                assert table.entry(k, n) == PINNED_TABLE.get(
+                assert table_entry(table, k, n) == PINNED_TABLE.get(
                     (k, n), DyadicPoly()
                 ), f"entry ({k}, {n}) disagrees with the pinned listing"
 
     def test_trivial_table(self):
         table = build_coeff_table(0)
-        assert table.entry(0, 0) == DyadicPoly({0: 1})
+        assert table_entry(table, 0, 0) == DyadicPoly({0: 1})
         assert len(table.entries) == 1
 
     def test_k_max_out_of_range(self):
@@ -190,10 +211,12 @@ class TestBuildCoeffTable:
         with pytest.raises(ValueError):
             build_coeff_table(65)
 
-    def test_entry_out_of_range(self):
+    def test_evaluate_out_of_range(self):
         table = build_coeff_table(3)
-        with pytest.raises(ValueError):
-            table.entry(4, 0)
+        with pytest.raises(ValueError, match=r"k must lie in \[0, 3\], got 4"):
+            table.evaluate(4, 0, 1.0)
+        with pytest.raises(ValueError, match=r"k must lie in \[0, 3\], got -1"):
+            table.evaluate(-1, 0, 1.0)
 
     def test_structural_invariants_through_k12(self):
         table = build_coeff_table(12)
@@ -210,12 +233,12 @@ class TestBuildCoeffTable:
                 assert all((p - n) % 2 == 0 for p in entry.coeffs)
         for k in range(13):
             # leading edge is exactly (y/2)^k
-            assert table.entry(k, k) == DyadicPoly({k: 1})
-            assert table.entry(k, -k) == DyadicPoly({k: 1})
+            assert table_entry(table, k, k) == DyadicPoly({k: 1})
+            assert table_entry(table, k, -k) == DyadicPoly({k: 1})
             for n in range(0, k + 1):
                 sign = (-1) ** ((k + n) % 2)
-                mirrored = {p: sign * c for p, c in table.entry(k, n).coeffs.items()}
-                assert table.entry(k, -n).coeffs == mirrored
+                mirrored = {p: sign * c for p, c in table_entry(table, k, n).coeffs.items()}
+                assert table_entry(table, k, -n).coeffs == mirrored
 
     def test_k64_table_has_4193_entries(self):
         # the count the benchmark's tracer reports for build_coeff_table
@@ -239,9 +262,9 @@ class TestBuildCoeffTable:
     def test_cached_table_cannot_be_changed_in_place(self):
         table = build_coeff_table(4)
         with pytest.raises(AttributeError):
-            table.entry(4, 0).coeffs.clear()
+            table_entry(table, 4, 0).coeffs.clear()
         with pytest.raises(TypeError):
-            table.entry(4, 2).coeffs[2] = 5
+            table_entry(table, 4, 2).coeffs[2] = 5
         with pytest.raises(TypeError):
             table.entries[(4, 0)] = DyadicPoly()
         with pytest.raises(TypeError):
@@ -258,7 +281,7 @@ class TestBuildCoeffTable:
         for k in range(5):
             for n in range(-k, k + 1):
                 want = PINNED_TABLE.get((k, n), DyadicPoly())
-                assert rebuilt.entry(k, n) == want
+                assert table_entry(rebuilt, k, n) == want
 
     def test_reported_discrepancy_at_4_0(self):
         """Both computation paths reject the circulated (4, 0) printed form.
@@ -270,9 +293,9 @@ class TestBuildCoeffTable:
         """
         printed = poly((4, 3, 3), (2, 1, 2))
         verified = poly((4, 3, 3), (2, 1, 1))
-        assert build_coeff_table(4).entry(4, 0) == verified
+        assert table_entry(build_coeff_table(4), 4, 0) == verified
         assert coeff_faa_di_bruno(4, 0) == verified
-        assert build_coeff_table(4).entry(4, 0) != printed
+        assert table_entry(build_coeff_table(4), 4, 0) != printed
         # adjudication by the independent truncated Bessel sum at y = 1
         y = 1.0
         row = bessel_j_row(truncation_bound(y, 1e-16) + 4, y)
@@ -355,7 +378,7 @@ class TestStirling:
         ]
         for k in range(65):
             for n in range(-k, k + 1):
-                assert stirling_entry(got, k, n) == table.entry(k, n), (k, n)
+                assert stirling_entry(got, k, n) == table_entry(table, k, n), (k, n)
 
     def test_matches_the_partition_closed_form_through_k30(self):
         got = coeff_stirling_table(30)
@@ -390,7 +413,7 @@ class TestFaaDiBruno:
         table = build_coeff_table(10)
         for k in range(1, 11):
             for n in range(-k, k + 1):
-                assert coeff_faa_di_bruno(k, n) == table.entry(k, n), (k, n)
+                assert coeff_faa_di_bruno(k, n) == table_entry(table, k, n), (k, n)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -418,7 +441,7 @@ class TestFaaDiBruno:
     def test_row_entries_are_fresh_and_odd_k_centre_is_zero(self):
         first = coeff_faa_di_bruno(4, 2)
         first.coeffs.clear()
-        assert coeff_faa_di_bruno(4, 2) == build_coeff_table(4).entry(4, 2)
+        assert coeff_faa_di_bruno(4, 2) == table_entry(build_coeff_table(4), 4, 2)
         assert coeff_faa_di_bruno(3, 0) == DyadicPoly()
         assert coeff_faa_di_bruno(5, 0) == DyadicPoly()
 
@@ -427,15 +450,46 @@ class TestEvalCoeff:
     def test_unit_entry(self):
         table = build_coeff_table(2)
         for y in (0.0, 1.7, -4.0):
-            assert table.entry(0, 0).evaluate(y) == 1.0
+            assert table.evaluate(0, 0, y) == 1.0
 
     def test_linear_entry(self):
-        assert build_coeff_table(1).entry(1, 1).evaluate(2.0) == 1.0
+        assert build_coeff_table(1).evaluate(1, 1, 2.0) == 1.0
 
     def test_quartic_entry(self):
         # 3/8 + 1/2 (the oracle-verified (4, 0) value, see the discrepancy test)
-        assert build_coeff_table(4).entry(4, 0).evaluate(1.0) == 0.875
+        assert build_coeff_table(4).evaluate(4, 0, 1.0) == 0.875
 
     def test_out_of_table_range(self):
         with pytest.raises(ValueError):
-            build_coeff_table(2).entry(3, 0).evaluate(1.0)
+            build_coeff_table(2).evaluate(3, 0, 1.0)
+
+    @pytest.mark.parametrize("y", [0.0, -0.0, 1e-300, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 5.0, 1e300])
+    def test_matches_the_sparse_reference_bit_for_bit(self, y):
+        # odd and even k + n on both sides of the mirror, |n| one past k,
+        # and signed zeros: the bytes must agree, not just the values
+        table = build_coeff_table(64)
+        for k in range(65):
+            for n in range(-k - 1, k + 2):
+                poly_kn = table_entry(table, k, n)
+                try:
+                    want = sparse_evaluate(poly_kn, y)
+                except OverflowError:
+                    with pytest.raises(OverflowError):
+                        table.evaluate(k, n, y)
+                    with pytest.raises(OverflowError):
+                        poly_kn.evaluate(y)
+                    continue
+                want = struct.pack("d", want)
+                assert struct.pack("d", table.evaluate(k, n, y)) == want, (k, n)
+                assert struct.pack("d", poly_kn.evaluate(y)) == want, (k, n)
+
+    def test_matches_the_sparse_reference_at_log_uniform_points(self):
+        rng = random.Random(20101)
+        table = build_coeff_table(64)
+        for k in range(65):
+            for n in range(-k - 1, k + 2):
+                for _ in range(4):
+                    y = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-4.0, 4.0)
+                    want = struct.pack("d", sparse_evaluate(table_entry(table, k, n), y))
+                    assert struct.pack("d", table.evaluate(k, n, y)) == want, (k, n, y)
+

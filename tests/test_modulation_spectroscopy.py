@@ -4,6 +4,7 @@ import dataclasses
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from besselrules import modulation_spectroscopy
 from besselrules.bessel_core import ConvergenceError, OracleError, bessel_j_int
+from besselrules.coefficients import build_coeff_table
 from besselrules.modulation_spectroscopy import (
     OscillatorParams,
     HarmonicDecomposition,
@@ -379,6 +381,28 @@ class TestGeometricExpansion:
             assert c2 == complex(-0.5 * M, 0.0)
             assert c3 == complex(0.0, 0.5 * M * (1.0 + 0.75 * M * M))
 
+    @pytest.mark.parametrize("M", [0.5, 1.0, 2.0, 1.3, -3.7, 30.0])
+    def test_eta_coefficients_within_k_eps_of_the_exact_sums(self, M):
+        # B[k, s](M) against the exact Fraction sum over the table's terms:
+        # within k eps of the sum of |terms| at every order up to 64, and
+        # exact at s = 0 below the first rounded order of a dyadic M
+        first_rounded = {0.5: 20, 1.0: 24, 2.0: 28}
+        rows = build_coeff_table(64).rows
+        u = Fraction(M) / 2
+        for s in range(-3, 4):
+            got = a_s_eta_coefficients(s, M, 64)
+            for k in range(65):
+                value = (got[k] * 1j ** (k % 4)).real
+                if abs(s) > k:
+                    assert got[k] == 0.0
+                    continue
+                sign = -1 if s < 0 and (k + s) % 2 else 1
+                terms = [sign * c * u ** (abs(s) + 2 * i) for i, c in enumerate(rows[k][abs(s)])]
+                error = abs(Fraction(value) - sum(terms))
+                assert error <= max(k, 1) * Fraction(2.0**-52) * sum(map(abs, terms)), (s, k)
+                if s == 0 and k <= first_rounded.get(M, -1):
+                    assert (error == 0) == (k < first_rounded[M]), k
+
     def test_remainder_scales_as_eta_fourth(self):
         M, gamma = 1.0, 1.0
         etas = np.geomspace(0.005, 0.05, 8)
@@ -548,6 +572,40 @@ class TestModulatedPowerExact:
             "4 harmonics at M = 1.0 take a products matrix J_n J_(n-s) of 93 x 9 = 837 "
             "entries, past the cap of 836"
         )
+
+    @pytest.mark.parametrize("s_max, per_block", [(0, 1), (2, 5), (2, 7)])
+    def test_blocks_the_point_cap_shrinks_move_only_the_last_bits(
+        self, monkeypatch, s_max, per_block
+    ):
+        p = params(M=3.0, Omega=0.1)
+        deltas = np.linspace(-5.0, 5.0, 37)
+        want = modulated_power_exact_sweep(p, deltas, s_max)
+        n_max = exact_truncation_order(p.M, s_max)
+        # the cap now holds per_block response rows, and still the products
+        monkeypatch.setattr(modulation_spectroscopy, "_ORACLE_MAX_POINTS",
+                            per_block * (2 * n_max + 1))
+        got = modulated_power_exact_sweep(p, deltas, s_max)
+        for a, b in zip(got, want, strict=True):
+            assert a.shape == b.shape
+            assert np.abs(a - b).max(initial=0.0) <= 1e-15 * p.force**2 / p.gamma
+
+    def test_peak_memory_is_that_of_one_block(self, monkeypatch):
+        # M = 2000 keeps |n| <= 2209: 64 detunings in one block peak at
+        # about 14 MB, a block of three at about 1.3 MB
+        p = params(omega0=1e4, M=2000.0, Omega=0.1)
+        n_max = exact_truncation_order(p.M, 1)
+        monkeypatch.setattr(modulation_spectroscopy, "_ORACLE_MAX_POINTS", 3 * (2 * n_max + 1))
+
+        def peak(deltas):
+            tracemalloc.start()
+            try:
+                modulated_power_exact_sweep(p, deltas, 1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        deltas = np.linspace(-5.0, 5.0, 64)
+        assert peak(deltas) <= 1.5 * peak(deltas[:3])
 
 
 class TestModulatedPowerPerturbative:
