@@ -34,6 +34,7 @@ from besselrules.coefficients import (
     coeff_stirling_table,
 )
 from besselrules.modulation_spectroscopy import (
+    _ORACLE_MAX_POINTS,
     OscillatorParams,
     PerturbativeDomainWarning,
     RegimeError,
@@ -128,6 +129,18 @@ def _write_csv(path: str, header: list[str], lines: Iterable[str]) -> None:
         fh.writelines(lines)
 
 
+def _write_table(args, head: dict, header: list[str], cells: list[str], rows,
+                 footer: str = "") -> None:
+    """rows under header to args.output: in JSON the "rows" list after head, in
+    CSV a line per row from the %-templates cells, then footer if any, a
+    one-field row that csv.writer leaves unquoted."""
+    if args.format == "json":
+        _write_json(args.output, head, args.stamp, "rows", _json_rows(header, rows))
+    else:
+        lines = _csv_rows(cells, rows)
+        _write_csv(args.output, header, itertools.chain(lines, [footer] if footer else ()))
+
+
 # ---------------------------------------------------------------------------
 # coeffs
 # ---------------------------------------------------------------------------
@@ -139,8 +152,10 @@ def _coeff_texts(table, term: str, sep: str, mark: str) -> Iterator[tuple[int, i
     term is the %-template of one term (power, num, exp2), in which mark
     comes right before num and nowhere else, and sep joins the terms.  Each
     rows[k][|n|] is reduced once by _flat_terms and its text filled once;
-    D[k, -n] takes the same text, with its num signs flipped on the string
-    where the mirror negates it, so no number is formatted twice.
+    D[k, -n] takes the same text, with a "-" put before each num where the
+    mirror negates it, so no number is formatted twice.  No num of rows is
+    negative: by the recursion each coefficient of row k + 1 is a sum of
+    non-negative multiples of those of row k, from D[0, 0] = 1.
     """
     for k, row in enumerate(table.rows):
         texts = []
@@ -150,7 +165,7 @@ def _coeff_texts(table, term: str, sep: str, mark: str) -> Iterator[tuple[int, i
         for n in range(-k, k + 1):
             text = texts[abs(n)]
             if _negated(k, n):
-                text = text.replace(mark, mark + "-").replace(mark + "--", mark)
+                text = text.replace(mark, mark + "-")
             if text:
                 yield k, n, text
 
@@ -419,20 +434,15 @@ def cmd_sidebands(args) -> int:
         (n, spectrum[n].real, spectrum[n].imag, abs(spectrum[n]) ** 2)
         for n in range(-n_eff, n_eff + 1)
     ]
-    header = ["n", "g_re", "g_im", "g_abs2"]
-    if args.format == "json":
-        head = {
-            "n_max": n_eff,
-            "fundamental": mod.fundamental,
-            "sample_count": spectrum.sample_count,
-            "tail_estimate": spectrum.tail_estimate,
-            "energy_sum": energy,
-        }
-        _write_json(args.output, head, args.stamp, "rows", _json_rows(header, rows))
-    else:
-        # the footer is a one-field row, which csv.writer leaves unquoted
-        lines = _csv_rows(["%d", "%.17g", "%.17g", "%.17g"], rows)
-        _write_csv(args.output, header, [*lines, "# energy_sum=%.17g\n" % energy])
+    head = {
+        "n_max": n_eff,
+        "fundamental": mod.fundamental,
+        "sample_count": spectrum.sample_count,
+        "tail_estimate": spectrum.tail_estimate,
+        "energy_sum": energy,
+    }
+    _write_table(args, head, ["n", "g_re", "g_im", "g_abs2"], ["%d", "%.17g", "%.17g", "%.17g"],
+                 rows, "# energy_sum=%.17g\n" % energy)
     return EXIT_OK
 
 
@@ -451,30 +461,14 @@ def _sweep_values(lo: float, hi: float, count: int) -> list[float]:
     return [lo + i * step for i in range(count)]
 
 
-def _lineshape_rows(
-    base: OscillatorParams, deltas: list[float], rad: list[float], method: str,
-    harmonics: int,
-) -> list:
-    """Rows [delta, dc, h1_cos, h1_sin, ...] at the detunings rad (rad/s), whose
-    normalized values deltas fill the delta column.
-
-    The sweep that method names gives columns, which fill one table; the
-    harmonics past the two of perturbative are zeros.
-    """
-    if method == "ode":
-        mod = GeneralModulation.sinusoidal(base.M, base.Omega)
-        dc, cos_amps, sin_amps = time_domain_oracle_sweep(base, rad, mod, harmonics)
-    elif method == "exact":
-        dc, cos_amps, sin_amps = modulated_power_exact_sweep(base, rad, harmonics)
-    else:
-        dc, cos_amps, sin_amps = modulated_power_perturbative_sweep(base, rad)
-    shown = min(harmonics, cos_amps.shape[1])
-    table = np.zeros((len(deltas), 2 + 2 * harmonics))
-    table[:, 0] = deltas
-    table[:, 1] = dc
-    table[:, 2 : 2 + 2 * shown : 2] = cos_amps[:, :shown]
-    table[:, 3 : 3 + 2 * shown : 2] = sin_amps[:, :shown]
-    return table.tolist()
+# --method name -> the columns dc[N], cos[N, H] and sin[N, H] of its sweep from
+# (base, the detunings in rad/s, harmonics), in --method help order
+_LINESHAPE_SWEEPS = {
+    "exact": lambda base, rad, h: modulated_power_exact_sweep(base, rad, h),
+    "perturbative": lambda base, rad, h: modulated_power_perturbative_sweep(base, rad),
+    "ode": lambda base, rad, h: time_domain_oracle_sweep(
+        base, rad, GeneralModulation.sinusoidal(base.M, base.Omega), h),
+}
 
 
 def cmd_lineshape(args) -> int:
@@ -488,9 +482,16 @@ def cmd_lineshape(args) -> int:
         Omega=args.Omega,
         M=args.M,
     )
-    if args.delta_min is not None or args.delta_max is not None:
-        if args.delta_min is None or args.delta_max is None:
-            raise ValueError("--delta-min and --delta-max must be given together")
+    sweep = args.delta_min is not None or args.delta_max is not None
+    if sweep and (args.delta_min is None or args.delta_max is None):
+        raise ValueError("--delta-min and --delta-max must be given together")
+    count, width = args.delta_steps if sweep else 1, 2 + 2 * args.harmonics
+    if count * width > _ORACLE_MAX_POINTS:
+        raise RegimeError(
+            f"--harmonics {args.harmonics} at a detuning count of {count} (--delta-steps) "
+            f"take a table of {count} x {width} = {count * width} cells, past the cap of "
+            f"{_ORACLE_MAX_POINTS}")
+    if sweep:
         deltas = _sweep_values(args.delta_min, args.delta_max, args.delta_steps)
         rad = [0.5 * d * base.gamma for d in deltas]
     else:
@@ -499,29 +500,23 @@ def cmd_lineshape(args) -> int:
             raise ValueError(
                 f"--delta {args.delta!r} over --gamma {args.gamma!r} overflows 2 delta / gamma")
 
-    rows = _lineshape_rows(base, deltas, rad, args.method, args.harmonics)
-
-    header = ["delta", "dc"]
-    for h in range(1, args.harmonics + 1):
-        header += [f"h{h}_cos", f"h{h}_sin"]
-    if args.format == "json":
-        head = {
-            "method": args.method,
-            "params": {
-                name: value for name, value in dataclasses.asdict(base).items()
-                if name != "delta"
-            },
-            "harmonics": args.harmonics,
-            "truncation_order": (
-                exact_truncation_order(base.M, args.harmonics)
-                if args.method == "exact"
-                else None
-            ),
-            "perturbative_valid": base.perturbative_valid,
-        }
-        _write_json(args.output, head, args.stamp, "rows", _json_rows(header, rows))
-    else:
-        _write_csv(args.output, header, _csv_rows(["%.17g"] * len(header), rows))
+    dc, cos_amps, sin_amps = _LINESHAPE_SWEEPS[args.method](base, rad, args.harmonics)
+    shown = min(args.harmonics, cos_amps.shape[1])  # perturbative gives 2; the rest stay 0
+    table = np.zeros((len(deltas), width))
+    table[:, 0], table[:, 1] = deltas, dc
+    table[:, 2 : 2 + 2 * shown : 2] = cos_amps[:, :shown]
+    table[:, 3 : 3 + 2 * shown : 2] = sin_amps[:, :shown]
+    header = ["delta", "dc", *(f"h{h}_{part}" for h in range(1, args.harmonics + 1)
+                               for part in ("cos", "sin"))]
+    head = {
+        "method": args.method,
+        "params": {k: v for k, v in dataclasses.asdict(base).items() if k != "delta"},
+        "harmonics": args.harmonics,
+        "truncation_order": (exact_truncation_order(base.M, args.harmonics)
+                             if args.method == "exact" else None),
+        "perturbative_valid": base.perturbative_valid,
+    }
+    _write_table(args, head, header, ["%.17g"] * width, table.tolist())
     return EXIT_OK
 
 
@@ -550,17 +545,12 @@ def cmd_a_sum(args) -> int:
         raise ValueError("at least one method is required")
 
     values = {m: _A_SUM_METHODS[m](args) for m in methods}
-    residuals = {
-        f"{m1}/{m2}": abs(values[m1] - values[m2])
+    # by key; a key names its two methods, so a repeated one has one value
+    residuals = dict(sorted(
+        (f"{m1}/{m2}", abs(values[m1] - values[m2]))
         for m1, m2 in itertools.combinations(methods, 2)
-    }
-
-    expansion = None
-    if args.expand:
-        coeffs = a_s_eta_coefficients(args.s, args.M, args.order)
-        expansion = [
-            {"order": k, "re": c.real, "im": c.imag} for k, c in enumerate(coeffs)
-        ]
+    ))
+    coeffs = a_s_eta_coefficients(args.s, args.M, args.order) if args.expand else []
 
     if args.format == "json":
         obj = {
@@ -571,29 +561,24 @@ def cmd_a_sum(args) -> int:
             "values": {
                 m: {"re": values[m].real, "im": values[m].imag} for m in methods
             },
-            "residuals": {k: residuals[k] for k in sorted(residuals)},
+            "residuals": residuals,
         }
-        if expansion is not None:
-            obj["eta_coefficients"] = expansion
+        if args.expand:
+            obj["eta_coefficients"] = [{"order": k, "re": c.real, "im": c.imag}
+                                       for k, c in enumerate(coeffs)]
         _write_json(args.output, obj, args.stamp)
     else:
         rows = [("value", m, values[m].real, values[m].imag) for m in methods]
-        rows += [("residual", key, residuals[key], 0.0) for key in sorted(residuals)]
-        rows += [("eta_coefficient", c["order"], c["re"], c["im"]) for c in expansion or ()]
+        rows += [("residual", key, r, 0.0) for key, r in residuals.items()]
+        rows += [("eta_coefficient", k, c.real, c.imag) for k, c in enumerate(coeffs)]
         _write_csv(args.output, ["kind", "name", "re", "im"],
                    _csv_rows(["%s", "%s", "%.17g", "%.17g"], rows))
     # the geometric path is a truncated expansion, so its deviation is
     # informational; only the exact methods gate the exit code
-    gated = {
-        key: r for key, r in residuals.items() if "geometric" not in key
-    }
-    breach = any(r > args.tolerance for r in gated.values())
-    if breach:
-        worst = max(gated.values())
-        print(
-            f"method residual {worst:.3e} exceeds tolerance {args.tolerance:g}",
-            file=sys.stderr,
-        )
+    gated = [r for key, r in residuals.items() if "geometric" not in key]
+    if any(r > args.tolerance for r in gated):
+        print(f"method residual {max(gated):.3e} exceeds tolerance {args.tolerance:g}",
+              file=sys.stderr)
         return EXIT_VERIFICATION
     return EXIT_OK
 
@@ -689,7 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Omega", type=float, required=True)
     p.add_argument("--M", type=float, required=True)
     p.add_argument("--force", type=float, default=1.0)
-    p.add_argument("--method", choices=("exact", "perturbative", "ode"), default="exact")
+    p.add_argument("--method", choices=tuple(_LINESHAPE_SWEEPS), default="exact")
     p.add_argument("--harmonics", type=int, default=2)
     add_file_options(p, "csv")
 
@@ -727,7 +712,7 @@ def main(argv: list[str] | None = None) -> int:
     command = globals()["cmd_" + args.command.replace("-", "_")]
     with warnings.catch_warnings():
         # each distinct domain warning is one "warning:" line, however many
-        # points of a sweep raise it; other warnings keep Python's format
+        # repeated --method entries raise it; other warnings keep Python's format
         warnings.simplefilter("always", PerturbativeDomainWarning)
         show_other = warnings.showwarning
         shown: set[str] = set()

@@ -292,7 +292,8 @@ def a_s_geometric(
     """Short expansion (1/gamma) sum_k c_k (Omega/gamma)^k over a_s_eta_coefficients.
 
     Outside the convergence bound the value is still returned but a
-    PerturbativeDomainWarning is issued.
+    PerturbativeDomainWarning is issued.  RegimeError names the order, s, M
+    and Omega/gamma where the sum leaves double range.
     """
     _check_k("order", order)
     _check_a_s_args(M, gamma, Omega)
@@ -305,7 +306,11 @@ def a_s_geometric(
         )
     eta = Omega / gamma
     coeffs = a_s_eta_coefficients(s, M, order)
-    return sum(c * eta**k for k, c in enumerate(coeffs)) / gamma
+    value = sum(c * _pow(eta, k) for k, c in enumerate(coeffs)) / gamma
+    if not cmath.isfinite(value):
+        raise RegimeError(f"the geometric expansion to order {order} at s = {s}, M = {M!r}, "
+                          f"Omega/gamma = {eta!r} leaves double range")
+    return value
 
 
 def a_s_eta_coefficients(s: int, M: float, order: int) -> list[complex]:
@@ -315,12 +320,20 @@ def a_s_eta_coefficients(s: int, M: float, order: int) -> list[complex]:
     exact integer coefficients, one rounding per operation.  Each B[k, s](M)
     is therefore within k eps times the sum of its terms' magnitudes (eps =
     2^-52), not exact: for dyadic M only the low orders are, at s = 0 up to
-    order 19 at M = 0.5, 23 at M = 1 and 27 at M = 2.
+    order 19 at M = 0.5, 23 at M = 1 and 27 at M = 2.  RegimeError names the
+    order, s and M where a coefficient leaves double range.
     """
     _check_k("order", order)
     _check_finite("M", M)
     table = build_coeff_table(order)
-    return [(-1j) ** (k % 4) * table.evaluate(k, s, M) for k in range(order + 1)]
+    try:
+        values = [table.evaluate(k, s, M) for k in range(order + 1)]
+    except OverflowError:  # from a power step of the Horner loop
+        values = [math.inf]
+    if not all(map(math.isfinite, values)):
+        raise RegimeError(f"the eta coefficients to order {order} at s = {s}, M = {M!r} "
+                          "leave double range")
+    return [(-1j) ** (k % 4) * value for k, value in enumerate(values)]
 
 
 def exact_truncation_order(M: float, s_max: int) -> int:
@@ -631,8 +644,8 @@ def time_domain_oracle_sweep(
     the velocity samples move by at most _ORACLE_RTOL (1e-10) of their
     largest magnitude.  OracleError is raised past _ORACLE_MAX_NODES, and
     before any evaluation whose n_samples * nodes would pass
-    _ORACLE_MAX_POINTS.  No J_n is used: the moments of _decay_weights are
-    i_r(kappa step / 2).
+    _ORACLE_MAX_POINTS (at _ORACLE_NODES before the sample grid is built).
+    No J_n is used: the moments of _decay_weights are i_r(kappa step / 2).
 
     The power is drive times velocity without its optical 2 omega part,
     as a multi-cycle average leaves it.  It repeats every period, so its
@@ -675,18 +688,23 @@ def time_domain_oracle_sweep(
     envelope = base.force / (2j * omega_d)
     n_samples = max(8, 2 * (reach + n_harmonics))
     n_samples = 1 << (n_samples - 1).bit_length()
-    step = 2.0 * math.pi / base.Omega / n_samples
-    t = np.arange(n_samples) * step
-    drives = {}  # node count -> the drive at those nodes of each sample step
 
-    def velocity(kappa1: complex, kappa2: complex, nodes: int) -> np.ndarray:
-        # lambda1 a_1 + lambda2 a_2, over f / (lambda1 - lambda2)
+    def refuse_past_cap(nodes: int) -> None:
         if n_samples * nodes > _ORACLE_MAX_POINTS:
             raise OracleError(
                 f"time-domain oracle: {n_samples} samples with {nodes} Gauss-Legendre "
                 f"nodes each evaluate the drive at {n_samples * nodes} points, past "
                 f"the cap of {_ORACLE_MAX_POINTS}"
             )
+
+    refuse_past_cap(_ORACLE_NODES)  # before the sample grid is built
+    step = 2.0 * math.pi / base.Omega / n_samples
+    t = np.arange(n_samples) * step
+    drives = {}  # node count -> the drive at those nodes of each sample step
+
+    def velocity(kappa1: complex, kappa2: complex, nodes: int) -> np.ndarray:
+        # lambda1 a_1 + lambda2 a_2, over f / (lambda1 - lambda2)
+        refuse_past_cap(nodes)
         x, lagrange = _gauss_legendre(nodes)
         if nodes not in drives:
             if n_samples * (nodes + sum(drives)) > _ORACLE_MAX_POINTS:

@@ -101,10 +101,19 @@ def _grid(*axes) -> tuple[np.ndarray, ...]:
 
 
 def b_ks_closed(k: int, s: int, M: float) -> float:
-    """Closed form of sum_n n^k J_n(M) J_{n-s}(M): the (k, s) polynomial at M."""
+    """Closed form of sum_n n^k J_n(M) J_{n-s}(M): the (k, s) polynomial at M.
+
+    OverflowError names k, s and M where the value leaves double range.
+    """
     _check_k("k", k)
     _check_finite("M", M)
-    return build_coeff_table(k).evaluate(k, s, M)
+    try:
+        value = build_coeff_table(k).evaluate(k, s, M)
+    except OverflowError:  # from a power step of the Horner loop
+        value = math.inf
+    if not math.isfinite(value):
+        raise OverflowError(f"B[k, s](M) at k = {k}, s = {s}, M = {M!r} leaves double range")
+    return value
 
 
 def _b_ks_grid(ks, lags, M: float):

@@ -198,22 +198,21 @@ class TestCoeffsCommand:
 
     def test_writers_reduce_each_object_by_value(self, tmp_path, monkeypatch):
         # hand-built rows as well as the recursion's: zeros inside a row, an
-        # all-zero row, odd and even k + n, numbers past 64 bits, and mixed
-        # signs in a negated mirror, where a negative num turns positive (the
-        # recursion's rows hold no negative c); each row is reduced once and
-        # its mirror read back by sign
+        # all-zero row, odd and even k + n, numbers past 64 bits, and several
+        # terms in a negated mirror; no c is negative, as in the recursion's
+        # rows; each row is reduced once and its mirror read back by sign
         tables = {
             "the k = 3 table": build_coeff_table(3),
             "hand-built rows": CoeffTable([
-                [[1]], [[0], [-2]], [[0, 0], [6], [2**70 + 4]],
-                [[4, 0], [0, -12], [0], [3 * 2**65]],
-                [[0, 8, 0], [5, -(2**67 + 12)], [0, 0], [1], [0]],
+                [[1]], [[0], [2]], [[0, 0], [6], [2**70 + 4]],
+                [[4, 0], [0, 12], [0], [3 * 2**65]],
+                [[0, 8, 0], [5, 2**67 + 12], [0, 0], [1], [0]],
             ]),
         }
         entries = tables["hand-built rows"].entries
         assert entries[(2, -1)] == DyadicPoly({1: -6})
-        assert entries[(3, -1)] == entries[(3, 1)] == DyadicPoly({3: -12})
-        assert entries[(4, -1)] == DyadicPoly({1: -5, 3: 2**67 + 12})
+        assert entries[(3, -1)] == entries[(3, 1)] == DyadicPoly({3: 12})
+        assert entries[(4, -1)] == DyadicPoly({1: -5, 3: -(2**67 + 12)})
         assert entries[(4, -3)] == DyadicPoly({3: -1})
         assert {(1, 0), (3, 2), (3, -2), (4, 2), (4, -2), (4, 4)}.isdisjoint(entries)
         # D[3, 0] of the k = 3 table and D[4, 2] of the hand-built rows are
@@ -1059,6 +1058,48 @@ class TestLineshapeCommand:
             0.5 * (1.0 - 0.5 * kappa**2), rel=1e-5
         )
 
+    @pytest.mark.parametrize("method", ["exact", "perturbative", "ode"])
+    def test_table_past_the_point_cap_is_refused_before_the_sweep(
+        self, tmp_path, capsys, monkeypatch, method
+    ):
+        # 2000 detunings of 2 + 2 * 100 cells would take a 3.2 MB table, past
+        # a cap of 1e5 cells; neither the detunings nor the table are built
+        monkeypatch.setattr(cli, "_ORACLE_MAX_POINTS", 100_000)
+        out = tmp_path / "big.csv"
+        tracemalloc.start()
+        try:
+            code = run("lineshape", "--Omega", "0.1", "--M", "1", "--delta-min", "-1",
+                       "--delta-max", "1", "--delta-steps", "2000", "--harmonics", "100",
+                       "--method", method, "--output", str(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: --harmonics 100 at a detuning count of 2000 (--delta-steps) take a "
+            "table of 2000 x 202 = 404000 cells, past the cap of 100000\n"
+        )
+        assert not out.exists()
+        assert peak < 2000 * 202 * 8
+
+    @pytest.mark.parametrize("method", ["perturbative", "ode"])
+    def test_one_detuning_past_the_point_cap_is_refused(self, tmp_path, capsys, monkeypatch,
+                                                        method):
+        def swept(*args):
+            raise AssertionError("swept past the cap")
+
+        monkeypatch.setattr(cli, "_ORACLE_MAX_POINTS", 1000)
+        monkeypatch.setitem(cli._LINESHAPE_SWEEPS, method, swept)
+        out = tmp_path / "one.csv"
+        code = run("lineshape", "--Omega", "0.1", "--M", "1", "--harmonics", "500",
+                   "--method", method, "--output", str(out))
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: --harmonics 500 at a detuning count of 1 (--delta-steps) take a "
+            "table of 1 x 1002 = 1002 cells, past the cap of 1000\n"
+        )
+        assert not out.exists()
+
 
 class TestASumCommand:
     def test_oracle_chain_residual(self, tmp_path):
@@ -1329,6 +1370,39 @@ class TestASumCommand:
             )
             == 2
         )
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_exact_method_breach_exits_1_and_still_writes(self, tmp_path, capsys, fmt):
+        out = tmp_path / f"a.{fmt}"
+        code = run("a-sum", "--s", "1", "--M", "1", "--Omega", "0.1", "--method",
+                   "direct,newberger", "--tolerance", "0", "--format", fmt,
+                   "--output", str(out))
+        assert code == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        residual = (json.loads(out.read_text())["residuals"]["direct/newberger"]
+                    if fmt == "json" else float(read_csv(out)[2]["re"]))
+        assert residual > 0
+        assert line == f"method residual {residual:.3e} exceeds tolerance 0"
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (("--M", "1e5", "--Omega", "0.01", "--order", "64"),
+             "to order 64 at s = 0, M = 100000.0 leave double range"),
+            (("--M", "1e100", "--Omega", "0.01", "--order", "4"),
+             "to order 4 at s = 0, M = 1e+100 leave double range"),
+            (("--M", "0.5", "--Omega", "1e200", "--order", "2"),
+             "to order 2 at s = 0, M = 0.5, Omega/gamma = 1e+200 leaves double range"),
+        ],
+        ids=["coefficient-inf", "coefficient-overflow", "eta-power-overflow"],
+    )
+    def test_geometric_past_double_range_is_refused(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "g.json"
+        code = run("a-sum", "--s", "0", *flags, "--method", "geometric", "--output", str(out))
+        assert code == 3
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("error: the ") and err[-1].endswith(named)
 
 
 LINESHAPE = ("lineshape", "--Omega", "0.03", "--M", "0.5")

@@ -240,6 +240,11 @@ class TestBuildCoeffTable:
                 mirrored = {p: sign * c for p, c in table_entry(table, k, n).coeffs.items()}
                 assert table_entry(table, k, -n).coeffs == mirrored
 
+    def test_no_coefficient_is_negative_through_k64(self):
+        # the coeffs writers negate a mirror by putting "-" before each num
+        rows = build_coeff_table(64).rows
+        assert min(c for row in rows for cs in row for c in cs) == 0
+
     def test_k64_table_has_4193_entries(self):
         # the count the benchmark's tracer reports for build_coeff_table
         assert len(build_coeff_table(64).entries) == 4193

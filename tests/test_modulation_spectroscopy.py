@@ -1,5 +1,6 @@
 """Oscillator-absorption tests: the A_s oracle chain, lineshapes, ODE oracle."""
 
+import cmath
 import dataclasses
 import math
 import tracemalloc
@@ -357,6 +358,31 @@ class TestGeometricExpansion:
     def test_unmodulated(self):
         assert a_s_geometric(0, 0.0, 2.0, 0.1, 5) == pytest.approx(0.5)
         assert a_s_geometric(2, 0.0, 2.0, 0.1, 5) == 0.0
+
+    @pytest.mark.parametrize("s, M, order", [(0, 1e5, 64), (0, 1e100, 4), (1, -1e200, 4)])
+    def test_coefficient_past_double_range_is_refused(self, s, M, order):
+        message = f"the eta coefficients to order {order} at s = {s}, M = {M!r} leave double range"
+        with pytest.raises(RegimeError) as err:
+            a_s_eta_coefficients(s, M, order)
+        assert str(err.value) == message
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PerturbativeDomainWarning)
+            with pytest.raises(RegimeError) as err:
+                a_s_geometric(s, M, 1.0, 0.01, order)
+        assert str(err.value) == message
+
+    def test_sum_past_double_range_is_refused(self):
+        # eta**2 = 1e400 overflows a double, as a Python power raises
+        with pytest.warns(PerturbativeDomainWarning), pytest.raises(RegimeError) as err:
+            a_s_geometric(0, 0.5, 1.0, 1e200, 2)
+        assert str(err.value) == (
+            "the geometric expansion to order 2 at s = 0, M = 0.5, Omega/gamma = 1e+200 "
+            "leaves double range"
+        )
+
+    def test_large_but_finite_coefficients_are_kept(self):
+        coeffs = a_s_eta_coefficients(0, 1e5, 40)
+        assert all(map(cmath.isfinite, coeffs)) and abs(coeffs[40]) > 1e190
 
     @pytest.mark.parametrize("M", [math.nan, math.inf, -math.inf])
     def test_eta_coefficients_refuse_non_finite_m(self, M):
@@ -890,6 +916,26 @@ class TestTimeDomainOracle:
             time_domain_oracle(
                 p, GeneralModulation.sinusoidal(p.M, p.Omega), n_harmonics=2_000_000
             )
+
+    def test_sample_grid_past_the_point_cap_is_not_built(self, monkeypatch):
+        # 2 (auto_sideband_order + 2^16) harmonics round up to 2^18 samples,
+        # whose time grid alone takes 2 MiB; 8 nodes each pass a cap of 2^20
+        cap = 8 << 17
+        monkeypatch.setattr(modulation_spectroscopy, "_ORACLE_MAX_POINTS", cap)
+        p = params(M=1.0, Omega=0.1)
+        mod = GeneralModulation.sinusoidal(p.M, p.Omega)
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                OracleError,
+                match=f"{1 << 18} samples with 8 Gauss-Legendre nodes each evaluate "
+                f"the drive at {8 << 18} points, past the cap of {cap}",
+            ):
+                time_domain_oracle_sweep(p, [0.0], mod, n_harmonics=1 << 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 18
 
     @given(
         exponent=st.floats(-3.0, 4.0),

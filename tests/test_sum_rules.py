@@ -88,6 +88,14 @@ class TestWeightedProductMoments:
         with pytest.raises(ValueError):
             b_ks_closed(-1, 0, 1.0)
 
+    @pytest.mark.parametrize("k, s, M", [(64, 0, 1e5), (4, 0, 1e300), (5, -1, -1e300)])
+    def test_value_past_double_range_is_refused(self, k, s, M):
+        # at 1e5 only the last multiply overflows, to inf; at 1e300 a power
+        # step of the Horner loop raises
+        with pytest.raises(OverflowError) as err:
+            b_ks_closed(k, s, M)
+        assert str(err.value) == f"B[k, s](M) at k = {k}, s = {s}, M = {M!r} leaves double range"
+
 
 class TestAdditionFormula:
     def test_order_zero_collapses_to_plain_addition(self):
