@@ -9,6 +9,7 @@ order 0, cancels too far.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -73,8 +74,8 @@ def truncation_bound(y: float, tol: float) -> int:
 
 
 # Downward recursion: values grow toward low orders, so the running pair is
-# renormalized by 2**-_RESCALE_SHIFT whenever it exceeds _RESCALE_LIMIT and
-# every captured value keeps the binary exponent it was captured at.
+# renormalized by 2**-_RESCALE_SHIFT whenever it exceeds _RESCALE_LIMIT, and
+# every captured value is scaled back by the rescales that followed it.
 _RESCALE_LIMIT = 2.0 ** 512
 _RESCALE_SHIFT = 512
 
@@ -119,29 +120,40 @@ def _downward_chain(y: float, order_max: int, nu: complex = 0) -> np.ndarray:
     n_top = _miller_start(order_max, y)
     top = n_top + n_top % 2
     # i = top/2 .. 1; every ratio is exactly 1 at nu = 0, so none is computed
-    ratios = [1.0] * (top // 2) if nu == 0 else _neumann_ratios(nu, top // 2)[::-1]
+    ratios = itertools.repeat(1.0) if nu == 0 else _neumann_ratios(nu, top // 2)[::-1]
     # J_{n_top} = seed, J_{n_top+1} = 0, or for odd n_top one step from (0, -seed)
     jp, j = (0.0, 2.0 ** -500) if top == n_top else (-(2.0 ** -500), 0.0)
-    shift = -500
     acc = 0.0  # Horner sum of the r_i J_{nu+2i}, over r_i
-    captured: list[tuple[complex, int]] = [(0.0, 0)] * (order_max + 1)
+    captured = np.empty(order_max + 1, complex if isinstance(nu, complex) else float)
+    rescaled = []  # the lowest order captured before each rescale, descending
     for m, ratio in zip(range(top, 0, -2), ratios):
         acc = j + ratio * acc
         if m <= order_max:
-            captured[m] = (j, shift)
+            captured[m] = j
         jp, j = j, (2.0 * (nu + m) / y) * j - jp
         if m - 1 <= order_max:
-            captured[m - 1] = (j, shift)
+            captured[m - 1] = j
         jp, j = j, (2.0 * (nu + m - 1) / y) * j - jp
         if abs(j) > _RESCALE_LIMIT:
             j, jp, acc = (v * 2.0 ** -_RESCALE_SHIFT for v in (j, jp, acc))
-            shift += _RESCALE_SHIFT
-    captured[0] = (j, shift)
+            rescaled.append(m - 1)
+    captured[0] = j
     norm = j + (nu + 2.0) * acc
-    ldexp = math.ldexp if isinstance(norm, float) else (
-        lambda x, e: complex(math.ldexp(x.real, e), math.ldexp(x.imag, e)))
-    values = [ldexp(mant / norm, mshift - shift) for mant, mshift in captured]
-    return np.array(values)
+    if isinstance(nu, complex):
+        # in Python's complex division: numpy's rounds differently
+        captured[:] = [mant / norm for mant in captured.tolist()]
+    else:
+        np.divide(captured, norm, out=captured)
+    # the orders from rescaled[i] up were captured before the last
+    # len(rescaled) - i rescales: one ldexp per segment, on real and
+    # imaginary parts alike
+    parts = captured.view(float).reshape(order_max + 1, -1)
+    above = order_max + 1
+    for i, lowest in enumerate(rescaled):
+        segment = parts[lowest:above]
+        np.ldexp(segment, -_RESCALE_SHIFT * (len(rescaled) - i), out=segment)
+        above = min(above, lowest)
+    return captured
 
 
 def bessel_j_int(n: int, y: float) -> float:
@@ -169,7 +181,7 @@ def bessel_j_row(order_max: int, y: float) -> BesselRow:
     ya = abs(y)
     values = (_tiny_chain if ya < _TINY_ARGUMENT else _downward_chain)(ya, order_max)
     if y < 0.0:
-        values[1::2] = -values[1::2]
+        np.negative(values[1::2], out=values[1::2])
     return BesselRow(order_max, y, values)
 
 

@@ -13,7 +13,9 @@ periodic steady state of the oscillator equation in an exactly
 transformed modal frame (the optical carrier is factored out
 analytically, so only the slow envelope is propagated, by exponential
 time differencing that integrates the decay factor exactly).  No
-integrator library is needed, so importing this module imports no scipy.
+integrator library is needed, and the Gauss-Legendre rule comes from the
+Legendre recurrence, so importing this module imports neither scipy nor
+numpy.polynomial, and the oracle calls no LAPACK routine.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss, legvander
 
 from besselrules.bessel_core import (
     _MAX_CHAIN_ERROR,
@@ -102,14 +103,15 @@ class PerturbativeDomainWarning(UserWarning):
 
 
 def perturbative_validity(M: float, gamma: float, Omega: float) -> bool:
-    """True when 2 * N_max * Omega / gamma < 1 with N_max ~ 2M.
+    """True when 2 * N_max * Omega / gamma < 1 with N_max ~ 2|M|.
 
     N_max approximates where the J_n(M) J_{n-s}(M) products become
-    negligible on the physics scale (~2M, never below 1); the rigorous
-    envelope bound is far too conservative for this purpose because its
-    accuracy floor swamps the physics scale at small M.
+    negligible on the physics scale (~2|M|, never below 1; the products
+    are even in M up to the sign (-1)^s); the rigorous envelope bound is
+    far too conservative for this purpose because its accuracy floor
+    swamps the physics scale at small M.
     """
-    n_max = max(1, math.ceil(2.0 * M))
+    n_max = max(1, math.ceil(2.0 * abs(M)))
     return abs(2.0 * n_max * Omega / gamma) < 1.0
 
 
@@ -535,21 +537,51 @@ def modulated_power_perturbative_sweep(
     return table[:, 0], table[:, 1:3], table[:, 3:]
 
 
+def _legendre_rows(x: np.ndarray, degree: int) -> np.ndarray:
+    """P_r(x_l) in row r, r = 0..degree, by the three-term recurrence in the
+    operation order of numpy's legvander, whose rows these match to the bit."""
+    p = np.empty((degree + 1, len(x)))
+    p[0], p[1] = 1.0, x
+    for r in range(1, degree):
+        p[r + 1] = (p[r] * x * (2 * r + 1) - p[r - 1] * r) / (r + 1)
+    return p
+
 
 def _legendre_of_lagrange(x: np.ndarray) -> np.ndarray:
     """C[r, l]: the P_r coefficient of the Lagrange polynomial of Gauss-Legendre node x_l.
 
-    The inverse of the Legendre Vandermonde matrix P_r(x_l), whose condition
-    number is 22 at 128 nodes.  (r + 1/2) w_l P_r(x_l) is C only for exact
-    nodes: leggauss's rounded ones leave it 1.4e-11 off at 128.
+    The inverse of the Legendre Vandermonde matrix V[l, r] = P_r(x_l), whose
+    condition number is 22 at 128 nodes.  For exact nodes it is (r + 1/2)
+    w_l P_r(x_l), w_l = 2 / ((1 - x_l^2) P_n'(x_l)^2); rounded nodes leave
+    that about 2e-13 off at 128, so one Newton-Schulz step C + C (I - V C)
+    follows, summed by einsum: no LAPACK routine and no BLAS matrix product.
     """
-    return np.linalg.inv(legvander(x, len(x) - 1))
+    n = len(x)
+    p = _legendre_rows(x, n)
+    weights = 2.0 * (1.0 - x * x) / (n * (p[n - 1] - x * p[n])) ** 2
+    c = (np.arange(n) + 0.5)[:, None] * p[:n] * weights
+    residual = np.eye(n) - np.einsum("rl,rk->lk", p[:n], c)
+    return c + np.einsum("rl,lk->rk", c, residual)
 
 
 @lru_cache(maxsize=None)
 def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Gauss-Legendre nodes on [-1, 1] and their _legendre_of_lagrange matrix."""
-    x = leggauss(nodes)[0]
+    """The Gauss-Legendre nodes on [-1, 1] and their _legendre_of_lagrange matrix.
+
+    Newton's method on P_nodes by the recurrence, from Tricomi's guesses,
+    stops after a step that moves no node by more than 1e-12, which leaves
+    them converged (Hale & Townsend, SIAM J. Sci. Comput. 35 (2013) A652);
+    they are then made symmetric about 0.
+    """
+    k = np.arange(nodes, 0, -1)
+    x = (1.0 - (nodes - 1) / (8.0 * nodes**3)) * np.cos(np.pi * (4 * k - 1) / (4 * nodes + 2))
+    step = np.inf
+    while step > 1e-12:
+        p = _legendre_rows(x, nodes)
+        dx = p[nodes] * (1.0 - x * x) / (nodes * (p[nodes - 1] - x * p[nodes]))
+        x -= dx
+        step = np.max(np.abs(dx))
+    x = 0.5 * (x - x[::-1])
     return x, _legendre_of_lagrange(x)
 
 

@@ -8,6 +8,8 @@ the complex-order grid is checked against mpmath directly.
 
 import cmath
 import math
+import random
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from besselrules import bessel_core
 from besselrules.bessel_core import (
     ConvergenceError,
     OracleError,
@@ -175,6 +178,94 @@ class TestBesselRow:
     def test_negative_order_max_rejected(self):
         with pytest.raises(ValueError):
             bessel_j_row(-1, 1.0)
+
+
+def per_order_chain(y: float, order_max: int, nu: complex = 0) -> np.ndarray:
+    """bessel_core._downward_chain as it was written with one (value, binary
+    exponent) pair per captured order: the reference its buffered form must
+    match to the bit."""
+    n_top = bessel_core._miller_start(order_max, y)
+    top = n_top + n_top % 2
+    ratios = ([1.0] * (top // 2) if nu == 0
+              else bessel_core._neumann_ratios(nu, top // 2)[::-1])
+    jp, j = (0.0, 2.0 ** -500) if top == n_top else (-(2.0 ** -500), 0.0)
+    shift, acc = -500, 0.0
+    captured = [(0.0, 0)] * (order_max + 1)
+    for m, ratio in zip(range(top, 0, -2), ratios):
+        acc = j + ratio * acc
+        if m <= order_max:
+            captured[m] = (j, shift)
+        jp, j = j, (2.0 * (nu + m) / y) * j - jp
+        if m - 1 <= order_max:
+            captured[m - 1] = (j, shift)
+        jp, j = j, (2.0 * (nu + m - 1) / y) * j - jp
+        if abs(j) > 2.0 ** 512:
+            j, jp, acc = (v * 2.0 ** -512 for v in (j, jp, acc))
+            shift += 512
+    captured[0] = (j, shift)
+    norm = j + (nu + 2.0) * acc
+    ldexp = math.ldexp if isinstance(norm, float) else (
+        lambda x, e: complex(math.ldexp(x.real, e), math.ldexp(x.imag, e)))
+    return np.array([ldexp(mant / norm, mshift - shift) for mant, mshift in captured])
+
+
+class TestMillerChainAtScale:
+    @pytest.mark.parametrize("y, order_max, nu", [
+        (0.5, 400, 0), (1e-3, 300, 0), (30.0, 100, 0), (1e3, 1200, 0), (7.0, 0, 0),
+        (0.5, 400, 0.25), (5.0, 100, 0.3 + 2j), (1e3, 300, 0.5 + 0j),
+        (0.01, 200, 0.9 - 25j), (40.0, 80, 0.1 + 300j),
+    ])
+    def test_chain_is_the_per_order_reference_bit_for_bit(self, y, order_max, nu):
+        got = bessel_core._downward_chain(y, order_max, nu)
+        want = per_order_chain(y, order_max, nu)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_row_holds_one_double_per_order(self):
+        bessel_j_row(10, 1.0)  # so that no first-call cost is counted
+        tracemalloc.start()
+        try:
+            bessel_j_row(100_000, 1e5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 100_001  # 8 bytes a double; a tuple per order took 132
+
+    @pytest.mark.parametrize("y", [1e4, 1e5, 1e6])
+    def test_low_orders_match_mpmath(self, y):
+        row = bessel_j_row(9, y)
+        for n in range(10):
+            want = mp.besselj(n, y)
+            assert abs(row[n] - want) <= 1e-12 * abs(want), n
+
+    def test_turning_point_matches_mpmath(self):
+        # mpmath needs far more than its default working precision at n = y;
+        # past y = 1e5 it does not converge there at all
+        want = mp.besselj(10_000, 1e4, maxprec=100_000)
+        assert abs(bessel_j_int(10_000, 1e4) - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_symmetries_are_exact_out_to_the_domain_edge(self, seed):
+        rng = random.Random(seed)
+        y = 10.0 ** rng.uniform(-3.0, 6.0)
+        n = rng.randrange(0, 40)
+        row, mirrored = bessel_j_row(n + 1, y).values, bessel_j_row(n + 1, -y).values
+        signs = (-1.0) ** np.arange(n + 2)
+        assert mirrored.tolist() == (signs * row).tolist()
+        for m in (n, n + 1):
+            assert bessel_j_int(-m, y) == signs[m] * bessel_j_int(m, y)
+
+    def test_many_rescales(self):
+        # J_400(0.5) ~ 1e-1110: the chain rescales nine times, seven of them
+        # below order 400, and the lower orders keep their relative accuracy
+        row, mirrored = bessel_j_row(400, 0.5).values, bessel_j_row(400, -0.5).values
+        signs = (-1.0) ** np.arange(401)
+        assert mirrored.tolist() == (signs * row).tolist()
+        assert bessel_j_int(-399, 0.5) == -bessel_j_int(399, 0.5)
+        for n in (1, 50, 100, 120):
+            want = mp.besselj(n, 0.5)
+            assert abs(row[n] - want) <= 1e-12 * abs(want), n
+        assert row[400] == 0.0
 
 
 class TestTruncationBound:

@@ -1341,6 +1341,14 @@ class TestASumCommand:
         assert err.count("\n") == 1
         assert "cli.py" not in err
 
+    @pytest.mark.parametrize("M", ["--M=3", "--M=-3"])
+    def test_domain_warning_reads_the_size_of_M(self, tmp_path, capsys, M):
+        assert run("a-sum", "--s", "0", M, "--Omega", "0.1", "--method", "geometric",
+                   "--output", str(tmp_path / "a.json")) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning: geometric expansion evaluated outside")
+        assert f"at M={M[4:]}.0," in err
+
     def test_repeated_domain_warning_is_printed_once(self, tmp_path, capsys):
         # both geometric sums raise the same warning; main prints it once
         out = tmp_path / "a.json"

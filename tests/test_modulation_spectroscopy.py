@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -107,6 +108,13 @@ class TestOscillatorParams:
         assert params(M=0.5, Omega=0.03).perturbative_valid
         assert not params(M=2.0, Omega=0.2).perturbative_valid
         assert perturbative_validity(2.0, 1.0, 0.1)  # 2*4*0.1 = 0.8 < 1
+
+    def test_validity_is_even_in_M(self):
+        # A_s(-M) = (-1)^s A_s(M): the bound reads |M|
+        grid = [0.0, 1e-3, 0.3, 0.5, 0.51, 1.0, 2.0, 3.0, 7.5, 1e3]
+        for M, gamma, Omega in itertools.product(grid, [0.5, 1.0, 3.0], [1e-4, 0.01, 0.1, 0.4]):
+            assert perturbative_validity(M, gamma, Omega) == perturbative_validity(-M, gamma, Omega)
+        assert not perturbative_validity(-3.0, 1.0, 0.1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -1000,9 +1008,10 @@ class TestTimeDomainOracleSweep:
         overrides, n_harmonics, deltas = SWEEPS["32 nodes"]
         base = params(**overrides)
         built = []
-        real = modulation_spectroscopy.leggauss
+        real = modulation_spectroscopy._legendre_of_lagrange
         monkeypatch.setattr(
-            modulation_spectroscopy, "leggauss", lambda n: built.append(n) or real(n)
+            modulation_spectroscopy, "_legendre_of_lagrange",
+            lambda x: built.append(len(x)) or real(x),
         )
         modulation_spectroscopy._gauss_legendre.cache_clear()
         time_domain_oracle_sweep(
@@ -1010,6 +1019,22 @@ class TestTimeDomainOracleSweep:
         )
         # one rule per node count for the whole sweep
         assert built == [8, 16, 32]
+
+    def test_calls_no_lapack_routine(self, monkeypatch):
+        overrides, n_harmonics, deltas = SWEEPS["32 nodes"]
+        base = params(**overrides)
+        mod = GeneralModulation.sinusoidal(base.M, base.Omega)
+        want = time_domain_oracle_sweep(base, deltas, mod, n_harmonics)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK routine called")
+
+        for name in ("inv", "solve", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        modulation_spectroscopy._gauss_legendre.cache_clear()
+        got = time_domain_oracle_sweep(base, deltas, mod, n_harmonics)
+        for column, expected in zip(got, want, strict=True):
+            assert column.tolist() == expected.tolist()
 
     def test_drives_past_the_point_cap_are_rebuilt_not_held(self, monkeypatch):
         p = params(M=1.0, Omega=0.1)
@@ -1131,6 +1156,18 @@ def decay_moments_mpmath(z: complex, count: int) -> list:
         for r in range(count - 2, 0, -1):
             mu[r - 1] = mu[r + 1] - (2 * r + 1) * (2 / zz) * mu[r]
         return [complex(m) for m in mu]
+
+
+@pytest.mark.parametrize("nodes", [8, 16, 32, 64, 128])
+def test_gauss_legendre_rule_matches_numpy(nodes):
+    # numpy's eigenvalue-based rule is the independent reference; the
+    # weights w_l = int L_l = 2 C[0, l] come from the Lagrange coefficients
+    x, lagrange = modulation_spectroscopy._gauss_legendre(nodes)
+    want = np.polynomial.legendre.leggauss(nodes)[0]
+    assert np.all(np.abs(x - want) <= 2 * np.spacing(np.abs(want)))
+    assert abs(2.0 * lagrange[0].sum() - 2.0) <= 1e-15
+    rows = modulation_spectroscopy._legendre_rows(x, nodes)
+    assert np.array_equal(rows.T, np.polynomial.legendre.legvander(x, nodes))
 
 
 @pytest.mark.parametrize("nodes", [8, 16, 32, 64, 128])

@@ -28,9 +28,11 @@ def run_fresh(code: str, cwd) -> str:
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
+    # nor numpy.polynomial: the oracle's Gauss-Legendre rule is its own
     out = run_fresh(
         "import sys, json, besselrules.cli\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))",
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial'))))",
         tmp_path,
     )
     assert json.loads(out) == []
